@@ -16,7 +16,6 @@
 
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "net/mesh.hh"
 #include "sim/logging.hh"
 #include "workloads/btree_workload.hh"
 #include "workloads/hash_workload.hh"
@@ -30,37 +29,6 @@ namespace atomsim
 {
 namespace bench
 {
-
-/**
- * FNV-1a hash of the (tick, node, kind) mesh delivery stream -- the
- * byte-identity fingerprint the always-built benches
- * (parallel_scaling, hybrid_sweep) compare across shard counts. One
- * definition here so the two benches' hashes stay comparable; the
- * golden tests use the same mixing in golden::TraceHasher.
- */
-class StreamHashTracer : public Mesh::Tracer
-{
-  public:
-    void
-    onDeliver(Tick tick, std::uint32_t node, MsgType type) override
-    {
-        mix(tick);
-        mix(node);
-        mix(std::uint64_t(type));
-    }
-
-    std::uint64_t hash = 14695981039346656037ull;
-
-  private:
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= (v >> (8 * i)) & 0xff;
-            hash *= 1099511628211ull;
-        }
-    }
-};
 
 /** The six micro-benchmarks in the paper's figure order. */
 inline const char *kMicroNames[] = {"btree", "hash",   "queue",

@@ -1,7 +1,7 @@
 /**
  * @file
  * Hybrid DRAM/NVM sweep (plain chrono; always builds, like
- * bench/parallel_scaling.cc). Exercises the memory subsystem behind
+ * bench/kernel_events.cc). Exercises the memory subsystem behind
  * the controllers across its design points and gates the properties
  * the hybrid tier promises:
  *
@@ -15,45 +15,40 @@
  *  4. placement: throughput / hit-rate / log-traffic rows across
  *     {nvmOnly, memoryMode, appDirect(log-direct),
  *     appDirect(data-direct)} on TPC-C and the hash microbenchmark
- *     (reported);
- *  5. --smoke: memoryMode + appDirect at 1 and 4 shards must produce
- *     byte-identical delivery streams (gated; run by CI next to
- *     parallel_scaling).
+ *     (reported).
+ *
+ * `--smoke` runs the gated sections 1 and 2 only (what CI runs).
  *
  * `--stats-json <path>` exports every row machine-readably
  * (harness/report.hh JsonWriter) instead of ad-hoc stdout scraping.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "designs/design.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "mem/memory_controller.hh"
-#include "net/mesh.hh"
 #include "workloads/hash_workload.hh"
 #include "workloads/tpcc/tpcc_workload.hh"
 
 namespace
 {
-std::atomic<std::uint64_t> g_allocCount{0};
+std::uint64_t g_allocCount = 0;
 }
 
 void *
 operator new(std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -62,7 +57,7 @@ operator new(std::size_t size)
 void *
 operator new[](std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -200,9 +195,9 @@ allocSection()
     // mark.
     batch(64);
 
-    const std::uint64_t before = g_allocCount.load();
+    const std::uint64_t before = g_allocCount;
     batch(1000);
-    const std::uint64_t allocs = g_allocCount.load() - before;
+    const std::uint64_t allocs = g_allocCount - before;
 
     std::printf("allocs across %u DRAM-hit reads + absorbed writes: "
                 "%llu\n",
@@ -227,7 +222,6 @@ struct SweepRun
     RunResult result;
     double hitRate = 0;
     double wallMs = 0;
-    std::uint64_t streamHash = 0;
 };
 
 enum class Load
@@ -239,7 +233,7 @@ enum class Load
 
 SweepRun
 runOne(Load load, const Mode &mode, std::uint32_t dram_mb,
-       std::uint32_t shards, std::uint32_t txns_per_core)
+       std::uint32_t txns_per_core)
 {
     SystemConfig cfg;
     cfg.numCores = 8;
@@ -249,7 +243,6 @@ runOne(Load load, const Mode &mode, std::uint32_t dram_mb,
     cfg.hybridMode = mode.mode;
     cfg.appDirectRegion = mode.region;
     cfg.dramCacheMBPerMc = dram_mb;
-    cfg.numShards = shards;
     // Small L2 slices so the working set streams through them: the
     // resulting evictions + re-fetches are exactly the traffic a DRAM
     // tier exists to absorb (with the Table-I 32 MB L2, these scaled
@@ -293,8 +286,6 @@ runOne(Load load, const Mode &mode, std::uint32_t dram_mb,
     }
 
     Runner runner(cfg, *workload, txns_per_core, data_bytes);
-    bench::StreamHashTracer tracer;
-    runner.system().mesh().setTracer(&tracer);
     runner.setUp();
     const auto t0 = std::chrono::steady_clock::now();
     SweepRun r;
@@ -302,7 +293,6 @@ runOne(Load load, const Mode &mode, std::uint32_t dram_mb,
     const auto t1 = std::chrono::steady_clock::now();
     r.wallMs = std::chrono::duration<double, std::milli>(t1 - t0)
                    .count();
-    r.streamHash = tracer.hash;
     const std::uint64_t probes = r.result.dramHits +
                                  r.result.dramMisses;
     r.hitRate = probes ? double(r.result.dramHits) / double(probes)
@@ -323,7 +313,7 @@ capacitySection()
     double prev_rate = -1.0;
     const Mode &mm = kModes[1];
     for (std::uint32_t mb : {1u, 2u, 4u, 8u}) {
-        const SweepRun r = runOne(Load::TpccBig, mm, mb, 0, 96);
+        const SweepRun r = runOne(Load::TpccBig, mm, mb, 96);
         table.addRow({std::to_string(mb),
                       std::to_string(r.result.dramHits),
                       std::to_string(r.result.dramMisses),
@@ -363,7 +353,7 @@ placementSection(Load load, const char *load_name,
     ReportTable table({"mode", "log placement", "txn/s", "hit rate",
                        "nvm data wr", "nvm log wr", "wb evictions"});
     for (const Mode &mode : kModes) {
-        const SweepRun r = runOne(load, mode, 8, 0, txns_per_core);
+        const SweepRun r = runOne(load, mode, 8, txns_per_core);
         SystemConfig label_cfg;
         label_cfg.hybridMode = mode.mode;
         label_cfg.appDirectRegion = mode.region;
@@ -392,54 +382,6 @@ placementSection(Load load, const char *load_name,
     table.print();
 }
 
-// --- Section 5: sharded byte-identity with the hybrid tier on -------
-
-bool
-shardIdentitySection()
-{
-    std::printf("\n-- sharded byte-identity with hybrid modes "
-                "(--smoke) --\n");
-    bool ok = true;
-    for (std::size_t m = 1; m < std::size(kModes); ++m) {
-        const Mode &mode = kModes[m];
-        const SweepRun one = runOne(Load::Hash, mode, 4, 1, 4);
-        const SweepRun four = runOne(Load::Hash, mode, 4, 4, 4);
-        const bool same = one.streamHash == four.streamHash &&
-                          one.result.txns == four.result.txns &&
-                          one.result.dramHits == four.result.dramHits;
-        // A smoke run that never hit DRAM would vacuously "pass";
-        // require the tier to actually see traffic wherever the data
-        // region is cached. (appDirect/data-direct caches only the
-        // log region, which ATOM never *reads* in forward execution
-        // -- zero hits is the expected behavior there, and the row
-        // documents it.)
-        const bool caches_data =
-            !(mode.mode == HybridMode::AppDirect &&
-              mode.region == AppDirectRegion::DataRegion);
-        const bool exercised = !caches_data ||
-                               one.result.dramHits > 0;
-        std::printf("%-22s 1-shard %016llx vs 4-shard %016llx: %s "
-                    "(%llu dram hits)\n",
-                    mode.name, (unsigned long long)one.streamHash,
-                    (unsigned long long)four.streamHash,
-                    same ? "identical" : "DIVERGED",
-                    (unsigned long long)one.result.dramHits);
-        if (!exercised)
-            std::printf("!! %s: no DRAM hits -- smoke config no "
-                        "longer exercises the tier\n", mode.name);
-        jsonRowBegin("shard_identity");
-        if (g_jsonOpen) {
-            g_json.kv("mode", mode.name);
-            g_json.kv("identical", same);
-            g_json.kv("dram_hits", one.result.dramHits);
-        }
-        jsonRowEnd();
-        ok &= same && exercised;
-    }
-    std::printf("hybrid shard-identity gate: %s\n", ok ? "OK" : "FAIL");
-    return ok;
-}
-
 } // namespace
 
 int
@@ -466,13 +408,10 @@ main(int argc, char **argv)
     bool ok = true;
     ok &= latencySection();
     ok &= allocSection();
-    if (smoke) {
-        ok &= shardIdentitySection();
-    } else {
+    if (!smoke) {
         ok &= capacitySection();
         placementSection(Load::Tpcc, "tpcc (4c ATOM)", 16);
         placementSection(Load::Hash, "hash micro (8c ATOM-OPT)", 8);
-        ok &= shardIdentitySection();
     }
 
     if (g_jsonOpen) {

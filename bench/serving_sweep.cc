@@ -13,10 +13,9 @@
  * the 1024-tile preset must finish inside a generous wall budget with
  * O(1) amortized allocations per registered stat counter, and stat
  * dump/aggregation over the full 1024-tile counter population must
- * stay in bounds. These gates pin the fixes for the structures that
- * were O(cores^2)-ish at 1024 tiles (ordered-map stat registration,
- * the dense lookahead matrix); the binary exits non-zero if any gate
- * fails.
+ * stay in bounds. These gates pin the fix for ordered-map stat
+ * registration, which went super-linear at 1024 tiles; the binary
+ * exits non-zero if any gate fails.
  *
  * `--stats-json <path>` exports one row per run with a per-tenant
  * array: {"tenant": N, "commits": ..., "aus_acquires": ...,
@@ -24,7 +23,6 @@
  * {"count", "p50", "p95", "p99"}}.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,14 +37,13 @@
 
 namespace
 {
-// Relaxed atomic: sharded worker threads allocate too.
-std::atomic<std::uint64_t> g_allocCount{0};
+std::uint64_t g_allocCount = 0;
 }
 
 void *
 operator new(std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -55,7 +52,7 @@ operator new(std::size_t size)
 void *
 operator new[](std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -183,12 +180,12 @@ scalingGates()
     bool ok = true;
 
     const SystemConfig cfg = SystemConfig::makeMeshPreset(1024);
-    const std::uint64_t a0 = g_allocCount.load();
+    const std::uint64_t a0 = g_allocCount;
     const auto t0 = std::chrono::steady_clock::now();
     System sys(cfg, Addr(512) * 1024 * 1024);
     const auto t1 = std::chrono::steady_clock::now();
     const double build_s = std::chrono::duration<double>(t1 - t0).count();
-    const std::uint64_t build_allocs = g_allocCount.load() - a0;
+    const std::uint64_t build_allocs = g_allocCount - a0;
 
     const auto dump = std::as_const(sys).stats().dump();
     const std::uint64_t counters = dump.size();

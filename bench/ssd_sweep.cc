@@ -23,7 +23,6 @@
  *  "pages_per_mcycle": ..., ...} plus the gate verdicts.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,14 +38,13 @@
 
 namespace
 {
-// Relaxed atomic: sharded worker threads allocate too.
-std::atomic<std::uint64_t> g_allocCount{0};
+std::uint64_t g_allocCount = 0;
 }
 
 void *
 operator new(std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -55,7 +53,7 @@ operator new(std::size_t size)
 void *
 operator new[](std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    ++g_allocCount;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -248,11 +246,11 @@ hotPathAllocGate()
     batch(0x11);
     batch(0x22);
 
-    const std::uint64_t a0 = g_allocCount.load();
+    const std::uint64_t a0 = g_allocCount;
     const std::uint32_t before = completions;
     for (std::uint32_t round = 0; round < 8; ++round)
         batch(std::uint8_t(0x30 + round));
-    const std::uint64_t steady_allocs = g_allocCount.load() - a0;
+    const std::uint64_t steady_allocs = g_allocCount - a0;
 
     std::printf("hot path: %u completions, %llu steady-state allocs\n",
                 completions - before,

@@ -57,10 +57,8 @@ LogI::meshDeliver(Packet &pkt)
         pkt.arg, pkt.addr, pkt.data, _posted,
         [this, core, mc_node, done = std::move(pkt.cb)]() mutable {
             // The ack rides the store path's continuation back to the
-            // core; stamping the core lets the sharded mesh deliver it
-            // in the core's own domain.
+            // core.
             Packet &p = _mesh.make(MsgType::LogAck);
-            p.core = core;
             p.cb = std::move(done);
             _mesh.send(mc_node, _mesh.coreNode(core), p);
         });

@@ -18,8 +18,7 @@
  * split-phase coherence rework -- every inbound protocol leg
  * (Inv / Recall / FwdGetS / FwdGetX / WbAck). The home tile never
  * calls into the L1 directly; all L1<->L2 interaction is real mesh
- * traffic, which is what lets each core+L1 pair live in its own
- * simulation domain (see sim/shard.hh).
+ * traffic.
  *
  * Dirty evictions are split-phase too: the line parks in a pooled
  * writeback buffer entry while its PutM travels to the home tile, and

@@ -10,9 +10,7 @@
  * Every L1<->L2 protocol leg is a *split-phase mesh transaction*: the
  * tile never calls into an L1 (and vice versa); it sends a typed
  * packet (Recall / Inv / FwdGetS / FwdGetX / WbAck) and the L1 answers
- * with another (RecallAck / InvAck / FwdAckS / FwdAckX / PutM). That
- * is what allows each L2 tile -- and each core+L1 pair -- to run as
- * its own simulation domain in sharded mode (sim/shard.hh).
+ * with another (RecallAck / InvAck / FwdAckS / FwdAckX / PutM).
  * Per-line busy serialization at the directory still makes the
  * protocol race-free: a line with an in-flight recall/invalidation
  * round or forward keeps its busy bit until the acks return.

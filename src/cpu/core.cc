@@ -36,7 +36,7 @@ void
 Core::nextTransaction()
 {
     // The ticket must cover the fetch: the transaction's store payloads
-    // are computed functionally inside fetchNext, so fetch order is the
+    // are computed functionally by the source, so fetch order is the
     // order shared-structure updates compose in (see RegionSerializer).
     if (_regionSer) {
         _regionSer->acquire([this] { fetchTransaction(); });
@@ -48,37 +48,16 @@ Core::nextTransaction()
 void
 Core::fetchTransaction()
 {
-    _source->fetchNext(_id, [this](std::optional<Transaction> txn) {
-        _txn = std::move(txn);
-        if (!_txn) {
-            if (_regionSer)
-                _regionSer->release();
-            _ctrlLB = kTickNever;
-            // Drain outstanding stores, then go idle.
-            _sq.whenEmpty([this] { _done = true; });
-            return;
-        }
-        _txnStart = _eq.now();
-        execOp(0);
-    });
-}
-
-void
-Core::updateCtrlBound(std::size_t idx)
-{
-    const auto &ops = _txn->ops;
-    if (idx == 0 || idx > _ctrlNextIdx) {
-        std::size_t j = idx;
-        while (j < ops.size() && ops[j].kind != OpKind::AtomicBegin &&
-               ops[j].kind != OpKind::AtomicEnd)
-            ++j;
-        _ctrlNextIdx = j;
+    _txn = _source->next(_id);
+    if (!_txn) {
+        if (_regionSer)
+            _regionSer->release();
+        // Drain outstanding stores, then go idle.
+        _sq.whenEmpty([this] { _done = true; });
+        return;
     }
-    // Every later op issues at least computeGap after the previous
-    // one's completion, and the boundary submission happens no earlier
-    // than the boundary op's own issue (the end-of-stream fetch at
-    // idx == ops.size() counts as a boundary too).
-    _ctrlLB = _eq.now() + Cycles(_ctrlNextIdx - idx) * _cfg.computeGap;
+    _txnStart = _eq.now();
+    execOp(0);
 }
 
 void
@@ -87,13 +66,11 @@ Core::execOp(std::size_t idx)
     if (idx >= _txn->ops.size()) {
         if (_observer)
             _observer(_id, *_txn, _txnStart, _eq.now());
-        _ctrlLB = _eq.now();
         if (_regionSer)
             _regionSer->release();
         nextTransaction();
         return;
     }
-    updateCtrlBound(idx);
     _statOps.inc();
     const MemOp &op = _txn->ops[idx];
 

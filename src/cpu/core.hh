@@ -33,25 +33,10 @@ class L1Cache;
 class TransactionSource
 {
   public:
-    /** Continuation receiving the fetched transaction (or nullopt). */
-    using FetchDone = std::function<void(std::optional<Transaction>)>;
-
     virtual ~TransactionSource() = default;
 
     /** Next transaction for @p core; std::nullopt when done. */
     virtual std::optional<Transaction> next(CoreId core) = 0;
-
-    /**
-     * Asynchronous fetch: @p done receives the next transaction.
-     * Default: inline. Sharded runners override this to route the
-     * (functional, shared-state) workload dispatch through the
-     * barrier control plane so per-tile domains never race on it.
-     */
-    virtual void
-    fetchNext(CoreId core, FetchDone done)
-    {
-        done(next(core));
-    }
 };
 
 /**
@@ -98,9 +83,9 @@ class DesignHooks
  * ahead of a functionally-earlier peer, and rolling that peer back
  * after a crash leaves durable writes that structurally assume the
  * rolled-back update. Opt-in via
- * SystemConfig::serializeAtomicRegions (sequential kernel only); the
- * per-core micro workloads never need it, so default timing -- and
- * every pinned golden -- is unchanged.
+ * SystemConfig::serializeAtomicRegions; the per-core micro workloads
+ * never need it, so default timing -- and every pinned golden -- is
+ * unchanged.
  */
 class RegionSerializer
 {
@@ -147,9 +132,8 @@ class Core
      * Completion hook for latency measurement: fires once per
      * transaction when its last op retires, with the dispatch tick
      * (transaction received from the source) and the completion tick.
-     * Runs on the core's own domain queue, so what it observes is
-     * shard-invariant. Purely observational -- installing one never
-     * changes simulated behavior.
+     * Purely observational -- installing one never changes simulated
+     * behavior.
      */
     using TxnObserver = std::function<void(
         CoreId, const Transaction &, Tick start, Tick end)>;
@@ -173,26 +157,11 @@ class Core
 
     std::uint64_t committed() const { return _statCommitted.value(); }
 
-    /**
-     * Lower bound on the tick of this core's next control-plane
-     * submission (Atomic_Begin/End hook call or transaction fetch).
-     *
-     * The in-order core inserts a computeGap between consecutive ops,
-     * so from the currently executing op the next transaction-boundary
-     * op is at least (ops until boundary) x computeGap away. The bound
-     * is updated at op issue and goes kTickNever once the source is
-     * exhausted. It may be stale-low while the core idles inside a
-     * window (the sharded engine maxes it with live queue bounds); it
-     * is never higher than the true next submission tick.
-     */
-    Tick ctrlLowerBound() const { return _ctrlLB; }
-
   private:
     void nextTransaction();
     void fetchTransaction();
     void execOp(std::size_t idx);
     void opDone(std::size_t idx);
-    void updateCtrlBound(std::size_t idx);
 
     CoreId _id;
     EventQueue &_eq;
@@ -208,9 +177,6 @@ class Core
     bool _done = false;
     TxnObserver _observer;
     Tick _txnStart = 0;  //!< dispatch tick of the running transaction
-
-    Tick _ctrlLB = 0;             //!< see ctrlLowerBound()
-    std::size_t _ctrlNextIdx = 0; //!< cached next boundary-op index
 
     // Recurring kernel events (one of each pending at most; the core
     // is in-order, so op completion and the inter-op gap alternate).

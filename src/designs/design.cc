@@ -101,79 +101,11 @@ DesignContext::DesignContext(EventQueue &eq, const SystemConfig &cfg,
 }
 
 void
-DesignContext::setSharded(std::vector<SimDomain *> domains,
-                          const ShardLayout &layout)
-{
-    _domains = std::move(domains);
-    _layout = layout;
-    _truncPending.assign(_cfg.numCores, 0);
-    _truncDone.resize(_cfg.numCores);
-}
-
-EventQueue &
-DesignContext::hereQueue()
-{
-    SimDomain *d = SimDomain::current();
-    return d ? d->queue() : _eq;
-}
-
-EventQueue &
-DesignContext::coreQueue(CoreId core)
-{
-    return _domains.empty()
-               ? _eq
-               : _domains[_layout.coreDomain(core)]->queue();
-}
-
-void
-DesignContext::shardedBegin(CoreId core, std::function<void()> done)
-{
-    _pool.acquire(core, [this, core, done = std::move(done)](
-                            std::uint32_t slot) mutable {
-        // Leader context: every LogM's domain is parked at the
-        // barrier, so arming the AUS registers directly is safe. The
-        // continuation resumes the core, so it posts into the core's
-        // own domain queue.
-        for (auto &logm : _logms)
-            logm->beginUpdate(slot);
-        coreQueue(core).postIn(1, std::move(done));
-    });
-}
-
-void
-DesignContext::shardedTruncate(CoreId core, std::function<void()> done)
-{
-    const int slot = _pool.slotOf(core);
-    panic_if(slot < 0, "truncate without an AUS (core %u)", core);
-    _truncPending[core] = std::uint32_t(_logms.size());
-    _truncDone[core] = std::move(done);
-
-    for (std::uint32_t m = 0; m < _logms.size(); ++m) {
-        // Execute each LogM's truncate in its own domain scope: the
-        // completion (inline when quiesced, or later on the MC's
-        // worker) hops back to the control plane under the canonical
-        // key (tick, core, mc).
-        SimDomain::Scope scope(_domains[_layout.mcDomain(m)]);
-        _logms[m]->truncate(std::uint32_t(slot), [this, core, m] {
-            SimDomain::current()->submitControl(
-                core, m, InplaceCallback<64>([this, core] {
-                    if (--_truncPending[core] != 0)
-                        return;
-                    _pool.release(core);
-                    countCommit(core);
-                    coreQueue(core).postIn(
-                        1, std::move(_truncDone[core]));
-                }));
-        });
-    }
-}
-
-void
 DesignContext::atomicBegin(CoreId core, std::function<void()> done)
 {
     switch (_cfg.design) {
       case DesignKind::NonAtomic:
-        hereQueue().postIn(1, std::move(done));
+        _eq.postIn(1, std::move(done));
         return;
 
       case DesignKind::Redo:
@@ -184,15 +116,6 @@ DesignContext::atomicBegin(CoreId core, std::function<void()> done)
       case DesignKind::Base:
       case DesignKind::Atom:
       case DesignKind::AtomOpt:
-        if (!_domains.empty()) {
-            SimDomain::current()->submitControl(
-                core, ctrlsub::kBegin,
-                InplaceCallback<64>(
-                    [this, core, done = std::move(done)]() mutable {
-                        shardedBegin(core, std::move(done));
-                    }));
-            return;
-        }
         if (_commitInFlight[core]) {
             // Eventual durability: this core's previous commit was
             // acked from the staging window and its truncation is
@@ -297,19 +220,6 @@ DesignContext::atomicEnd(CoreId core,
       case DesignKind::AtomOpt:
         flushLines(core, modified_lines,
                    [this, core, done = std::move(done)]() mutable {
-                       if (!_domains.empty()) {
-                           // Flushes completed on the cache-complex
-                           // domain; hand the cross-domain truncate to
-                           // the barrier leader.
-                           SimDomain::current()->submitControl(
-                               core, ctrlsub::kTruncate,
-                               InplaceCallback<64>([this, core,
-                                                    done = std::move(
-                                                        done)]() mutable {
-                                   shardedTruncate(core, std::move(done));
-                               }));
-                           return;
-                       }
                        if (_cfg.durabilityPolicy ==
                                DurabilityPolicy::Eventual &&
                            _stagedCommits < _cfg.ssdStagingWindow) {

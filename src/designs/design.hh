@@ -24,7 +24,6 @@
 #include "cpu/core.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -112,32 +111,6 @@ class DesignContext : public DesignHooks
     void atomicEnd(CoreId core, const std::vector<Addr> &modified_lines,
                    std::function<void()> done) override;
 
-    /**
-     * Sharded runs: AUS acquisition and log-manager arm/truncate are
-     * zero-latency cross-domain register operations, so they cannot
-     * run mid-window -- they are queued as control ops and executed by
-     * the barrier leader in canonical (tick, core) order. @p domains
-     * is the full domain list; @p layout maps cores/MCs to domains.
-     */
-    void setSharded(std::vector<SimDomain *> domains,
-                    const ShardLayout &layout);
-
-    /**
-     * True while any core's commit-time truncate is waiting on MC
-     * completions (sharded mode). The completions arrive as control
-     * submissions from MC-domain events, so while one is in flight the
-     * sharded engine must bound the control plane by the MC domains'
-     * own progress, not just the cores'.
-     */
-    bool
-    truncInFlight() const
-    {
-        for (std::uint32_t p : _truncPending)
-            if (p != 0)
-                return true;
-        return false;
-    }
-
     /** Per-core tenant commit counters ("tenantN.commits"); empty (the
      * default) disables per-tenant accounting. */
     void
@@ -165,12 +138,6 @@ class DesignContext : public DesignHooks
             _tenantCommits[core]->inc();
     }
 
-    /** Leader-executed: acquire an AUS + arm every LogM. */
-    void shardedBegin(CoreId core, std::function<void()> done);
-
-    /** Leader-executed: truncate @p core's AUS at every controller;
-     * per-MC completions hop back through the control plane. */
-    void shardedTruncate(CoreId core, std::function<void()> done);
     /** In-flight state of one commit's flush loop (shared by the
      * outstanding flush acks; freed when the last one completes). */
     struct FlushState
@@ -191,15 +158,6 @@ class DesignContext : public DesignHooks
     /** Truncate @p core's AUS at every controller, then release it. */
     void truncateAll(CoreId core, std::function<void()> done);
 
-    /** The queue of the domain executing on this thread (sharded), or
-     * the machine queue (sequential): where an inline hook running in
-     * a core's context must post its continuation. */
-    EventQueue &hereQueue();
-
-    /** The queue @p core's continuations belong to (leader context:
-     * the core's domain queue when sharded). */
-    EventQueue &coreQueue(CoreId core);
-
     EventQueue &_eq;
     const SystemConfig &_cfg;
     std::vector<std::unique_ptr<LogM>> &_logms;
@@ -207,17 +165,9 @@ class DesignContext : public DesignHooks
     AusPool &_pool;
     RedoEngine *_redo;
 
-    // --- sharded-mode state (leader-only) ----------------------------
-    std::vector<SimDomain *> _domains;       //!< empty when sequential
-    ShardLayout _layout;
-    std::vector<std::uint32_t> _truncPending; //!< per core, MCs left
-    std::vector<std::function<void()>> _truncDone;  //!< per core
-
     std::vector<Counter *> _tenantCommits;   //!< per core; may be empty
 
-    // --- eventual durability (sequential kernel only; the staging
-    // window is cross-domain state, so config validation rejects the
-    // policy under sharding) ------------------------------------------
+    // --- eventual durability -----------------------------------------
     std::uint32_t _stagedCommits = 0;
     std::uint32_t _stagedPeak = 0;
     /** Per core: an early-acked commit's truncation still runs, so the

@@ -68,7 +68,6 @@ RedoEngine::RedoEngine(EventQueue &eq, const SystemConfig &cfg,
       _mcs(mcs),
       _cores(cfg.numCores),
       _mcState(cfg.numMemCtrls),
-      _victims(cfg.l2Tiles),
       _statEntries(stats.counter("redo", "log_entries")),
       _statCombined(stats.counter("redo", "combined_stores")),
       _statCommits(stats.counter("redo", "commits")),
@@ -415,17 +414,7 @@ RedoEngine::powerFail()
         ms.applyLogAddr.clear();
         ms.backendBusy = false;
     }
-    for (VictimCache &shard : _victims)
-        shard.clear();
-}
-
-std::size_t
-RedoEngine::victimLines() const
-{
-    std::size_t lines = 0;
-    for (const VictimCache &shard : _victims)
-        lines += shard.size();
-    return lines;
+    _victims.clear();
 }
 
 } // namespace atomsim

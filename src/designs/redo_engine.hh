@@ -73,16 +73,8 @@ class RedoEngine : public StoreLogger
      */
     void commitTxn(CoreId core, std::function<void()> done);
 
-    /**
-     * The infinite victim cache, sharded per home tile: every access
-     * to a line -- the eviction that parks it and the miss that finds
-     * it -- happens at the line's home L2 slice, so each tile's shard
-     * is only ever touched from that tile's simulation domain.
-     */
-    VictimCache &victimCache(std::uint32_t tile) { return _victims[tile]; }
-
-    /** Parked victim lines across every tile shard (tests). */
-    std::size_t victimLines() const;
+    /** The infinite victim cache every L2 tile parks evictions in. */
+    VictimCache &victimCache() { return _victims; }
 
     /** Entries still waiting for in-place application (tests). */
     std::size_t backlog() const;
@@ -172,7 +164,7 @@ class RedoEngine : public StoreLogger
     /** One recurring combine-buffer drain event per core (at most one
      * drain step pending per core; see CoreState::draining). */
     std::vector<std::unique_ptr<TickEvent>> _drainEvents;
-    std::vector<VictimCache> _victims;  //!< one shard per home tile
+    VictimCache _victims;
 
     Counter &_statEntries;
     Counter &_statCombined;

@@ -282,9 +282,6 @@ CrashCell::config() const
         cfg.ssdReadLatency = 2000;
         cfg.ssdProgramLatency = 5000;
     }
-    // Crash cells always run the sequential kernel (numShards stays 0:
-    // crash injection requires it, and REDO only supports sequential
-    // runs anyway), so every design in the grid is valid here.
     cfg.validate();
     return cfg;
 }

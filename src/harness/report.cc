@@ -242,8 +242,8 @@ std::uint64_t
 LatencyHistogram::count() const
 {
     std::uint64_t total = 0;
-    for (const auto &b : _buckets)
-        total += b.load(std::memory_order_relaxed);
+    for (std::uint64_t b : _buckets)
+        total += b;
     return total;
 }
 
@@ -261,7 +261,7 @@ LatencyHistogram::percentile(double q) const
     const auto rank = std::uint64_t(q * double(total - 1));
     std::uint64_t seen = 0;
     for (std::uint32_t b = 0; b < kBuckets; ++b) {
-        seen += _buckets[b].load(std::memory_order_relaxed);
+        seen += _buckets[b];
         if (seen > rank)
             return bucketFloor(b);
     }

@@ -2,13 +2,12 @@
  * @file
  * Paper-style table/figure printing for the bench harnesses, plus the
  * machine-readable JSON export behind the benches' `--stats-json`
- * flag (bench/hybrid_sweep.cc, bench/parallel_scaling.cc).
+ * flag (bench/hybrid_sweep.cc, bench/serving_sweep.cc).
  */
 
 #ifndef ATOMSIM_HARNESS_REPORT_HH
 #define ATOMSIM_HARNESS_REPORT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -26,11 +25,8 @@ class StatSet;
  *
  * Buckets are exact below 16 ticks and log2-spaced with 8 sub-buckets
  * per octave above (<= 12.5% relative error on a reported percentile).
- * record() is a single relaxed atomic increment -- counts are
- * commutative, so concurrent recording from sharded workers yields the
- * same totals as a sequential run. Deliberately NOT a StatSet counter:
- * the golden-pinned stat dumps stay byte-identical whether or not a
- * harness records latencies.
+ * Deliberately NOT a StatSet counter: the golden-pinned stat dumps
+ * stay byte-identical whether or not a harness records latencies.
  */
 class LatencyHistogram
 {
@@ -41,12 +37,7 @@ class LatencyHistogram
 
     LatencyHistogram() : _buckets(kBuckets) {}
 
-    void
-    record(Tick latency)
-    {
-        _buckets[bucketOf(latency)].fetch_add(
-            1, std::memory_order_relaxed);
-    }
+    void record(Tick latency) { ++_buckets[bucketOf(latency)]; }
 
     /** Total samples recorded. */
     std::uint64_t count() const;
@@ -79,7 +70,7 @@ class LatencyHistogram
     }
 
   private:
-    std::vector<std::atomic<std::uint64_t>> _buckets;
+    std::vector<std::uint64_t> _buckets;
 };
 
 /** A simple fixed-width text table writer. */

@@ -20,47 +20,6 @@
 namespace atomsim
 {
 
-struct ShardEngine;
-
-/**
- * Scheduler-side statistics of a sharded run (leader-owned plain
- * counters; deliberately outside the StatSet so the golden-pinned stat
- * dumps stay identical across worker counts and placements).
- */
-struct ShardRunStats
-{
-    std::uint64_t barriers = 0;     //!< window barriers executed
-    std::uint64_t grants = 0;       //!< per-domain window grants
-    std::uint64_t grantedTicks = 0; //!< total granted window ticks
-    Tick maxWindowTicks = 0;        //!< widest single grant
-    std::uint64_t sends = 0;            //!< mesh sends collected
-    std::uint64_t sameWorkerSends = 0;  //!< src/dst on one worker
-    std::uint64_t routedParallel = 0;   //!< packets routed in slices
-    std::uint64_t routedSerial = 0;     //!< packets routed by leader
-
-    /** Mean granted window width in ticks (flat lookahead = 2). */
-    double
-    meanWindowTicks() const
-    {
-        return grants ? double(grantedTicks) / double(grants) : 0.0;
-    }
-
-    /** Fraction of routed packets merged serially by the leader. */
-    double
-    serialMergeFraction() const
-    {
-        const std::uint64_t routed = routedParallel + routedSerial;
-        return routed ? double(routedSerial) / double(routed) : 1.0;
-    }
-
-    /** Fraction of sends whose src and dst share a worker. */
-    double
-    sameWorkerFraction() const
-    {
-        return sends ? double(sameWorkerSends) / double(sends) : 0.0;
-    }
-};
-
 /** Result of one measured simulation. */
 struct RunResult
 {
@@ -98,7 +57,6 @@ class Runner : public TransactionSource
     Runner(const SystemConfig &cfg, Workload &workload,
            std::uint32_t txns_per_core,
            Addr data_bytes = Addr(512) * 1024 * 1024);
-    ~Runner();
 
     /** Functional initialization + durable snapshot. */
     void setUp();
@@ -109,8 +67,7 @@ class Runner : public TransactionSource
     /**
      * Advance the simulation until all cores are done or simulated
      * time reaches @p limit, whichever comes first (no failure on an
-     * unfinished run -- the slicing primitive for benches). Sharded
-     * runs spawn their worker threads per call.
+     * unfinished run -- the slicing primitive for benches).
      */
     void advanceTo(Tick limit);
 
@@ -157,25 +114,11 @@ class Runner : public TransactionSource
     /** TransactionSource: next transaction for @p core. */
     std::optional<Transaction> next(CoreId core) override;
 
-    /**
-     * TransactionSource: asynchronous fetch. Sequential runs dispatch
-     * inline; sharded runs queue the fetch as a barrier control op --
-     * workload transaction generation runs functional code against
-     * shared state (the architectural image, the heap), so it executes
-     * leader-side in canonical (tick, core) order and the result is
-     * posted back into the core's domain queue.
-     */
-    void fetchNext(CoreId core, FetchDone done) override;
-
     /** Total transactions committed so far (across cores). */
     std::uint64_t committed() const;
 
     /** Collect the result counters from the stat set. */
     RunResult collect(Tick start_tick, Tick end_tick) const;
-
-    /** Scheduler statistics of the sharded engine (zeros when the run
-     * is sequential or hasn't started). */
-    ShardRunStats shardStats() const;
 
     /** Latency-histogram keys: transaction classes tracked per tenant
      * (workloads tag more classes than this get clamped to the last). */
@@ -192,14 +135,8 @@ class Runner : public TransactionSource
                                     std::uint32_t cls) const;
 
   private:
-    friend struct ShardEngine;
-
     bool allDone() const;
 
-    /** Conservative-window parallel run loop (cfg.numShards > 0). */
-    void runSharded(Tick limit);
-
-    std::unique_ptr<ShardEngine> _engine;
     std::unique_ptr<System> _system;
     Workload &_workload;
     std::uint32_t _txnsPerCore;

@@ -5,47 +5,29 @@
 namespace atomsim
 {
 
-System::System(const SystemConfig &cfg, Addr data_bytes)
-    : _cfg(cfg), _amap(cfg, data_bytes)
+namespace
 {
-    _cfg.validate();
 
-    // Simulation domains. Sequential runs use one queue for the whole
-    // machine; sharded runs give every domain -- one per core+L1 tile,
-    // one per L2 slice, one per MC -- its own queue *even when domains
-    // share a worker*, so per-domain event order is identical for
-    // every shard count (see sim/shard.hh).
-    _layout = ShardLayout::make(_cfg.numShards, _cfg.numCores,
-                                _cfg.l2Tiles, _cfg.numMemCtrls,
-                                _cfg.shardPlacement, _cfg.meshRows,
-                                _cfg.meshCols());
-    const std::uint32_t ndomains = _layout.sharded() ? _layout.domains()
-                                                     : 1;
-    for (std::uint32_t d = 0; d < ndomains; ++d)
-        _domains.push_back(
-            std::make_unique<SimDomain>(d, _cfg.wheelBuckets));
+/** @p cfg after validate(): runs before any member is built from it,
+ * so a bad config dies with validate()'s message, not inside a
+ * member's constructor (the event queue checks wheelBuckets too). */
+const SystemConfig &
+validated(const SystemConfig &cfg)
+{
+    cfg.validate();
+    return cfg;
+}
 
-    EventQueue &eq0 = _domains[0]->queue();
-    auto core_queue = [this, &eq0](CoreId c) -> EventQueue & {
-        return _layout.sharded()
-                   ? _domains[_layout.coreDomain(c)]->queue()
-                   : eq0;
-    };
-    auto tile_queue = [this, &eq0](std::uint32_t t) -> EventQueue & {
-        return _layout.sharded()
-                   ? _domains[_layout.tileDomain(t)]->queue()
-                   : eq0;
-    };
-    auto mc_queue = [this, &eq0](McId m) -> EventQueue & {
-        return _layout.sharded() ? _domains[_layout.mcDomain(m)]->queue()
-                                 : eq0;
-    };
+} // namespace
 
-    _mesh = std::make_unique<Mesh>(eq0, _cfg, _stats);
+System::System(const SystemConfig &cfg, Addr data_bytes)
+    : _cfg(validated(cfg)), _eq(_cfg.wheelBuckets), _amap(_cfg, data_bytes)
+{
+    _mesh = std::make_unique<Mesh>(_eq, _cfg, _stats);
 
     for (McId m = 0; m < _cfg.numMemCtrls; ++m) {
         _mcs.push_back(std::make_unique<MemoryController>(
-            m, mc_queue(m), _cfg, _nvm, _stats));
+            m, _eq, _cfg, _nvm, _stats));
         // Hybrid memory: the app-direct window (empty outside
         // AppDirect mode) bypasses the controller's DRAM cache.
         _mcs.back()->setUncacheableWindow(_amap.appDirectBase(),
@@ -54,34 +36,25 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
             std::make_unique<McPort>(m, *_mesh, *_mcs.back()));
     }
     if (_cfg.ssdTier) {
-        // Flash tier: one SSD + destage engine per controller, polled
-        // from the owning MC's simulation domain -- all flash-tier
-        // state is touched only from that domain, so sharded
-        // byte-identity holds without any new cross-domain protocol.
+        // Flash tier: one SSD + destage engine per controller.
         for (McId m = 0; m < _cfg.numMemCtrls; ++m) {
             _ssds.push_back(std::make_unique<SsdDevice>(
-                m, mc_queue(m), _cfg, _stats));
+                m, _eq, _cfg, _stats));
             _destages.push_back(std::make_unique<DestageEngine>(
-                m, mc_queue(m), _cfg, _amap, *_mcs[m], *_ssds[m], _nvm,
+                m, _eq, _cfg, _amap, *_mcs[m], *_ssds[m], _nvm,
                 _stats));
             _mcs[m]->setDestageEngine(_destages.back().get());
         }
     }
-    {
-        std::vector<EventQueue *> os_queues;
-        for (McId m = 0; m < _cfg.numMemCtrls; ++m)
-            os_queues.push_back(&mc_queue(m));
-        _logSpace = std::make_unique<LogSpace>(std::move(os_queues),
-                                               _cfg, _stats);
-    }
+    _logSpace = std::make_unique<LogSpace>(_eq, _cfg, _stats);
 
     for (std::uint32_t t = 0; t < _cfg.l2Tiles; ++t) {
         _tiles.push_back(std::make_unique<L2Tile>(
-            t, tile_queue(t), _cfg, *_mesh, _amap, _stats));
+            t, _eq, _cfg, *_mesh, _amap, _stats));
     }
     for (CoreId c = 0; c < _cfg.numCores; ++c) {
         _l1s.push_back(std::make_unique<L1Cache>(
-            c, core_queue(c), _cfg, *_mesh, _amap, _tiles, _stats));
+            c, _eq, _cfg, *_mesh, _amap, _tiles, _stats));
     }
 
     std::vector<L1Cache *> l1_ptrs;
@@ -107,17 +80,17 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
 
     if (undo_design) {
         _ausPool = std::make_unique<AusPool>(
-            eq0, _cfg.ausPerMc, _cfg.numCores, _stats);
+            _eq, _cfg.ausPerMc, _cfg.numCores, _stats);
         auto resolve = [this](CoreId core) {
             return _ausPool->slotOf(core);
         };
         for (McId m = 0; m < _cfg.numMemCtrls; ++m) {
             _logms.push_back(std::make_unique<LogM>(
-                m, mc_queue(m), _cfg, _amap, *_mcs[m], *_logSpace,
+                m, _eq, _cfg, _amap, *_mcs[m], *_logSpace,
                 _stats, resolve));
         }
         const bool posted = _cfg.design != DesignKind::Base;
-        _logi = std::make_unique<LogI>(eq0, _cfg, *_mesh, _amap, _logms,
+        _logi = std::make_unique<LogI>(_eq, _cfg, *_mesh, _amap, _logms,
                                        posted, resolve, _stats);
         for (auto &l1 : _l1s)
             l1->setStoreLogger(_logi.get());
@@ -130,26 +103,25 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
         }
     } else if (_cfg.design == DesignKind::Redo) {
         _ausPool = std::make_unique<AusPool>(
-            eq0, _cfg.numCores, _cfg.numCores, _stats);
-        _redo = std::make_unique<RedoEngine>(eq0, _cfg, _amap, _mcs,
+            _eq, _cfg.numCores, _cfg.numCores, _stats);
+        _redo = std::make_unique<RedoEngine>(_eq, _cfg, _amap, _mcs,
                                              _stats);
         for (auto &l1 : _l1s)
             l1->setStoreLogger(_redo.get());
         for (auto &tile : _tiles)
-            tile->setVictimCache(&_redo->victimCache(tile->tileId()));
+            tile->setVictimCache(&_redo->victimCache());
     } else {
         // NON-ATOMIC: no logger, no AUS.
         _ausPool = std::make_unique<AusPool>(
-            eq0, _cfg.numCores, _cfg.numCores, _stats);
+            _eq, _cfg.numCores, _cfg.numCores, _stats);
     }
 
     _design = std::make_unique<DesignContext>(
-        eq0, _cfg, _logms, l1_ptrs, *_ausPool, _redo.get(), _stats);
+        _eq, _cfg, _logms, l1_ptrs, *_ausPool, _redo.get(), _stats);
 
     if (_cfg.numTenants > 0) {
         // Multi-tenant accounting: per-core pointers into shared
-        // per-tenant counters (cores of one tenant share a Counter;
-        // atomic inc keeps them shard-safe).
+        // per-tenant counters (cores of one tenant share a Counter).
         auto per_core = [this](const char *stat) {
             std::vector<Counter *> v(_cfg.numCores);
             for (CoreId c = 0; c < _cfg.numCores; ++c)
@@ -167,45 +139,9 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
         _regionSer = std::make_unique<RegionSerializer>();
     for (CoreId c = 0; c < _cfg.numCores; ++c) {
         _cores.push_back(std::make_unique<Core>(
-            c, core_queue(c), _cfg, *_l1s[c], _stats));
+            c, _eq, _cfg, *_l1s[c], _stats));
         _cores.back()->setHooks(_design.get());
         _cores.back()->setRegionSerializer(_regionSer.get());
-    }
-
-    if (_layout.sharded()) {
-        std::vector<SimDomain *> domains;
-        for (auto &d : _domains)
-            domains.push_back(d.get());
-
-        // Deliveries execute on the receiver's domain. Typed sinks
-        // resolve through a prebuilt pointer->domain map; the LogI
-        // front end is special (its LogWrite handler runs at the
-        // line's MC), and the only routable cb-only packet is the
-        // LogAck riding a store continuation back to its core.
-        _sinkDomain.clear();
-        for (McId m = 0; m < _mcPorts.size(); ++m)
-            _sinkDomain[_mcPorts[m].get()] = _layout.mcDomain(m);
-        for (std::uint32_t t = 0; t < _tiles.size(); ++t)
-            _sinkDomain[_tiles[t].get()] = _layout.tileDomain(t);
-        for (CoreId c = 0; c < _l1s.size(); ++c)
-            _sinkDomain[_l1s[c].get()] = _layout.coreDomain(c);
-
-        _mesh->shardAttach(domains, _layout, [this](const Packet &p) {
-            if (p.receiver) {
-                if (_logi && p.receiver == _logi.get())
-                    return _layout.mcDomain(_amap.memCtrl(p.addr));
-                auto it = _sinkDomain.find(p.receiver);
-                panic_if(it == _sinkDomain.end(),
-                         "mesh packet %s with an unmapped receiver",
-                         msgName(p.type));
-                return it->second;
-            }
-            panic_if(p.type != MsgType::LogAck,
-                     "cb-only mesh packet %s has no domain mapping",
-                     msgName(p.type));
-            return _layout.coreDomain(p.core);
-        });
-        _design->setSharded(std::move(domains), _layout);
     }
 }
 

@@ -8,7 +8,6 @@
 #define ATOMSIM_HARNESS_SYSTEM_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "atom/logi.hh"
@@ -28,7 +27,6 @@
 #include "os/log_space.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
@@ -49,21 +47,8 @@ class System
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** Domain 0's queue: the whole machine when sequential, core 0's
-     * tile when sharded -- the clock transaction timing is measured
-     * against. */
-    EventQueue &eventQueue() { return _domains[0]->queue(); }
-
-    // --- sharding -----------------------------------------------------
-
-    /** True when built with cfg.numShards > 0. */
-    bool sharded() const { return _layout.sharded(); }
-    const ShardLayout &shardLayout() const { return _layout; }
-    std::uint32_t numDomains() const
-    {
-        return std::uint32_t(_domains.size());
-    }
-    SimDomain &domain(std::uint32_t d) { return *_domains[d]; }
+    /** The machine's event queue. */
+    EventQueue &eventQueue() { return _eq; }
 
     StatSet &stats() { return _stats; }
     const StatSet &stats() const { return _stats; }
@@ -121,11 +106,9 @@ class System
 
   private:
     SystemConfig _cfg;
-    ShardLayout _layout;
-    /** One SimDomain (event queue + shard mailboxes) per simulation
-     * domain; a single entry when sequential. Domain 0 is the cache
-     * complex, domain 1+m is memory controller m. */
-    std::vector<std::unique_ptr<SimDomain>> _domains;
+    /** Declared before every component so that it outlives them: the
+     * components' member events deschedule from it as they die. */
+    EventQueue _eq;
     StatSet _stats;
     AddressMap _amap;
     DataImage _arch;
@@ -140,7 +123,7 @@ class System
     std::vector<std::unique_ptr<L2Tile>> _tiles;
     std::vector<std::unique_ptr<L1Cache>> _l1s;
     std::vector<std::unique_ptr<Core>> _cores;
-    /** Set iff cfg.serializeAtomicRegions (sequential kernel only). */
+    /** Set iff cfg.serializeAtomicRegions. */
     std::unique_ptr<RegionSerializer> _regionSer;
 
     std::unique_ptr<AusPool> _ausPool;
@@ -148,9 +131,6 @@ class System
     std::unique_ptr<LogI> _logi;
     std::unique_ptr<RedoEngine> _redo;
     std::unique_ptr<DesignContext> _design;
-
-    /** Sharded: typed mesh receiver -> owning simulation domain. */
-    std::unordered_map<const MeshSink *, std::uint32_t> _sinkDomain;
 };
 
 } // namespace atomsim

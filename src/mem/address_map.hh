@@ -97,8 +97,7 @@ class AddressMap
      * First byte of the forwarding-map region, right after the ADR
      * pages. Like log buckets, map page @p j of controller @p mc is
      * the (j*numMc+mc)-th page of the region, so page interleaving
-     * maps every controller's slice to itself and sharded MC domains
-     * never touch each other's DataImage stripes. The region is empty
+     * maps every controller's slice to itself. The region is empty
      * (zero pages) unless SystemConfig::ssdTier is set, so the default
      * layout — and every pinned golden — is unchanged.
      */

@@ -20,10 +20,6 @@
  * continuations are pooled (FreeListPool / InplaceCallback), so the
  * steady-state access path performs no heap allocation -- the same
  * discipline as every other hot path in the tree.
- *
- * The device is entirely private to its owning controller's simulation
- * domain: all events run on the controller's EventQueue, so sharded
- * runs stay byte-identical across shard counts by construction.
  */
 
 #ifndef ATOMSIM_MEM_DRAM_DEVICE_HH

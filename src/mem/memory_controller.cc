@@ -595,8 +595,8 @@ MemoryController::powerFail()
     // behind a newer commit of its line must not resurface, not even
     // partially). Queued-but-unissued writes never reached the device
     // and are dropped atomically as before. The tear boundary hashes
-    // only shard-invariant keys, so the post-crash image is identical
-    // across reruns and shard counts.
+    // only deterministic keys, so the post-crash image is identical
+    // across reruns.
     if (_cfg.tornWrites && !_deviceWrites.empty()) {
         std::sort(_deviceWrites.begin(), _deviceWrites.end(),
                   [](const Request *a, const Request *b) {

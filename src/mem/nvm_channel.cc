@@ -49,7 +49,7 @@ NvmChannel::scheduleReadFaulty(Addr addr)
     // Attempt 0 is the initial device read; each failed attempt is
     // retried (re-occupying the channel, plus backoff) until one
     // succeeds or the bounded retries run out. The per-attempt
-    // verdict hashes only shard-invariant keys.
+    // verdict hashes only deterministic keys.
     for (std::uint32_t attempt = 0;; ++attempt) {
         const bool fails =
             faultMix(_faultSeed, _stream, addr, (idx << 8) | attempt) %

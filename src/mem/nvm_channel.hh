@@ -57,9 +57,9 @@ class NvmChannel
      * media-error model (SystemConfig::mediaErrorPer64k). Whether an
      * attempt fails is a pure function of (faultSeed, stream, addr,
      * per-channel read index, attempt) -- deterministic across
-     * reruns and shard counts. Each retry re-occupies the channel
-     * and pays mediaRetryBackoff on top of the device latency. With
-     * the rate at 0 (the default) this is exactly scheduleRead().
+     * reruns. Each retry re-occupies the channel and pays
+     * mediaRetryBackoff on top of the device latency. With the rate
+     * at 0 (the default) this is exactly scheduleRead().
      */
     ReadGrant scheduleReadFaulty(Addr addr);
 

@@ -102,10 +102,6 @@ struct Packet
     Packet *next = nullptr;
     Tick arrival = 0;        //!< tail-flit arrival tick at dst
     std::uint64_t seq = 0;   //!< FIFO slot stamped at send time
-    /** Pool the node was drawn from (sharded runs keep one packet pool
-     * per domain; freed packets are routed home at window barriers).
-     * Assigned at acquire time and deliberately not scrubbed. */
-    std::uint16_t pool = 0;
 
     // --- routing ------------------------------------------------------
     MsgType type = MsgType::Ctrl;

@@ -10,15 +10,14 @@ namespace atomsim
 const DataImage::Page *
 DataImage::findPage(Addr page_num) const
 {
-    const auto &stripe = _stripes[page_num % kStripes];
-    auto it = stripe.find(page_num);
-    return it == stripe.end() ? nullptr : it->second.get();
+    auto it = _pages.find(page_num);
+    return it == _pages.end() ? nullptr : it->second.get();
 }
 
 DataImage::Page &
 DataImage::touchPage(Addr page_num)
 {
-    auto &slot = _stripes[page_num % kStripes][page_num];
+    auto &slot = _pages[page_num];
     if (!slot) {
         slot = std::make_unique<Page>();
         slot->fill(0);
@@ -87,12 +86,9 @@ DataImage
 DataImage::clone() const
 {
     DataImage copy;
-    for (std::uint32_t s = 0; s < kStripes; ++s) {
-        for (const auto &[num, page] : _stripes[s]) {
-            auto dup = std::make_unique<Page>(*page);
-            copy._stripes[s].emplace(num, std::move(dup));
-        }
-    }
+    copy._pages.reserve(_pages.size());
+    for (const auto &[num, page] : _pages)
+        copy._pages.emplace(num, std::make_unique<Page>(*page));
     return copy;
 }
 

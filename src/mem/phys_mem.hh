@@ -37,12 +37,7 @@ constexpr std::uint32_t kPageShift = 12;
  * A sparse, zero-initialized byte-addressable memory image.
  *
  * Pages materialize on first write; reads of untouched memory return
- * zeroes. The page index is *striped* by page number: because memory
- * controllers interleave at page granularity (mem/address_map.hh maps
- * page p -- data, log bucket and ADR alike -- to MC p % numMemCtrls),
- * controller m only ever touches stripes congruent to m, so in sharded
- * runs concurrent MC domains never share an index structure and need
- * no locks. Within one stripe the image is single-writer.
+ * zeroes.
  */
 class DataImage
 {
@@ -101,29 +96,13 @@ class DataImage
     }
 
     /** Number of materialized pages (for tests / footprint stats). */
-    std::size_t
-    pagesAllocated() const
-    {
-        std::size_t n = 0;
-        for (const auto &s : _stripes)
-            n += s.size();
-        return n;
-    }
+    std::size_t pagesAllocated() const { return _pages.size(); }
 
     /** Drop all contents. */
-    void
-    clear()
-    {
-        for (auto &s : _stripes)
-            s.clear();
-    }
+    void clear() { _pages.clear(); }
 
     /** Deep copy (used by crash tests to snapshot the NVM image). */
     DataImage clone() const;
-
-    /** Stripes of the page index; a multiple of every supported MC
-     * count, so each controller's residue class is private to it. */
-    static constexpr std::uint32_t kStripes = 32;
 
   private:
     using Page = std::array<std::uint8_t, kPageBytes>;
@@ -131,8 +110,7 @@ class DataImage
     const Page *findPage(Addr page_num) const;
     Page &touchPage(Addr page_num);
 
-    std::array<std::unordered_map<Addr, std::unique_ptr<Page>>,
-               kStripes> _stripes;
+    std::unordered_map<Addr, std::unique_ptr<Page>> _pages;
 };
 
 } // namespace atomsim

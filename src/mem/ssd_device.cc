@@ -270,7 +270,7 @@ DestageEngine::DestageEngine(McId id, EventQueue &eq,
 {
     // Pop order is deterministic (smallest index first), so destage
     // placement — and with it every downstream byte — replays
-    // identically across runs and shard counts.
+    // identically across runs.
     _freeSlots.reserve(_slots.size());
     for (std::uint32_t s = std::uint32_t(_slots.size()); s-- > 0;)
         _freeSlots.push_back(s);

@@ -12,8 +12,7 @@
  * doorbell; a poll-mode loop on the owning controller's EventQueue
  * fetches submissions, dispatches them to the channel/die timing model
  * (die tR/tPROG occupancy, channel bus transfer) and reaps completions
- * at poll ticks. Everything runs in the MC's simulation domain, so
- * sharded byte-identity is preserved by construction.
+ * at poll ticks.
  *
  * The DestageEngine sits between LogM truncation and the device:
  *
@@ -235,7 +234,7 @@ class SsdDevice
 /**
  * Per-controller destage engine: LogM truncation hooks on one side,
  * the controller's NVM read/write intercepts on the other, the SSD
- * queue pairs underneath. Lives entirely in the MC's domain.
+ * queue pairs underneath.
  */
 class DestageEngine
 {

@@ -1,8 +1,5 @@
 #include "net/mesh.hh"
 
-#include <algorithm>
-#include <thread>
-
 #include "sim/logging.hh"
 
 namespace atomsim
@@ -19,12 +16,6 @@ deliversBefore(const Packet *a, const Packet *b)
         return a->arrival < b->arrival;
     return a->seq < b->seq;
 }
-
-/** Deferred sends keep accumulating until this many are queued: a
- * parallel dispatch costs one barrier release/arrive round trip plus
- * the segmentation pass, which only pays off once the slices carry
- * real routing work. */
-constexpr std::size_t kParallelRouteMin = 8;
 
 } // namespace
 
@@ -114,36 +105,10 @@ Mesh::hops(std::uint32_t src, std::uint32_t dst) const
 Packet &
 Mesh::make(MsgType type)
 {
-    Packet *p;
-    if (!_net.empty()) {
-        SimDomain *d = SimDomain::current();
-        panic_if(!d, "mesh make() outside a domain scope (sharded)");
-        p = _net[d->id()].pool.acquire();
-        p->pool = std::uint16_t(d->id());
-    } else {
-        p = _pool.acquire();
-    }
+    Packet *p = _pool.acquire();
     p->reset();
     p->type = type;
     return *p;
-}
-
-std::size_t
-Mesh::packetPoolAllocated() const
-{
-    std::size_t n = _pool.allocated();
-    for (const auto &net : _net)
-        n += net.pool.allocated();
-    return n;
-}
-
-std::size_t
-Mesh::packetPoolFree() const
-{
-    std::size_t n = _pool.idle();
-    for (const auto &net : _net)
-        n += net.pool.idle();
-    return n;
 }
 
 void
@@ -213,14 +178,6 @@ Mesh::send(std::uint32_t src, std::uint32_t dst, Packet &pkt)
     pkt.src = src;
     pkt.dst = dst;
 
-    if (!_net.empty()) {
-        // Sharded: defer routing to the barrier (link reservations are
-        // shared across domains); just record the send in canonical
-        // per-domain FIFO order.
-        shardRecord(pkt);
-        return;
-    }
-
     const std::uint32_t flits = msgFlits(pkt.type);
     _messages.inc();
 
@@ -232,648 +189,6 @@ Mesh::send(std::uint32_t src, std::uint32_t dst, Packet &pkt)
     _flitHops.inc(std::uint64_t(flits) * (hop_count + 1));
 
     enqueue(last != SIZE_MAX ? _links[last] : _eject[dst], &pkt);
-}
-
-void
-Mesh::shardRecord(Packet &pkt)
-{
-    SimDomain *d = SimDomain::current();
-    panic_if(!d, "mesh send() outside a domain scope (sharded)");
-    _net[d->id()].outbox.push(NetDomain::Send{
-        &pkt, d->queue().now(), d->id(), d->nextSendIdx()});
-}
-
-std::uint32_t
-Mesh::regionOf(std::uint32_t node) const
-{
-    const std::uint32_t r = node / _cols;
-    const std::uint32_t c = node % _cols;
-    // Quadrants by the row/column midlines; a degenerate axis (a
-    // single row or column) collapses its bit so every node still gets
-    // a region and 1xN meshes split into halves, not quarters.
-    std::uint32_t region = 0;
-    if (_rows >= 2 && r >= _rows / 2)
-        region |= 2;
-    if (_cols >= 2 && c >= _cols / 2)
-        region |= 1;
-    return region;
-}
-
-void
-Mesh::shardAttach(std::vector<SimDomain *> domains,
-                  const ShardLayout &layout,
-                  std::function<std::uint32_t(const Packet &)> shard_of)
-{
-    panic_if(!_net.empty(), "mesh already sharded");
-    _domains = std::move(domains);
-    _layout = layout;
-    _shardOf = std::move(shard_of);
-    _net = std::vector<NetDomain>(_domains.size());
-
-    // Domain -> mesh node, mirrored from the component placement. The
-    // layout's own nodeOfDomain() must agree (test_lookahead pins
-    // this); computing from the mesh's node functions keeps the map
-    // authoritative. Lookahead entries are derived from node
-    // coordinates on demand (domainLookahead()) -- the all-pairs
-    // matrix this used to build was O(domains^2) time and memory,
-    // which stops being affordable past a few hundred tiles.
-    const std::size_t doms = _domains.size();
-    _domNode.resize(doms);
-    for (std::size_t d = 0; d < doms; ++d) {
-        if (d < layout.numCores)
-            _domNode[d] = coreNode(CoreId(d));
-        else if (d < layout.numCores + layout.numTiles)
-            _domNode[d] = tileNode(std::uint32_t(d) - layout.numCores);
-        else
-            _domNode[d] = mcNode(
-                McId(std::uint32_t(d) - layout.numCores - layout.numTiles));
-    }
-    _mcDomBase = std::uint32_t(layout.numCores + layout.numTiles);
-    _numCoreDoms = layout.numCores;
-
-    // Proxy sends: a FlushReq/MemWrite carries its ack callback to the
-    // controller, and the callback -- executing in the *MC's* domain --
-    // emits the FlushAck stamped with the home tile's node as source
-    // (cache/l2_cache.cc sendFlushAck). So an MC domain can launch a
-    // core-bound packet from any tile node, and its lookahead toward
-    // core domains must lower-bound those too: keep the per-node
-    // minimum over all tile sources. Tile- and MC-bound traffic from
-    // MCs always departs from the MC's own node.
-    _minTileLa.assign(numNodes(), kTickNever);
-    for (std::uint32_t t = 0; t < layout.numTiles; ++t) {
-        const std::uint32_t tn = tileNode(t);
-        for (std::uint32_t n = 0; n < numNodes(); ++n)
-            _minTileLa[n] = std::min(_minTileLa[n], minLatency(tn, n));
-    }
-
-    _regionOfNode.resize(numNodes());
-    for (std::uint32_t n = 0; n < numNodes(); ++n)
-        _regionOfNode[n] = std::uint8_t(regionOf(n));
-}
-
-void
-Mesh::shardSetAssist(AssistDispatch dispatch, std::uint32_t threads)
-{
-    _assist = std::move(dispatch);
-    _assistThreads = threads != 0 ? threads : 1;
-}
-
-void
-Mesh::shardSetRouteProbe(RouteProbe probe)
-{
-    _probe = std::move(probe);
-}
-
-void
-Mesh::shardCollect()
-{
-    // Compact the routed prefix, then canonically merge every domain's
-    // new sends behind the still-pending ones. The key is
-    // shard-count-invariant: each domain always owns its queue and
-    // FIFO counter no matter how many workers drive it.
-    const auto before = [](const PendingSend &a, const PendingSend &b) {
-        if (a.tick != b.tick)
-            return a.tick < b.tick;
-        if (a.domain != b.domain)
-            return a.domain < b.domain;
-        return a.idx < b.idx;
-    };
-
-    if (_pendingHead != 0) {
-        _pending.erase(_pending.begin(),
-                       _pending.begin() + std::ptrdiff_t(_pendingHead));
-        _pendingHead = 0;
-    }
-    _newSends.clear();
-    for (auto &net : _net) {
-        for (auto &s : net.outbox.items()) {
-            const std::uint32_t dom = _shardOf(*s.pkt);
-            _newSends.push_back(
-                PendingSend{s.pkt, s.tick, s.domain, s.idx, dom});
-            ++_routeStats.sends;
-            if (_layout.workerOfDomain(s.domain) ==
-                _layout.workerOfDomain(dom))
-                ++_routeStats.sameWorkerSends;
-        }
-        net.outbox.clear();
-    }
-    if (!_newSends.empty()) {
-        std::sort(_newSends.begin(), _newSends.end(), before);
-        if (_pending.empty()) {
-            _pending.swap(_newSends);
-        } else {
-            // Manual two-run merge: std::inplace_merge allocates a
-            // temporary buffer per call, which would break the
-            // allocation-free steady state the scaling bench pins.
-            _mergeScratch.clear();
-            _mergeScratch.reserve(_pending.size() + _newSends.size());
-            std::merge(_pending.begin(), _pending.end(), _newSends.begin(),
-                       _newSends.end(), std::back_inserter(_mergeScratch),
-                       before);
-            _pending.swap(_mergeScratch);
-        }
-    }
-
-    // Route freed packets back to their origin pools.
-    for (auto &net : _net) {
-        for (Packet *p : net.freeBin.items())
-            _net[p->pool].pool.release(p);
-        net.freeBin.clear();
-    }
-
-    // Collect executed-delivery trace records into the holdback
-    // buffer; they emit globally (tick, seq)-ordered once the frontier
-    // passes them (shardEmitTrace).
-    for (auto &net : _net) {
-        for (auto &t : net.trace.items())
-            _holdback.push_back(t);
-        net.trace.clear();
-    }
-}
-
-void
-Mesh::routeOne(const PendingSend &s, const std::vector<Tick> &ends,
-               std::uint64_t &messages, std::uint64_t &flit_hops)
-{
-    Packet *pkt = s.pkt;
-    const std::uint32_t flits = msgFlits(pkt->type);
-    ++messages;
-
-    std::uint32_t hop_count;
-    std::size_t last;
-    pkt->arrival = routeReserve(pkt->src, pkt->dst, flits,
-                                s.tick + _hopLatency, hop_count, last);
-    flit_hops += std::uint64_t(flits) * (hop_count + 1);
-
-    const std::uint32_t dom = s.dstDom;
-    // The advertised lookahead is exactly what the scheduler granted
-    // windows against, so every routed packet must respect it -- this
-    // is the invariant that makes the wide windows sound.
-    panic_if(pkt->arrival < s.tick + domainLookahead(s.domain, dom),
-             "mesh lookahead violated: %s %u -> %u (domain %u -> %u) "
-             "send at %llu delivers at %llu, below the advertised "
-             "minimum %llu",
-             msgName(pkt->type), pkt->src, pkt->dst, s.domain, dom,
-             (unsigned long long)s.tick,
-             (unsigned long long)pkt->arrival,
-             (unsigned long long)domainLookahead(s.domain, dom));
-    panic_if(_domNode[dom] != pkt->dst,
-             "packet for domain %u delivered to node %u, but the domain "
-             "lives on node %u (region ownership would break)",
-             dom, pkt->dst, _domNode[dom]);
-    panic_if(pkt->arrival < ends[dom],
-             "causality violated: %s send %u -> %u (domain %u -> %u) at "
-             "%llu delivers at %llu, inside domain %u's already-granted "
-             "window (end %llu)",
-             msgName(pkt->type), pkt->src, pkt->dst, s.domain, dom,
-             (unsigned long long)s.tick,
-             (unsigned long long)pkt->arrival, dom,
-             (unsigned long long)ends[dom]);
-    if (_probe)
-        _probe(s.domain, dom, s.tick, pkt->arrival);
-
-    _domains[dom]->queue().post(
-        pkt->arrival, [this, pkt, dom] { shardDeliver(*pkt, dom); });
-}
-
-void
-Mesh::segmentTask(RouteTask &t) const
-{
-    // Split the XY path into runs of links owned by one quadrant each
-    // (a link belongs to its source node's quadrant). XY paths cross
-    // the column midline at most once (on the X leg) and the row
-    // midline at most once (on the Y leg), so at most three runs
-    // exist; the delivery stage rides behind them in the destination's
-    // quadrant.
-    const Packet *pkt = t.s.pkt;
-    t.flits = msgFlits(pkt->type);
-    t.head = 0;
-    t.nlinkSegs = 0;
-    t.stage.store(0, std::memory_order_relaxed);
-    MeshCoord cur = coordOf(pkt->src);
-    const MeshCoord target = coordOf(pkt->dst);
-    while (!(cur == target)) {
-        const std::uint32_t node = nodeOf(cur);
-        const std::uint8_t r = _regionOfNode[node];
-        if (t.nlinkSegs == 0 || t.segRegion[t.nlinkSegs - 1] != r) {
-            panic_if(t.nlinkSegs >= 3,
-                     "XY path %u -> %u re-enters a mesh quadrant",
-                     pkt->src, pkt->dst);
-            t.segStart[t.nlinkSegs] = node;
-            t.segHops[t.nlinkSegs] = 0;
-            t.segRegion[t.nlinkSegs] = r;
-            ++t.nlinkSegs;
-        }
-        ++t.segHops[t.nlinkSegs - 1];
-        if (cur.col != target.col) {
-            if (target.col > cur.col)
-                ++cur.col;
-            else
-                --cur.col;
-        } else if (target.row > cur.row) {
-            ++cur.row;
-        } else {
-            --cur.row;
-        }
-    }
-    t.segRegion[t.nlinkSegs] = _regionOfNode[pkt->dst];
-}
-
-void
-Mesh::runStage(RouteTask &t, std::uint32_t stage, RouteSlice &sl)
-{
-    Packet *pkt = t.s.pkt;
-    if (stage < t.nlinkSegs) {
-        // Link stage: reserve this quadrant's run of the XY path,
-        // advancing the head-flit tick exactly as routeReserve would,
-        // then publish the head for the next quadrant's stage.
-        Tick head = stage == 0 ? t.s.tick + _hopLatency : t.head;
-        MeshCoord cur = coordOf(t.segStart[stage]);
-        const MeshCoord target = coordOf(pkt->dst);
-        for (std::uint32_t h = 0; h < t.segHops[stage]; ++h) {
-            std::uint32_t dir;  // 0=E, 1=W, 2=S, 3=N
-            if (cur.col != target.col)
-                dir = (target.col > cur.col) ? 0 : 1;
-            else
-                dir = (target.row > cur.row) ? 2 : 3;
-            Tick &busy = _linkBusy[std::size_t(nodeOf(cur)) * 4 + dir];
-            const Tick start = head > busy ? head : busy;
-            head = start + _hopLatency;
-            busy = head + t.flits - 1;
-            switch (dir) {
-              case 0: ++cur.col; break;
-              case 1: --cur.col; break;
-              case 2: ++cur.row; break;
-              default: --cur.row; break;
-            }
-        }
-        sl.flitHops += std::uint64_t(t.flits) * t.segHops[stage];
-        t.head = head;
-        t.stage.store(stage + 1, std::memory_order_release);
-        return;
-    }
-
-    // Delivery stage (destination quadrant): same-node sends serialize
-    // on the ejection port; routed sends arrive with the tail flit.
-    if (t.nlinkSegs == 0) {
-        Tick &busy = _ejectBusy[pkt->dst];
-        const Tick head = t.s.tick + _hopLatency;
-        const Tick start = head > busy ? head : busy;
-        busy = start + t.flits;
-        pkt->arrival = start + t.flits - 1;
-    } else {
-        pkt->arrival = t.head + t.flits - 1;
-    }
-    sl.flitHops += t.flits;
-    ++sl.messages;
-
-    const std::uint32_t dom = t.s.dstDom;
-    const std::vector<Tick> &ends = *_sliceEnds;
-    panic_if(pkt->arrival < t.s.tick + domainLookahead(t.s.domain, dom),
-             "mesh lookahead violated: %s %u -> %u (domain %u -> %u) "
-             "send at %llu delivers at %llu, below the advertised "
-             "minimum %llu",
-             msgName(pkt->type), pkt->src, pkt->dst, t.s.domain, dom,
-             (unsigned long long)t.s.tick,
-             (unsigned long long)pkt->arrival,
-             (unsigned long long)domainLookahead(t.s.domain, dom));
-    panic_if(_domNode[dom] != pkt->dst,
-             "packet for domain %u delivered to node %u, but the domain "
-             "lives on node %u (region ownership would break)",
-             dom, pkt->dst, _domNode[dom]);
-    panic_if(pkt->arrival < ends[dom],
-             "causality violated: %s send %u -> %u (domain %u -> %u) at "
-             "%llu delivers at %llu, inside domain %u's already-granted "
-             "window (end %llu)",
-             msgName(pkt->type), pkt->src, pkt->dst, t.s.domain, dom,
-             (unsigned long long)t.s.tick,
-             (unsigned long long)pkt->arrival, dom,
-             (unsigned long long)ends[dom]);
-    if (_probe)
-        _probe(t.s.domain, dom, t.s.tick, pkt->arrival);
-
-    _domains[dom]->queue().post(
-        pkt->arrival, [this, pkt, dom] { shardDeliver(*pkt, dom); });
-}
-
-void
-Mesh::dispatchDeferred(bool force, const std::vector<Tick> &ends,
-                       std::uint64_t &messages, std::uint64_t &flit_hops)
-{
-    const std::size_t n = _deferredAll.size();
-    if (n == 0)
-        return;
-
-    // Slice count is capped by the threads that pull slices: the
-    // cross-slice head handoff is only deadlock-free when every slice
-    // has a dedicated thread (the lexicographic (send, stage) order is
-    // a topological order of the handoff edges, and each thread drains
-    // its sequence in exactly that order).
-    const std::uint32_t groups =
-        _assistThreads < 4 ? _assistThreads : 4;
-    if (!_assist || groups < 2 || n < kParallelRouteMin) {
-        if (force) {
-            for (const PendingSend &s : _deferredAll)
-                routeOne(s, ends, messages, flit_hops);
-            _routeStats.routedSerial += n;
-            _deferredAll.clear();
-            _deferredBound = kTickNever;
-        }
-        return;
-    }
-
-    if (_tasksCap < n) {
-        std::size_t cap = _tasksCap != 0 ? _tasksCap : 64;
-        while (cap < n)
-            cap *= 2;
-        _tasks = std::make_unique<RouteTask[]>(cap);
-        _tasksCap = cap;
-    }
-    for (auto &sl : _slices) {
-        sl.entries.clear();
-        sl.messages = 0;
-        sl.flitHops = 0;
-    }
-    for (std::uint32_t r = 0; r < 4; ++r)
-        _sliceOfRegion[r] = std::uint8_t(r % groups);
-    for (std::size_t i = 0; i < n; ++i) {
-        RouteTask &t = _tasks[i];
-        t.s = _deferredAll[i];
-        segmentTask(t);
-        for (std::uint32_t k = 0; k <= t.nlinkSegs; ++k) {
-            _slices[_sliceOfRegion[t.segRegion[k]]].entries.push_back(
-                SliceEntry{std::uint32_t(i), k});
-        }
-    }
-    std::uint32_t nonempty = 0;
-    for (std::uint32_t g = 0; g < groups; ++g) {
-        if (!_slices[g].entries.empty()) {
-            if (g != nonempty)
-                std::swap(_slices[g], _slices[nonempty]);
-            ++nonempty;
-        }
-    }
-    if (nonempty < 2) {
-        // Everything funneled into one region group: a dispatch would
-        // buy no parallelism, only a round trip. Keep deferring unless
-        // the scheduler needs the queue empty.
-        if (force) {
-            for (const PendingSend &s : _deferredAll)
-                routeOne(s, ends, messages, flit_hops);
-            _routeStats.routedSerial += n;
-            _deferredAll.clear();
-            _deferredBound = kTickNever;
-        }
-        return;
-    }
-
-    _numSlices = nonempty;
-    _sliceEnds = &ends;
-    _assist(_numSlices);
-    _sliceEnds = nullptr;
-    for (std::uint32_t g = 0; g < nonempty; ++g) {
-        messages += _slices[g].messages;
-        flit_hops += _slices[g].flitHops;
-    }
-    _routeStats.routedParallel += n;
-    _numSlices = 0;
-    _deferredAll.clear();
-    _deferredBound = kTickNever;
-}
-
-void
-Mesh::routeRange(std::size_t begin, std::size_t end,
-                 const std::vector<Tick> &ends)
-{
-    // Sequence numbers are canonical and order-sensitive: assign them
-    // serially, at each send's position in the canonical route order,
-    // whether the send routes now or defers.
-    for (std::size_t i = begin; i < end; ++i)
-        _pending[i].pkt->seq = _canonSeq++;
-
-    std::uint64_t messages = 0;
-    std::uint64_t flit_hops = 0;
-    if (_assist) {
-        // Accumulate across barriers: any single barrier's batch is a
-        // couple of sends, far too little to parallelize, but nothing
-        // forces them to route before their arrivals matter -- the
-        // deferred queue keeps bounding every destination's inbound
-        // window (shardInboundBounds), so grants can never pass a
-        // deferred delivery. Canonical order is preserved across
-        // batches because every future batch's ticks are at least the
-        // route bound that admitted this one.
-        for (std::size_t i = begin; i < end; ++i) {
-            const PendingSend &s = _pending[i];
-            _deferredAll.push_back(s);
-            const Tick at = s.tick + domainLookahead(s.domain, s.dstDom);
-            if (at < _deferredBound)
-                _deferredBound = at;
-        }
-        dispatchDeferred(/*force=*/false, ends, messages, flit_hops);
-    } else {
-        for (std::size_t i = begin; i < end; ++i) {
-            routeOne(_pending[i], ends, messages, flit_hops);
-            ++_routeStats.routedSerial;
-        }
-    }
-    _messages.inc(messages);
-    _flitHops.inc(flit_hops);
-}
-
-void
-Mesh::shardFlushDeferredUpTo(Tick bound, const std::vector<Tick> &ends)
-{
-    const std::size_t n = _deferredAll.size();
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const PendingSend &s = _deferredAll[i];
-        if (s.tick + domainLookahead(s.domain, s.dstDom) <= bound)
-            k = i + 1;
-    }
-    if (k == 0)
-        return;
-    std::uint64_t messages = 0;
-    std::uint64_t flit_hops = 0;
-    for (std::size_t i = 0; i < k; ++i)
-        routeOne(_deferredAll[i], ends, messages, flit_hops);
-    _routeStats.routedSerial += k;
-    _deferredAll.erase(_deferredAll.begin(),
-                       _deferredAll.begin() + std::ptrdiff_t(k));
-    _deferredBound = kTickNever;
-    for (const PendingSend &s : _deferredAll) {
-        const Tick at = s.tick + domainLookahead(s.domain, s.dstDom);
-        if (at < _deferredBound)
-            _deferredBound = at;
-    }
-    _messages.inc(messages);
-    _flitHops.inc(flit_hops);
-}
-
-void
-Mesh::shardFlushDeferred(const std::vector<Tick> &ends)
-{
-    std::uint64_t messages = 0;
-    std::uint64_t flit_hops = 0;
-    dispatchDeferred(/*force=*/true, ends, messages, flit_hops);
-    _messages.inc(messages);
-    _flitHops.inc(flit_hops);
-}
-
-void
-Mesh::shardRunSlice(std::uint32_t slice)
-{
-    RouteSlice &sl = _slices[slice];
-    for (const SliceEntry &e : sl.entries) {
-        RouteTask &t = _tasks[e.task];
-        if (e.stage != 0) {
-            // Wait for the upstream quadrant to publish the head-flit
-            // tick. Finite by construction: the upstream stage sits
-            // earlier in the (send, stage) topological order, so the
-            // thread draining its slice always reaches it.
-            std::uint32_t spins = 0;
-            while (t.stage.load(std::memory_order_acquire) != e.stage) {
-                if (++spins >= 256) {
-                    std::this_thread::yield();
-                    spins = 0;
-                }
-            }
-        }
-        runStage(t, e.stage, sl);
-    }
-}
-
-void
-Mesh::shardRouteUpTo(Tick bound, const std::vector<Tick> &ends)
-{
-    std::size_t e = _pendingHead;
-    while (e < _pending.size() && _pending[e].tick < bound)
-        ++e;
-    if (e != _pendingHead) {
-        routeRange(_pendingHead, e, ends);
-        _pendingHead = e;
-    }
-}
-
-void
-Mesh::shardRouteNew(const std::vector<Tick> &ends)
-{
-    // Control-plane sends route immediately after the ops that emitted
-    // them -- the sequential schedule's flush position -- and always
-    // serially: they are rare and all carry the same barrier tick.
-    _newSends.clear();
-    for (auto &net : _net) {
-        for (auto &s : net.outbox.items()) {
-            const std::uint32_t dom = _shardOf(*s.pkt);
-            _newSends.push_back(
-                PendingSend{s.pkt, s.tick, s.domain, s.idx, dom});
-            ++_routeStats.sends;
-            if (_layout.workerOfDomain(s.domain) ==
-                _layout.workerOfDomain(dom))
-                ++_routeStats.sameWorkerSends;
-        }
-        net.outbox.clear();
-    }
-    if (_newSends.empty())
-        return;
-    std::sort(_newSends.begin(), _newSends.end(),
-              [](const PendingSend &a, const PendingSend &b) {
-                  if (a.tick != b.tick)
-                      return a.tick < b.tick;
-                  if (a.domain != b.domain)
-                      return a.domain < b.domain;
-                  return a.idx < b.idx;
-              });
-    std::uint64_t messages = 0;
-    std::uint64_t flit_hops = 0;
-    // Control sends share link, ejection, and delivery-queue state
-    // with the deferred data sends, all of which precede them
-    // canonically (deferred ticks never exceed the barrier tick), so
-    // the accumulation queue must route first.
-    dispatchDeferred(/*force=*/true, ends, messages, flit_hops);
-    for (auto &s : _newSends) {
-        s.pkt->seq = _canonSeq++;
-        routeOne(s, ends, messages, flit_hops);
-    }
-    _routeStats.routedSerial += _newSends.size();
-    _messages.inc(messages);
-    _flitHops.inc(flit_hops);
-    _newSends.clear();
-}
-
-void
-Mesh::shardEmitTrace(Tick bound)
-{
-    if (_holdback.empty())
-        return;
-    std::sort(_holdback.begin(), _holdback.end(),
-              [](const NetDomain::TraceRec &a, const NetDomain::TraceRec &b) {
-                  if (a.tick != b.tick)
-                      return a.tick < b.tick;
-                  return a.seq < b.seq;
-              });
-    std::size_t e = 0;
-    while (e < _holdback.size() && _holdback[e].tick < bound)
-        ++e;
-    if (e == 0)
-        return;
-    if (_tracer) {
-        for (std::size_t i = 0; i < e; ++i)
-            _tracer->onDeliver(_holdback[i].tick, _holdback[i].node,
-                               _holdback[i].type);
-    }
-    _holdback.erase(_holdback.begin(), _holdback.begin() + std::ptrdiff_t(e));
-}
-
-void
-Mesh::shardEmitTraceAll()
-{
-    shardEmitTrace(kTickNever);
-    if (!_holdback.empty()) {
-        // kTickNever records can't exist (no event executes at the
-        // sentinel), so everything must have drained.
-        _holdback.clear();
-    }
-}
-
-void
-Mesh::shardInboundBounds(std::vector<Tick> &min_inbound,
-                         Tick &earliest) const
-{
-    std::fill(min_inbound.begin(), min_inbound.end(), kTickNever);
-    earliest = kTickNever;
-    auto fold = [&](const PendingSend &s) {
-        const Tick at = s.tick + domainLookahead(s.domain, s.dstDom);
-        if (at < min_inbound[s.dstDom])
-            min_inbound[s.dstDom] = at;
-        if (at < earliest)
-            earliest = at;
-    };
-    for (std::size_t i = _pendingHead; i < _pending.size(); ++i)
-        fold(_pending[i]);
-    // Deferred sends left the pending list but are not yet routed or
-    // posted, so they must keep bounding their destinations' windows
-    // exactly like unrouted pending sends (this is what makes
-    // cross-barrier deferral sound).
-    for (const PendingSend &s : _deferredAll)
-        fold(s);
-}
-
-void
-Mesh::shardDeliver(Packet &pkt, std::uint32_t domain)
-{
-    NetDomain &net = _net[domain];
-    if (_tracer) {
-        net.trace.push(NetDomain::TraceRec{pkt.arrival, pkt.seq, pkt.dst,
-                                           pkt.type});
-    }
-    if (pkt.receiver) {
-        pkt.receiver->meshDeliver(pkt);
-    } else if (pkt.cb) {
-        MeshCallback cb = std::move(pkt.cb);
-        cb();
-    }
-    pkt.reset();
-    net.freeBin.push(&pkt);
 }
 
 void

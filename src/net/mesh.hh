@@ -31,19 +31,15 @@
 #ifndef ATOMSIM_NET_MESH_HH
 #define ATOMSIM_NET_MESH_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include <functional>
 
 #include "mem/packet.hh"
 #include "net/router.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -143,320 +139,16 @@ class Mesh
     }
 
     /** Packet nodes ever allocated (pool high-water mark). */
-    std::size_t packetPoolAllocated() const;
+    std::size_t packetPoolAllocated() const { return _pool.allocated(); }
 
     /** Packet nodes currently idle on the free list. */
-    std::size_t packetPoolFree() const;
+    std::size_t packetPoolFree() const { return _pool.idle(); }
 
     /** Install (or clear) the delivery tracer. */
     void setTracer(Tracer *tracer) { _tracer = tracer; }
 
-    // --- sharded mode -------------------------------------------------
-
-    /** Cumulative sharded merge statistics (leader-owned; plain
-     * counters so they never enter the golden-pinned StatSet dumps --
-     * they depend on worker count and placement). */
-    struct ShardRouteStats
-    {
-        std::uint64_t sends = 0;           //!< mesh sends collected
-        std::uint64_t sameWorkerSends = 0; //!< src/dst on one worker
-        std::uint64_t routedParallel = 0;  //!< routed in region slices
-        std::uint64_t routedSerial = 0;    //!< routed by the leader
-    };
-
-    /**
-     * Runs @p nslices route slices across the barrier workers and
-     * blocks until all complete (each slice executes shardRunSlice()
-     * exactly once). Installed by the sharded runner; when absent,
-     * everything routes serially. Every participating thread (leader
-     * included) must pull slices until exhausted: segmented routes
-     * hand the head-flit tick across slices, so an untaken slice
-     * would stall its downstream waiters.
-     */
-    using AssistDispatch = std::function<void(std::uint32_t nslices)>;
-
-    /** Test hook observing every routed packet (src domain, dst
-     * domain, send tick, arrival tick). Runs inside route slices, so
-     * only install it on single-worker runs. */
-    using RouteProbe = std::function<void(std::uint32_t, std::uint32_t,
-                                          Tick, Tick)>;
-
-    /**
-     * Switch the mesh into sharded (deferred-send) mode. Each domain
-     * gets its own packet pool and mailboxes; sends record into the
-     * *executing* domain's outbox (SimDomain::current()) instead of
-     * touching link state, and the leader processes them at window
-     * barriers through shardCollect() / shardRouteUpTo(). Also builds
-     * the domain->node map backing domainLookahead() and the quadrant
-     * partition used for region-parallel routing.
-     *
-     * @param domains  all simulation domains, indexed by domain id
-     * @param layout   the run's domain/worker layout (placement stats,
-     *                 domain -> mesh node mapping)
-     * @param shard_of maps a routed packet to the domain that must
-     *                 execute its delivery (the receiver's domain)
-     */
-    void shardAttach(std::vector<SimDomain *> domains,
-                     const ShardLayout &layout,
-                     std::function<std::uint32_t(const Packet &)> shard_of);
-
-    /** Install (or clear, with nullptr) the worker assist hook.
-     * @p threads is the number of threads that pull slices during a
-     * dispatch (leader + parked workers): slice counts never exceed
-     * it, which is what makes the cross-slice head handoff
-     * deadlock-free (every slice gets a dedicated thread). */
-    void shardSetAssist(AssistDispatch dispatch,
-                        std::uint32_t threads = 1);
-
-    /** Install (or clear) the route probe (single-worker runs only). */
-    void shardSetRouteProbe(RouteProbe probe);
-
-    /**
-     * Leader barrier phase 1: drain every domain's outbox into the
-     * canonical pending-send list (sorted by (send tick, domain,
-     * per-domain FIFO index) -- all shard-count-invariant), route
-     * freed packets back to their origin pools, and move the
-     * per-domain trace buffers into the (tick, seq)-ordered holdback
-     * buffer for shardEmitTrace().
-     */
-    void shardCollect();
-
-    /**
-     * Leader barrier phase 2: take every pending send with tick <
-     * @p bound into the canonical route order. With the assist hook
-     * installed the sends accumulate in the deferred queue (routed
-     * later, in parallel per mesh quadrant, by dispatchDeferred);
-     * otherwise each is routed and reserved against the shared link
-     * state immediately, and its delivery posted into the receiving
-     * domain's queue at the stamped arrival. @p ends (per-domain
-     * granted window ends) backs the hard causality check: no
-     * delivery may land inside a window a domain has already been
-     * granted.
-     *
-     * The caller must keep @p bound at or below both the barrier's
-     * known frontier (min granted end) and the earliest tick a
-     * control-plane send could still materialize at: link reservations
-     * are order-sensitive, and the sequential schedule routes a
-     * control send before any data send of a strictly later tick.
-     */
-    void shardRouteUpTo(Tick bound, const std::vector<Tick> &ends);
-
-    /**
-     * Route control-plane sends: collect whatever the just-executed
-     * control ops put in the outboxes and route all of it serially in
-     * canonical order (the sequential schedule's "flush after control
-     * ops" position).
-     */
-    void shardRouteNew(const std::vector<Tick> &ends);
-
-    /**
-     * Route every quadrant-deferred send (parallel when the queues
-     * carry enough work, serially otherwise). The scheduler calls this
-     * at control-plane barriers -- where the uniform ctrl-domain grant
-     * needs every sub-barrier-tick delivery posted -- and whenever the
-     * known frontier stagnates, so a deferred packet can never stall
-     * its destination's inbound bound indefinitely.
-     */
-    void shardFlushDeferred(const std::vector<Tick> &ends);
-
-    /**
-     * Route (serially) the canonical prefix of the deferred queue
-     * holding every send whose arrival bound has fallen to or behind
-     * @p bound -- on a stalled frontier those are exactly the sends
-     * pinning some domain's window. The tail keeps accumulating
-     * toward a parallel dispatch.
-     */
-    void shardFlushDeferredUpTo(Tick bound, const std::vector<Tick> &ends);
-
-    /** True while the accumulation queue still holds deferred sends. */
-    bool shardHasDeferred() const { return !_deferredAll.empty(); }
-
-    /** Earliest possible arrival over the deferred sends (kTickNever
-     * when none are queued): the scheduler flushes on frontier
-     * stagnation only when this bound is what pins the frontier. */
-    Tick shardDeferredBound() const { return _deferredBound; }
-
-    /** Emit held-back trace records with tick < @p bound, globally
-     * ordered by (tick, canonical delivery seq). */
-    void shardEmitTrace(Tick bound);
-
-    /** Emit every held-back trace record (run end). */
-    void shardEmitTraceAll();
-
-    /**
-     * Earliest-possible-inbound bound per domain from the *unrouted*
-     * pending sends: min over pending of send tick + lookahead.
-     * @p min_inbound (size = domain count) is filled with kTickNever
-     * where no pending send targets the domain; @p earliest gets the
-     * global minimum (kTickNever when no sends are pending).
-     */
-    void shardInboundBounds(std::vector<Tick> &min_inbound,
-                            Tick &earliest) const;
-
-    /** Minimum send-to-delivery latency between two mesh nodes:
-     * hopLatency x (1 + XY hop count). */
-    Tick
-    minLatency(std::uint32_t src, std::uint32_t dst) const
-    {
-        return Tick(_hopLatency) * (1 + hops(src, dst));
-    }
-
-    /**
-     * Lookahead entry: minimum send-to-delivery latency from domain
-     * @p s to domain @p d (minLatency of their mesh nodes). Computed
-     * from node coordinates on demand -- the all-pairs matrix this
-     * replaces was O(domains^2) memory (34 MB at 1024 tiles). MC
-     * source rows toward core domains additionally lower-bound over
-     * every tile node (proxy sends, see shardAttach()).
-     */
-    Tick
-    domainLookahead(std::uint32_t s, std::uint32_t d) const
-    {
-        Tick la = minLatency(_domNode[s], _domNode[d]);
-        if (s >= _mcDomBase && d < _numCoreDoms)
-            la = std::min(la, _minTileLa[_domNode[d]]);
-        return la;
-    }
-
-    /** Mesh node hosting domain @p d (sharded mode). */
-    std::uint32_t domainNode(std::uint32_t d) const { return _domNode[d]; }
-
-    /** Mesh geometry (for the scheduler's distance-transform pass). */
-    std::uint32_t meshRows() const { return _rows; }
-    std::uint32_t meshCols() const { return _cols; }
-
-    /** One hop's latency as a Tick. */
-    Tick hopTick() const { return Tick(_hopLatency); }
-
-    /** Minimum latency from any tile node to @p node (the MC proxy
-     * floor; kTickNever before shardAttach()). */
-    Tick minTileLatency(std::uint32_t node) const
-    {
-        return _minTileLa[node];
-    }
-
-    /** Execute route slice @p slice of the current dispatch (worker
-     * side of the assist protocol). */
-    void shardRunSlice(std::uint32_t slice);
-
-    const ShardRouteStats &shardRouteStats() const { return _routeStats; }
-
   private:
     friend struct MeshLink::DrainEvent;
-
-    /** Per-domain mesh state for sharded runs (single-writer; consumed
-     * by the leader at barriers). */
-    struct NetDomain
-    {
-        struct Send
-        {
-            Packet *pkt;
-            Tick tick;           //!< send tick (canonical key, major)
-            std::uint32_t domain;
-            std::uint32_t idx;   //!< per-domain FIFO index
-        };
-        struct TraceRec
-        {
-            Tick tick;
-            std::uint64_t seq;   //!< canonical delivery sequence
-            std::uint32_t node;
-            MsgType type;
-        };
-
-        FreeListPool<Packet> pool;
-        DomainMailbox<Send> outbox;
-        DomainMailbox<Packet *> freeBin;
-        DomainMailbox<TraceRec> trace;
-    };
-
-    /** A collected, not-yet-routed send (canonical order). */
-    struct PendingSend
-    {
-        Packet *pkt;
-        Tick tick;            //!< send tick (canonical key, major)
-        std::uint32_t domain; //!< sending domain
-        std::uint32_t idx;    //!< per-domain FIFO index
-        std::uint32_t dstDom; //!< receiving domain (from _shardOf)
-    };
-
-    /**
-     * One deferred send, segmented for region-parallel routing. The
-     * XY path splits into runs of links owned by one quadrant each (a
-     * link belongs to the quadrant of its source node; XY paths visit
-     * at most three quadrants, monotonically), plus a final delivery
-     * stage owned by the destination's quadrant (ejection-port
-     * reservation, arrival checks, posting). Stages execute in order:
-     * each link stage hands the head-flit tick to the next through
-     * head/stage, release/acquire-paired so a waiting slice sees the
-     * published value.
-     */
-    struct RouteTask
-    {
-        PendingSend s;
-        Tick head = 0;              //!< handoff: head tick after stage
-        std::uint32_t flits = 0;
-        std::uint8_t nlinkSegs = 0; //!< 0 for same-node sends
-        std::uint8_t segRegion[4];  //!< per stage (last = delivery)
-        std::uint32_t segStart[3];  //!< first link-source node of seg
-        std::uint16_t segHops[3];   //!< links reserved by the segment
-        std::atomic<std::uint32_t> stage{0};
-    };
-
-    /** Stage reference inside one region slice's canonical sequence. */
-    struct SliceEntry
-    {
-        std::uint32_t task;
-        std::uint32_t stage;
-    };
-
-    /** One region group's share of a parallel route dispatch. */
-    struct RouteSlice
-    {
-        std::vector<SliceEntry> entries; //!< (task, stage) ascending
-        std::uint64_t messages = 0;      //!< slice-local counter shares
-        std::uint64_t flitHops = 0;
-    };
-
-    /** Record a send into the executing domain's outbox (sharded). */
-    void shardRecord(Packet &pkt);
-
-    /** Execute one delivery on the receiving domain's thread. */
-    void shardDeliver(Packet &pkt, std::uint32_t domain);
-
-    /** Route one pending send and post its delivery; @p messages /
-     * @p flit_hops accumulate the stat shares (slice- or leader-local,
-     * summed into the counters serially). */
-    void routeOne(const PendingSend &s, const std::vector<Tick> &ends,
-                  std::uint64_t &messages, std::uint64_t &flit_hops);
-
-    /** Route _pending[begin, end) canonically: defer everything into
-     * the accumulation queue when the assist hook is installed, route
-     * serially otherwise. */
-    void routeRange(std::size_t begin, std::size_t end,
-                    const std::vector<Tick> &ends);
-
-    /** Mesh quadrant of @p node (degenerate axes collapse). */
-    std::uint32_t regionOf(std::uint32_t node) const;
-
-    /** Split @p t's XY path into per-quadrant link segments plus the
-     * delivery stage (see RouteTask). */
-    void segmentTask(RouteTask &t) const;
-
-    /** Execute one stage of a segmented route: reserve the segment's
-     * links (link stage) or reserve the ejection port, compute the
-     * arrival, run the soundness checks, and post the delivery
-     * (delivery stage). Accumulates into @p sl's counter shares. */
-    void runStage(RouteTask &t, std::uint32_t stage, RouteSlice &sl);
-
-    /** Dispatch the accumulated deferred sends to the assist workers
-     * when they carry enough work spread over at least two region
-     * groups. Otherwise route them serially on the leader when
-     * @p force is set (the scheduler needs the queue empty), or leave
-     * them deferring. @p messages / @p flit_hops take the leader-side
-     * stat shares. */
-    void dispatchDeferred(bool force, const std::vector<Tick> &ends,
-                          std::uint64_t &messages,
-                          std::uint64_t &flit_hops);
 
     /**
      * XY route + cut-through reservation from @p src to @p dst:
@@ -507,42 +199,6 @@ class Mesh
     std::vector<Tick> _ejectBusy;
 
     FreeListPool<Packet> _pool;
-
-    // --- sharded-mode state (empty in sequential runs) ---------------
-    std::vector<SimDomain *> _domains;
-    std::vector<NetDomain> _net;
-    std::function<std::uint32_t(const Packet &)> _shardOf;
-    ShardLayout _layout;
-    std::uint64_t _canonSeq = 0;             //!< leader-owned
-    std::vector<std::uint32_t> _domNode;     //!< domain -> mesh node
-    std::vector<Tick> _minTileLa;            //!< node -> min tile latency
-    std::uint32_t _mcDomBase = 0;            //!< first MC domain id
-    std::uint32_t _numCoreDoms = 0;          //!< core domain count
-    std::vector<std::uint8_t> _regionOfNode; //!< node -> quadrant
-    std::vector<PendingSend> _pending;       //!< canonical, sorted
-    std::size_t _pendingHead = 0;            //!< routed prefix
-    std::vector<PendingSend> _newSends;      //!< leader scratch
-    std::vector<PendingSend> _mergeScratch;  //!< leader scratch
-    std::vector<NetDomain::TraceRec> _holdback; //!< unemitted traces
-    AssistDispatch _assist;
-    std::uint32_t _assistThreads = 1;
-    RouteProbe _probe;
-    /** Sends deferred out of the serial merge, in canonical route
-     * order (batches arrive tick-sorted and cross-batch ticks never
-     * precede the already-deferred ones). They accumulate across
-     * barriers until a dispatch pays off or the scheduler forces a
-     * flush (shardFlushDeferred). */
-    std::vector<PendingSend> _deferredAll;
-    Tick _deferredBound = kTickNever; //!< min send tick + lookahead
-    /** Segmented-task buffer for the current dispatch (reused; stage
-     * atomics make the tasks non-movable, hence the raw array). */
-    std::unique_ptr<RouteTask[]> _tasks;
-    std::size_t _tasksCap = 0;
-    RouteSlice _slices[4];
-    std::uint32_t _numSlices = 0;
-    std::uint8_t _sliceOfRegion[4] = {0, 0, 0, 0};
-    const std::vector<Tick> *_sliceEnds = nullptr;
-    ShardRouteStats _routeStats;
 
     Counter &_messages;
     Counter &_flitHops;

@@ -3,9 +3,8 @@
 namespace atomsim
 {
 
-LogSpace::LogSpace(std::vector<EventQueue *> queues,
-                   const SystemConfig &cfg, StatSet &stats)
-    : _queues(std::move(queues)),
+LogSpace::LogSpace(EventQueue &eq, const SystemConfig &cfg, StatSet &stats)
+    : _eq(eq),
       _latency(cfg.osOverflowLatency),
       _grantSize(std::max<std::uint32_t>(1, cfg.bucketsPerMc / 16)),
       _busy(cfg.numMemCtrls, false),
@@ -26,15 +25,15 @@ LogSpace::requestMoreBuckets(McId mc,
     _pending[mc].push_back(std::move(granted));
     if (_busy[mc])
         return;
-    _busy[mc] = 1;
+    _busy[mc] = true;
     _statInterrupts.inc();
-    _queues[mc]->scheduleIn(*_grantEvents[mc], _latency);
+    _eq.scheduleIn(*_grantEvents[mc], _latency);
 }
 
 void
 LogSpace::grant(McId mc)
 {
-    _busy[mc] = 0;
+    _busy[mc] = false;
     auto waiters = std::move(_pending[mc]);
     _pending[mc].clear();
     for (auto &w : waiters)

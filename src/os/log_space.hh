@@ -31,14 +31,7 @@ namespace atomsim
 class LogSpace
 {
   public:
-    /**
-     * @param queues event queue of each controller's simulation domain
-     *               (all the same queue in sequential runs). Every
-     *               piece of LogSpace state is per-controller, so the
-     *               service partitions cleanly across shards.
-     */
-    LogSpace(std::vector<EventQueue *> queues, const SystemConfig &cfg,
-             StatSet &stats);
+    LogSpace(EventQueue &eq, const SystemConfig &cfg, StatSet &stats);
 
     /**
      * Log overflow interrupt from controller @p mc: map more buckets.
@@ -61,13 +54,10 @@ class LogSpace
     /** Interrupt handling for @p mc finished: hand out the grant. */
     void grant(McId mc);
 
-    std::vector<EventQueue *> _queues;  //!< per MC
+    EventQueue &_eq;
     Cycles _latency;
     std::uint32_t _grantSize;
-    /** Per-MC: interrupt being serviced. Byte-sized on purpose: MC
-     * domains on different workers touch their own flag concurrently,
-     * and vector<bool>'s packed words would make that a data race. */
-    std::vector<std::uint8_t> _busy;
+    std::vector<bool> _busy;  //!< per MC: interrupt being serviced
     std::vector<std::deque<std::function<void(std::uint32_t)>>> _pending;
     /** One recurring interrupt-completion event per controller. */
     std::vector<std::unique_ptr<TickEvent>> _grantEvents;

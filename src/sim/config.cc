@@ -93,28 +93,6 @@ durabilityPolicyFromName(const std::string &name)
     fatal("unknown durability policy '%s'", name.c_str());
 }
 
-const char *
-shardPlacementName(ShardPlacement placement)
-{
-    switch (placement) {
-      case ShardPlacement::RoundRobin:
-        return "roundRobin";
-      case ShardPlacement::Locality:
-        return "locality";
-    }
-    return "?";
-}
-
-ShardPlacement
-shardPlacementFromName(const std::string &name)
-{
-    if (name == "roundRobin" || name == "round-robin")
-        return ShardPlacement::RoundRobin;
-    if (name == "locality")
-        return ShardPlacement::Locality;
-    fatal("unknown shard placement '%s'", name.c_str());
-}
-
 Cycles
 SystemConfig::lineTransferCycles() const
 {
@@ -152,6 +130,11 @@ SystemConfig::validate() const
 {
     fatal_if(numCores == 0, "numCores must be > 0");
     fatal_if(sqEntries == 0, "sqEntries must be > 0");
+    // Associativities divide the size checks below; MSHR-less caches
+    // can never complete a miss.
+    fatal_if(l1Assoc == 0, "l1Assoc must be > 0");
+    fatal_if(l2Assoc == 0, "l2Assoc must be > 0");
+    fatal_if(mshrs == 0, "mshrs must be > 0");
     fatal_if(l1SizeBytes % (l1Assoc * kLineBytes) != 0,
              "L1 size must be a multiple of assoc * line size");
     fatal_if(l2TileBytes % (l2Assoc * kLineBytes) != 0,
@@ -208,40 +191,6 @@ SystemConfig::validate() const
                      ssdStagingWindow == 0,
                  "eventual durability needs ssdStagingWindow > 0");
     }
-    if (numShards > 0) {
-        fatal_if(durabilityPolicy == DurabilityPolicy::Eventual,
-                 "the eventual-durability staging window is "
-                 "cross-domain state; it requires the sequential "
-                 "kernel (numShards = 0)");
-        fatal_if(serializeAtomicRegions,
-                 "serializeAtomicRegions is cross-domain state; it "
-                 "requires the sequential kernel (numShards = 0)");
-        fatal_if(numMemCtrls > 32,
-                 "sharded simulation supports at most 32 memory "
-                 "controllers (DataImage stripe count)");
-        fatal_if(design == DesignKind::Redo,
-                 "sharded simulation does not support the REDO design "
-                 "(the combine buffers and backend apply queues are "
-                 "cross-domain state; the victim cache is already "
-                 "sharded per home tile); run REDO with numShards = 0");
-        fatal_if(linkQueueDepth != 0,
-                 "sharded simulation requires unbounded link queues "
-                 "(linkQueueDepth = 0): bounded-depth backpressure "
-                 "re-stamps packets at drain time, which is not "
-                 "shard-invariant");
-        fatal_if(hopLatency == 0,
-                 "sharded simulation requires hopLatency > 0 (the "
-                 "lookahead, and so the window width, would be zero)");
-        fatal_if(windowTicks > hopLatency,
-                 "windowTicks (%llu) exceeds the minimum cross-domain "
-                 "lookahead (hopLatency = %llu): the canonical window "
-                 "tiling must keep every send's delivery beyond its own "
-                 "window, or the tiling stops being reconstructible "
-                 "from executed ticks and control-plane anchoring "
-                 "diverges across shard counts",
-                 (unsigned long long)windowTicks,
-                 (unsigned long long)hopLatency);
-    }
 }
 
 SystemConfig
@@ -261,9 +210,10 @@ SystemConfig::makeMeshPreset(std::uint32_t tiles)
         cfg.l2Tiles = 1024;
         cfg.meshRows = 32;
         cfg.numMemCtrls = 16;
-        // Keep the host footprint bounded at 1024 tiles: smaller L2
-        // slices (the line-state map dominates resident memory) and a
-        // narrow calendar wheel per domain (2064 domains x buckets).
+        // Smaller L2 slices keep the host footprint bounded at 1024
+        // tiles (the line-state map dominates resident memory). The
+        // narrow calendar wheel is kept as measured: widening it moves
+        // the preset's host time and needs its own measurement.
         cfg.l2TileBytes = 64 * 1024;
         cfg.wheelBuckets = 256;
         break;

@@ -99,8 +99,7 @@ enum class DurabilityPolicy : std::uint8_t
      * the core continues as soon as its log is sealed, while the
      * flush + truncate pipeline completes in the background. A power
      * failure loses at most the staged (acked-but-untruncated)
-     * commits, each of which rolls back wholly at recovery. Sequential
-     * kernel only (the window is cross-domain state). */
+     * commits, each of which rolls back wholly at recovery. */
     Eventual,
 };
 
@@ -109,30 +108,6 @@ const char *durabilityPolicyName(DurabilityPolicy policy);
 
 /** Parse a durability-policy name. */
 DurabilityPolicy durabilityPolicyFromName(const std::string &name);
-
-/**
- * Domain-to-worker placement policy for sharded runs.
- *
- * Placement never changes simulated behavior (the byte-identity
- * goldens pin that); it only decides which worker thread drives which
- * simulation domains, which moves the same-worker send fraction and
- * hence the parallel speedup.
- */
-enum class ShardPlacement : std::uint8_t
-{
-    /** Deal domains round-robin over the non-leader workers. Worst
-     * case for locality; the TSan CI job uses it adversarially. */
-    RoundRobin,
-    /** Group domains of adjacent mesh nodes onto the same worker, so
-     * most mesh sends stay worker-local (the default). */
-    Locality,
-};
-
-/** Human-readable placement name ("roundRobin", "locality"). */
-const char *shardPlacementName(ShardPlacement placement);
-
-/** Parse a placement name. */
-ShardPlacement shardPlacementFromName(const std::string &name);
 
 /**
  * Which region bypasses the DRAM cache in HybridMode::AppDirect: the
@@ -252,8 +227,8 @@ struct SystemConfig
     /**
      * Model a flash tier behind the NVM (off by default; every golden
      * stays byte-identical). Each controller owns an NVMe-style SSD
-     * slice — per-channel submission/completion queue pairs polled
-     * from the MC's simulation domain — plus a destage engine that
+     * slice — per-channel submission/completion queue pairs the
+     * controller polls — plus a destage engine that
      * migrates cold log segments and cold data pages to flash at log
      * truncation, leaving a durable NVM-resident forwarding map so
      * reads of destaged pages stall through the SSD read path.
@@ -270,7 +245,7 @@ struct SystemConfig
      * per-pair outstanding-command bound, so the CQ can never
      * overflow. */
     std::uint32_t ssdQueueDepth = 32;
-    /** Poll cadence of the MC-domain doorbell/reap loop, in cycles. */
+    /** Poll cadence of the controller's doorbell/reap loop, in cycles. */
     Cycles ssdPollInterval = 200;
     /** Die read (tR) latency in core cycles (~8 us at 2 GHz). */
     Cycles ssdReadLatency = 16000;
@@ -327,46 +302,9 @@ struct SystemConfig
 
     // --- Simulation kernel -------------------------------------------
     /**
-     * Worker threads the simulation runs on.
-     *
-     *  - 0 (default): classic single-queue sequential simulation.
-     *  - N >= 1: sharded mode -- the system splits into per-tile
-     *    simulation domains (one per core+L1, one per L2 slice, one
-     *    per memory controller), each free-running on its own calendar
-     *    queue inside a per-domain distance-based lookahead window and
-     *    exchanging mesh packets through mailboxes at window barriers.
-     *    Domains are dealt over the workers by shardPlacement; the
-     *    worker count is clamped to the domain count. Sharded runs are
-     *    deterministic and byte-identical across shard counts and
-     *    placements (see README, "Parallel simulation"); numShards = 1
-     *    runs the identical windowed semantics on one worker thread.
-     *
-     * Requires linkQueueDepth == 0 and design != Redo.
-     */
-    std::uint32_t numShards = 0;
-    /**
-     * Width in ticks of the *canonical* window tiling that anchors
-     * control-plane operations in sharded runs (sim/shard.hh,
-     * FlatTiling). Must not exceed hopLatency -- the tiling must stay
-     * reconstructible from executed ticks alone, which needs every
-     * send's delivery to land beyond its own window. 0 picks
-     * hopLatency automatically. This does NOT bound how far domains
-     * free-run: data-path windows widen to the per-domain
-     * distance-based lookahead bound.
-     */
-    Cycles windowTicks = 0;
-    /**
-     * Domain-to-worker placement policy for sharded runs. Locality
-     * placement keeps adjacent mesh tiles on the same worker (fewer
-     * cross-worker sends); round-robin is the adversarial
-     * interleaving. Simulated behavior is identical under both.
-     */
-    ShardPlacement shardPlacement = ShardPlacement::Locality;
-    /**
-     * Calendar-wheel width of every event queue, in one-tick buckets
-     * (power of two >= 64). Tune against EventQueue::spillRatio() --
-     * bench/parallel_scaling.cc reports the ratio for TPC-C at full
-     * core count.
+     * Calendar-wheel width of the machine's event queue, in one-tick
+     * buckets (power of two >= 64). Tune against
+     * EventQueue::spillRatio(); the kernel_events bench prints it.
      */
     std::uint32_t wheelBuckets = 4096;
     /**
@@ -384,7 +322,6 @@ struct SystemConfig
      * structurally built upon. Off (the default) keeps concurrent
      * timing and every pinned golden unchanged; the per-core micro
      * workloads never share written lines, so they do not need it.
-     * Sequential kernel only (the ticket is cross-domain state).
      */
     bool serializeAtomicRegions = false;
 
@@ -397,7 +334,7 @@ struct SystemConfig
      * default) keeps the gentle atomic model and every golden
      * byte-identical. The tear boundary of each write is a pure
      * function of (faultSeed, controller, address, acceptance
-     * sequence), so it is identical across reruns and shard counts.
+     * sequence), so it is identical across reruns.
      */
     bool tornWrites = false;
     /**
@@ -481,9 +418,8 @@ struct SystemConfig
      * Large-mesh preset: a scaled machine with @p tiles cores and L2
      * tiles on a square mesh. Supported sizes: 256 (16x16 mesh, 8 MCs)
      * and 1024 (32x32 mesh, 16 MCs). Per-tile L2 capacity shrinks with
-     * scale and the calendar wheel narrows at 1024 tiles so the host
-     * footprint stays bounded; everything else keeps the Table I
-     * defaults.
+     * scale and the calendar wheel narrows at 1024 tiles; everything
+     * else keeps the Table I defaults.
      */
     static SystemConfig makeMeshPreset(std::uint32_t tiles);
 };

@@ -351,10 +351,6 @@ EventQueue::executeNext(Tick t)
         _now = t;
         migrate();
     }
-    if (_tickLog && t != _tickLast) {
-        _tickLog->push_back(t);
-        _tickLast = t;
-    }
     const std::uint32_t bi = std::uint32_t(t) & _wheelMask;
     Bucket &b = _wheel[bi];
     Event *ev = b.head;

@@ -2,11 +2,10 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * atomsim is driven by one event queue per *shard* (a single global
- * queue in sequential runs; see sim/shard.hh for the sharded mode).
- * Components schedule work at absolute ticks; the queue executes it in
- * (tick, insertion-order) order, which gives deterministic simulation
- * for a fixed configuration and seed.
+ * atomsim is driven by a single event queue per simulated machine
+ * (System owns it). Components schedule work at absolute ticks; the
+ * queue executes it in (tick, insertion-order) order, which gives
+ * deterministic simulation for a fixed configuration and seed.
  *
  * Event model
  * -----------
@@ -258,14 +257,6 @@ class EventQueue
     /** Number of pending events. */
     std::size_t pending() const { return _pending; }
 
-    /** Tick of the earliest pending event; kTickNever when empty.
-     * (The sharded executor uses this to pick the next window.) */
-    Tick
-    nextTick() const
-    {
-        return _pending == 0 ? kTickNever : nextEventTick();
-    }
-
     /**
      * Execute a single event (the earliest). Advances now() to the
      * event's tick.
@@ -292,21 +283,6 @@ class EventQueue
 
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return _executed; }
-
-    /**
-     * Record every *distinct* executed tick into @p log (nullptr
-     * disables). The sharded scheduler uses the per-domain tick logs
-     * to replay the sequential windowed tiling exactly (see
-     * sim/shard.hh FlatTiling): the leader drains the log between
-     * window barriers, so the vector is single-writer per phase. The
-     * log survives across run() calls; the consumer compacts it.
-     */
-    void
-    setTickLog(std::vector<Tick> *log)
-    {
-        _tickLog = log;
-        _tickLast = kTickNever;
-    }
 
     // --- pool introspection (tests / diagnostics) ---------------------
 
@@ -395,8 +371,6 @@ class EventQueue
     std::vector<Event *> _spill;  //!< indexed min-heap of far events
 
     Tick _now = 0;
-    std::vector<Tick> *_tickLog = nullptr;
-    Tick _tickLast = kTickNever;  //!< last logged tick (sentinel: none)
     std::uint64_t _seq = 0;
     std::uint64_t _executed = 0;
     std::uint64_t _wheelInserts = 0;

@@ -4,12 +4,11 @@
  *
  * Every injected fault (torn-write word boundaries, media read
  * errors, recovery-crash tear points) derives from a stateless hash
- * of *shard-invariant* keys: the configured fault seed plus values
- * the byte-identity goldens already pin (addresses, per-controller
- * acceptance sequence numbers, per-channel read indices). Nothing
- * here consults wall-clock time, thread identity or iteration order,
- * so the same seed produces the same fault pattern across reruns,
- * shard counts and placements -- a failing fault-injection cell is
+ * of deterministic keys: the configured fault seed plus values the
+ * golden traces already pin (addresses, per-controller acceptance
+ * sequence numbers, per-channel read indices). Nothing here consults
+ * wall-clock time or iteration order, so the same seed produces the
+ * same fault pattern across reruns -- a failing fault-injection cell is
  * replayable by ID exactly like a clean-power-failure cell.
  */
 

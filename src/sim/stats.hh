@@ -11,7 +11,6 @@
 #ifndef ATOMSIM_SIM_STATS_HH
 #define ATOMSIM_SIM_STATS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -20,39 +19,17 @@
 namespace atomsim
 {
 
-/**
- * A single scalar counter.
- *
- * Increments are relaxed atomic RMWs: in sharded runs a handful of
- * counters are shared across shard threads (the OS overflow-interrupt
- * counter, the LogI front end's log_writes) and the rest are only ever
- * read across threads at window barriers. Relaxed ordering is enough --
- * counters are sums, never synchronization -- and keeps the sequential
- * hot path at a plain uncontended lock-add.
- */
+/** A single scalar counter. */
 class Counter
 {
   public:
-    Counter() = default;
-
-    void
-    inc(std::uint64_t by = 1)
-    {
-        _value.fetch_add(by, std::memory_order_relaxed);
-    }
-
-    void set(std::uint64_t v) { _value.store(v, std::memory_order_relaxed); }
-
-    std::uint64_t
-    value() const
-    {
-        return _value.load(std::memory_order_relaxed);
-    }
-
-    void reset() { set(0); }
+    void inc(std::uint64_t by = 1) { _value += by; }
+    void set(std::uint64_t v) { _value = v; }
+    std::uint64_t value() const { return _value; }
+    void reset() { _value = 0; }
 
   private:
-    std::atomic<std::uint64_t> _value{0};
+    std::uint64_t _value = 0;
 };
 
 /**

@@ -1,6 +1,6 @@
 /**
  * @file
- * Custom gtest main for the golden-bearing test binaries: running with
+ * Custom gtest main for the golden test binary: running with
  * `--dump-goldens` regenerates tests/goldens.inc instead of testing
  * (see golden_support.hh).
  */

@@ -26,6 +26,7 @@ collect(Runner &runner, TraceHasher &tracer)
     GoldenRun r;
     r.hash = tracer.hash();
     r.deliveries = tracer.deliveries();
+    r.events = runner.system().eventQueue().executed();
     r.txns = result.txns;
     r.cycles = result.cycles;
     r.stream = std::move(tracer.stream());
@@ -36,7 +37,7 @@ collect(Runner &runner, TraceHasher &tracer)
 } // namespace
 
 GoldenRun
-runGoldenQuickstart(std::uint32_t shards, bool record_stream)
+runGoldenQuickstart(bool record_stream)
 {
     SystemConfig cfg;
     cfg.numCores = 8;
@@ -44,7 +45,6 @@ runGoldenQuickstart(std::uint32_t shards, bool record_stream)
     cfg.meshRows = 2;
     cfg.ausPerMc = 8;
     cfg.design = DesignKind::AtomOpt;
-    cfg.numShards = shards;
 
     MicroParams params;
     params.entryBytes = 256;
@@ -59,7 +59,7 @@ runGoldenQuickstart(std::uint32_t shards, bool record_stream)
 }
 
 GoldenRun
-runGoldenTpcc(std::uint32_t shards, bool record_stream)
+runGoldenTpcc(bool record_stream)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
@@ -67,7 +67,6 @@ runGoldenTpcc(std::uint32_t shards, bool record_stream)
     cfg.meshRows = 2;
     cfg.ausPerMc = 4;
     cfg.design = DesignKind::Atom;
-    cfg.numShards = shards;
 
     tpcc::ScaleParams scale;
     scale.customersPerDistrict = 8;
@@ -81,25 +80,36 @@ runGoldenTpcc(std::uint32_t shards, bool record_stream)
     return collect(runner, tracer);
 }
 
+GoldenRun
+runGoldenTpccFull(bool record_stream)
+{
+    const SystemConfig cfg;
+
+    tpcc::ScaleParams scale;
+    scale.customersPerDistrict = 16;
+    scale.items = 512;
+    TpccWorkload workload(scale);
+
+    Runner runner(cfg, workload, /*txns_per_core=*/2);
+    TraceHasher tracer(record_stream);
+    runner.system().mesh().setTracer(&tracer);
+    return collect(runner, tracer);
+}
+
 std::string
 renderGoldens()
 {
-    const GoldenRun seq_quick = runGoldenQuickstart(0);
-    const GoldenRun seq_tpcc = runGoldenTpcc(0);
-    // The windowed kernel's stream is byte-identical for every shard
-    // count (tests/test_sharded.cc proves it); shard count 1 is the
-    // canonical generator.
-    const GoldenRun win_quick = runGoldenQuickstart(1);
-    const GoldenRun win_tpcc = runGoldenTpcc(1);
+    const GoldenRun quick = runGoldenQuickstart();
+    const GoldenRun tpcc = runGoldenTpcc();
+    const GoldenRun tpcc_full = runGoldenTpccFull();
 
     char buf[2048];
     const int len = std::snprintf(
         buf, sizeof(buf),
         "// Golden delivery-stream constants. GENERATED -- never\n"
-        "// hand-edit: run `test_golden_trace --dump-goldens` (or\n"
-        "// `test_sharded --dump-goldens`) and commit the rewritten\n"
-        "// file together with the intentional timing change that\n"
-        "// moved it.\n"
+        "// hand-edit: run `test_golden_trace --dump-goldens` and\n"
+        "// commit the rewritten file together with the intentional\n"
+        "// timing change that moved it.\n"
         "// clang-format off\n"
         "constexpr std::uint64_t kGoldenQuickstartHash = "
         "0x%016llxull;\n"
@@ -107,17 +117,17 @@ renderGoldens()
         "%lluull;\n"
         "constexpr std::uint64_t kGoldenTpccHash = 0x%016llxull;\n"
         "constexpr std::uint64_t kGoldenTpccDeliveries = %lluull;\n"
-        "constexpr std::uint64_t kWindowedQuickstartHash = "
-        "0x%016llxull;\n"
-        "constexpr std::uint64_t kWindowedTpccHash = "
-        "0x%016llxull;\n"
+        "constexpr std::uint64_t kGoldenTpccFullHash = 0x%016llxull;\n"
+        "constexpr std::uint64_t kGoldenTpccFullDeliveries = %lluull;\n"
+        "constexpr std::uint64_t kGoldenTpccFullEvents = %lluull;\n"
         "// clang-format on\n",
-        (unsigned long long)seq_quick.hash,
-        (unsigned long long)seq_quick.deliveries,
-        (unsigned long long)seq_tpcc.hash,
-        (unsigned long long)seq_tpcc.deliveries,
-        (unsigned long long)win_quick.hash,
-        (unsigned long long)win_tpcc.hash);
+        (unsigned long long)quick.hash,
+        (unsigned long long)quick.deliveries,
+        (unsigned long long)tpcc.hash,
+        (unsigned long long)tpcc.deliveries,
+        (unsigned long long)tpcc_full.hash,
+        (unsigned long long)tpcc_full.deliveries,
+        (unsigned long long)tpcc_full.events);
     if (len < 0 || std::size_t(len) >= sizeof(buf)) {
         // A truncated render would silently regenerate a truncated
         // goldens.inc (and the idempotence test would then bless it).
@@ -140,8 +150,7 @@ maybeDumpGoldens(int argc, char **argv)
     if (!dump)
         return false;
 
-    std::printf("regenerating goldens (sequential + windowed runs)"
-                "...\n");
+    std::printf("regenerating goldens...\n");
     const std::string contents = renderGoldens();
 
     const char *path = ATOMSIM_GOLDENS_PATH;

@@ -1,16 +1,14 @@
 /**
  * @file
- * Shared golden-trace machinery for test_golden_trace.cc and
- * test_sharded.cc -- the single source of truth for how delivery
- * streams are hashed, which workloads the goldens pin, and how the
- * checked-in constants regenerate.
+ * Golden-trace machinery for test_golden_trace.cc -- the single source
+ * of truth for how delivery streams are hashed, which workloads the
+ * goldens pin, and how the checked-in constants regenerate.
  *
  * The golden constants live in tests/goldens.inc (generated -- never
  * hand-edit). When a PR intentionally changes simulated timing (a new
- * latency model, a protocol change), run either test binary with
- * `--dump-goldens`: it recomputes every constant -- the sequential
- * quickstart/tpcc hashes and the windowed (sharded) hashes -- and
- * rewrites goldens.inc in place. Commit the regenerated file together
+ * latency model, a protocol change), run test_golden_trace with
+ * `--dump-goldens`: it recomputes every constant and rewrites
+ * goldens.inc in place. Commit the regenerated file together
  * with the timing change and explain the move in the commit message.
  */
 
@@ -96,6 +94,7 @@ struct GoldenRun
 {
     std::uint64_t hash = 0;
     std::uint64_t deliveries = 0;
+    std::uint64_t events = 0;  //!< kernel events executed
     std::uint64_t txns = 0;
     Tick cycles = 0;
     std::vector<StreamRec> stream;  //!< filled when record_stream
@@ -104,28 +103,30 @@ struct GoldenRun
 
 /**
  * The quickstart-sized golden workload: the hash micro-benchmark on a
- * scaled-down Table-I machine (8 cores, ATOM-OPT). @p shards = 0 runs
- * the sequential kernel; >= 1 the windowed (sharded) kernel.
+ * scaled-down Table-I machine (8 cores, ATOM-OPT).
  */
-GoldenRun runGoldenQuickstart(std::uint32_t shards,
-                              bool record_stream = false);
+GoldenRun runGoldenQuickstart(bool record_stream = false);
 
 /** The tpcc-sized golden workload: TPC-C new-order, 4 cores, ATOM. */
-GoldenRun runGoldenTpcc(std::uint32_t shards,
-                        bool record_stream = false);
+GoldenRun runGoldenTpcc(bool record_stream = false);
 
 /**
- * Recompute every golden constant (sequential + windowed runs) and
- * render the full goldens.inc file contents. This is the single
- * formatter `--dump-goldens` writes through, so the idempotence test
- * can assert that regenerating with no timing change reproduces the
- * checked-in file byte-identically.
+ * The Table-I golden workload: TPC-C new-order on the default
+ * 32-core, 4-MC machine (ATOM-OPT), 2 transactions per core.
+ */
+GoldenRun runGoldenTpccFull(bool record_stream = false);
+
+/**
+ * Recompute every golden constant and render the full goldens.inc
+ * file contents. This is the single formatter `--dump-goldens` writes
+ * through, so the idempotence test can assert that regenerating with
+ * no timing change reproduces the checked-in file byte-identically.
  */
 std::string renderGoldens();
 
 /**
- * `--dump-goldens` entry point, shared by both test binaries' mains:
- * if argv contains the flag, recompute every golden constant, rewrite
+ * `--dump-goldens` entry point of the golden test binary's main: if
+ * argv contains the flag, recompute every golden constant, rewrite
  * tests/goldens.inc, print the new values, and return true (the
  * caller exits without running gtest).
  */

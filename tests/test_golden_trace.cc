@@ -2,8 +2,9 @@
  * @file
  * Golden-trace regression tests.
  *
- * Runs two fixed workloads -- a quickstart-sized hash micro-benchmark
- * and a tpcc-sized OLTP run -- with a tracer attached to the mesh, and
+ * Runs three fixed workloads -- a quickstart-sized hash
+ * micro-benchmark, a tpcc-sized OLTP run and TPC-C on the full Table-I
+ * machine -- with a tracer attached to the mesh, and
  * hashes every packet delivery as a (tick, node, message-kind) triple
  * (golden_support.hh owns the hash and the workload configs; the
  * checked-in values live in the generated tests/goldens.inc). The hash
@@ -33,10 +34,11 @@ namespace
 using golden::GoldenRun;
 using golden::runGoldenQuickstart;
 using golden::runGoldenTpcc;
+using golden::runGoldenTpccFull;
 
 TEST(GoldenTraceTest, QuickstartSizedRunIsTickForTickStable)
 {
-    const GoldenRun r = runGoldenQuickstart(0);
+    const GoldenRun r = runGoldenQuickstart();
     EXPECT_EQ(r.txns, 8u * 6u);
     EXPECT_EQ(r.deliveries, golden::kGoldenQuickstartDeliveries)
         << "actual deliveries: " << r.deliveries
@@ -48,7 +50,7 @@ TEST(GoldenTraceTest, QuickstartSizedRunIsTickForTickStable)
 
 TEST(GoldenTraceTest, TpccSizedRunIsTickForTickStable)
 {
-    const GoldenRun r = runGoldenTpcc(0);
+    const GoldenRun r = runGoldenTpcc();
     EXPECT_EQ(r.txns, 4u * 4u);
     EXPECT_EQ(r.deliveries, golden::kGoldenTpccDeliveries)
         << "actual deliveries: " << r.deliveries
@@ -58,13 +60,30 @@ TEST(GoldenTraceTest, TpccSizedRunIsTickForTickStable)
         << " (rerun with --dump-goldens for intentional changes)";
 }
 
+// The paper's Table-I machine (32 cores, 32 L2 tiles, 4 MCs): the only
+// golden that routes over the full 4x8 mesh to all four controllers.
+TEST(GoldenTraceTest, TpccTableOneMachineIsTickForTickStable)
+{
+    const GoldenRun r = runGoldenTpccFull();
+    EXPECT_EQ(r.txns, 32u * 2u);
+    EXPECT_EQ(r.events, golden::kGoldenTpccFullEvents)
+        << "actual events: " << r.events
+        << " (rerun with --dump-goldens for intentional changes)";
+    EXPECT_EQ(r.deliveries, golden::kGoldenTpccFullDeliveries)
+        << "actual deliveries: " << r.deliveries
+        << " (rerun with --dump-goldens for intentional changes)";
+    EXPECT_EQ(r.hash, golden::kGoldenTpccFullHash)
+        << "actual hash: 0x" << std::hex << r.hash
+        << " (rerun with --dump-goldens for intentional changes)";
+}
+
 // Determinism of the trace itself (same config + seed -> same stream),
 // independent of the checked-in goldens: a fresh System must reproduce
 // the exact delivery sequence.
 TEST(GoldenTraceTest, BackToBackRunsProduceIdenticalTraces)
 {
-    const GoldenRun a = runGoldenQuickstart(0);
-    const GoldenRun b = runGoldenQuickstart(0);
+    const GoldenRun a = runGoldenQuickstart();
+    const GoldenRun b = runGoldenQuickstart();
     EXPECT_EQ(a.hash, b.hash);
     EXPECT_EQ(a.deliveries, b.deliveries);
 }

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "harness/runner.hh"
 #include "workloads/btree_workload.hh"
 #include "workloads/hash_workload.hh"
+#include "workloads/kv_workload.hh"
 #include "workloads/queue_workload.hh"
 #include "workloads/rbtree_workload.hh"
 #include "workloads/sdg_workload.hh"
@@ -162,6 +164,39 @@ TEST(IntegrationTest, DurableStateMatchesArchitecturalAfterQuiesce)
     // committed must be durable after the last commit completed.
     DirectAccessor durable(runner.system().nvmImage());
     EXPECT_EQ(workload.checkConsistency(durable, 4), "");
+}
+
+// The 1024-tile serving preset (32x32 mesh, 16 MCs) runs the zipfian
+// multi-tenant KV workload to completion, and every tenant commits.
+// This is also the regression test for the structures that used to be
+// super-linear in tiles: a >= 64-core sharer mask exercises the
+// SharerSet wide path on every invalidation round.
+TEST(ServingPresetTest, Mesh1024RunsToCompletion)
+{
+    SystemConfig cfg = SystemConfig::makeMeshPreset(1024);
+    cfg.numTenants = 4;
+
+    KvParams params;
+    params.numTenants = cfg.numTenants;
+    params.theta = 0.99;
+    params.keysPerTenant = 256;
+    params.insertsPerCore = 2;
+    params.txnsPerCore = 1;
+
+    KvWorkload workload(params);
+    Runner runner(cfg, workload, params.txnsPerCore);
+    runner.setUp();
+    const RunResult result = runner.run();
+    EXPECT_GT(result.txns, 0u);
+
+    std::uint32_t tenants_seen = 0;
+    for (const auto &[name, value] :
+         std::as_const(runner.system()).stats().dump()) {
+        if (name.rfind("tenant", 0) == 0 &&
+            name.find(".commits") != std::string::npos && value > 0)
+            ++tenants_seen;
+    }
+    EXPECT_EQ(tenants_seen, 4u);
 }
 
 } // namespace

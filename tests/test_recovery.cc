@@ -754,7 +754,7 @@ TEST(HybridCrashTest, DirtyDramLinesAreLostAndNvmBytesSurvive)
 // device writes at a seeded word boundary (cfg.tornWrites), and a
 // second failure can interrupt recovery itself, tearing *recovery's*
 // writes (Runner::crashDuringRecovery). Both are pure functions of
-// the fault seed and shard-invariant keys, so every outcome below is
+// the fault seed and deterministic keys, so every outcome below is
 // replayable.
 
 namespace

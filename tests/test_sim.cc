@@ -540,20 +540,28 @@ TEST(ConfigDeathTest, RejectsOversizedRecord)
     EXPECT_DEATH({ cfg.validate(); }, "recordEntries");
 }
 
-TEST(ConfigDeathTest, RejectsShardedRedo)
+// validate() must reject each zero before using it: the size checks
+// divide by the associativities, and a cache without MSHRs deadlocks
+// on its first miss.
+TEST(ConfigDeathTest, RejectsZeroL1Assoc)
 {
     SystemConfig cfg;
-    cfg.numShards = 2;
-    cfg.design = DesignKind::Redo;
-    EXPECT_DEATH({ cfg.validate(); }, "REDO");
+    cfg.l1Assoc = 0;
+    EXPECT_DEATH({ cfg.validate(); }, "l1Assoc must be > 0");
 }
 
-TEST(ConfigDeathTest, RejectsWindowBeyondLookahead)
+TEST(ConfigDeathTest, RejectsZeroL2Assoc)
 {
     SystemConfig cfg;
-    cfg.numShards = 2;
-    cfg.windowTicks = cfg.hopLatency + 1;
-    EXPECT_DEATH({ cfg.validate(); }, "lookahead");
+    cfg.l2Assoc = 0;
+    EXPECT_DEATH({ cfg.validate(); }, "l2Assoc must be > 0");
+}
+
+TEST(ConfigDeathTest, RejectsZeroMshrs)
+{
+    SystemConfig cfg;
+    cfg.mshrs = 0;
+    EXPECT_DEATH({ cfg.validate(); }, "mshrs must be > 0");
 }
 
 // --- spill-heap deschedule (indexed heap) ------------------------------
