@@ -31,6 +31,11 @@
  * 3-hop forwards. Steady-state allocations must be zero; misses/sec is
  * reported, along with the calendar wheel's spill ratio.
  *
+ * Store-path section: the same System's store queues, each pushed more
+ * stores per round than it has entries while two cores ping-pong line
+ * ownership -- SQ-full waiters, ring wrap, MSHRs and the directory's
+ * busy-line table all run. Steady-state allocations must be zero.
+ *
  * Exit status is non-zero when --min-speedup N is given and the
  * intrusive kernel fails to beat the legacy kernel by that factor, or
  * when --min-mesh-speedup N is given and the packet mesh fails to beat
@@ -534,6 +539,72 @@ runMissPath(std::uint64_t rounds, std::uint64_t &ops_out,
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
+// --- store path --------------------------------------------------------
+
+/**
+ * Drive a real System's store queues: each round, every core pushes
+ * more stores than its SQ holds back to back, so the surplus parks as
+ * SQ-full waiters and the ring wraps. Cores 0 and 1 store to the same
+ * lines, so ownership ping-pongs through the MSHRs and the directory's
+ * busy-line table; cores 2 and 3 store to private lines. Returns
+ * stores/sec; @p steady_allocs gets the heap allocations observed
+ * after warmup (must be zero) and @p full_cycles the SQ-full stall
+ * cycles (must be non-zero, or the waiters never ran).
+ */
+double
+runStorePath(std::uint64_t rounds, std::uint64_t &stores_out,
+             std::uint64_t &steady_allocs, std::uint64_t &full_cycles)
+{
+    atomsim::SystemConfig cfg;
+    cfg.numCores = 4;
+    cfg.l2Tiles = 4;
+    cfg.meshRows = 2;
+    cfg.ausPerMc = 4;
+    cfg.design = atomsim::DesignKind::NonAtomic;
+    atomsim::System sys(cfg, atomsim::Addr(16) * 1024 * 1024);
+    EventQueue &eq = sys.eventQueue();
+
+    constexpr std::uint32_t kLines = 16;
+    const std::uint32_t per_round = 2 * cfg.sqEntries + 8;
+    std::uint64_t pushed = 0;
+    std::uint64_t accepted = 0;
+
+    auto round = [&](std::uint64_t n) {
+        for (std::uint64_t r = 0; r < n; ++r) {
+            for (atomsim::CoreId c = 0; c < cfg.numCores; ++c) {
+                const atomsim::Addr base =
+                    0x80000 + atomsim::Addr(c < 2 ? 0 : c) * 0x10000;
+                atomsim::StoreQueue &sq = sys.core(c).storeQueue();
+                for (std::uint32_t i = 0; i < per_round; ++i) {
+                    const atomsim::Addr addr =
+                        base + atomsim::Addr(i % kLines) *
+                                   atomsim::kLineBytes +
+                        8 * (i % 8);
+                    const std::uint64_t value = pushed++;
+                    sq.push(atomsim::MemOp::store(addr, &value, 8),
+                            [&accepted] { ++accepted; });
+                }
+            }
+            eq.run();
+        }
+    };
+
+    round(4);  // warmup: fills, MSHRs, parked-store pool, line tables
+    const std::uint64_t allocs_before = g_allocCount;
+    const std::uint64_t pushed_before = pushed;
+    const auto t0 = std::chrono::steady_clock::now();
+    round(rounds);
+    const auto t1 = std::chrono::steady_clock::now();
+    steady_allocs = g_allocCount - allocs_before;
+    stores_out = pushed - pushed_before;
+    if (accepted != pushed)
+        std::abort();
+    full_cycles = 0;
+    for (atomsim::CoreId c = 0; c < cfg.numCores; ++c)
+        full_cycles += sys.core(c).storeQueue().fullCycles();
+    return std::chrono::duration<double>(t1 - t0).count();
+}
+
 } // namespace
 
 int
@@ -666,6 +737,32 @@ main(int argc, char **argv)
         std::fprintf(stderr, "\nFAIL: miss path allocated %llu times in "
                              "steady state (expected 0)\n",
                      (unsigned long long)miss_allocs);
+        return 1;
+    }
+
+    // --- store path ---------------------------------------------------
+
+    std::uint64_t stores = 0, store_allocs = 0, full_cycles = 0;
+    const double t_store =
+        runStorePath(100, stores, store_allocs, full_cycles);
+
+    std::printf("\nstore path: SQ rings overfilled each round, two cores "
+                "ping-ponging line ownership\n\n");
+    std::printf("  %-38s %8.2f M stores/s (%llu steady-state allocs)\n",
+                "StoreQueue::push (4-core system)",
+                double(stores) / t_store / 1e6,
+                (unsigned long long)store_allocs);
+    std::printf("  SQ-full stall cycles: %llu\n",
+                (unsigned long long)full_cycles);
+
+    if (store_allocs != 0) {
+        std::fprintf(stderr, "\nFAIL: store path allocated %llu times in "
+                             "steady state (expected 0)\n",
+                     (unsigned long long)store_allocs);
+        return 1;
+    }
+    if (full_cycles == 0) {
+        std::fprintf(stderr, "\nFAIL: store path never filled an SQ\n");
         return 1;
     }
     return 0;

@@ -15,13 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
-
-#include <unordered_set>
 
 #include "atom/log_record.hh"
 #include "sim/callback.hh"
+#include "sim/line_map.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -79,9 +77,10 @@ struct AusState
      * against recalls in a small L2 seals a one-entry record per
      * retry until the log region is exhausted, and since buckets are
      * only reclaimed at commit, the overflow interrupt can never be
-     * satisfied: the machine livelocks.
+     * satisfied: the machine livelocks. A set: the mapped value is
+     * unused.
      */
-    std::unordered_set<Addr> loggedLines;
+    LineMap<bool> loggedLines;
     /** Outstanding log (data or header) writes for this AUS. */
     std::uint32_t outstandingWrites = 0;
     /** Callbacks waiting for outstandingWrites to hit zero. */

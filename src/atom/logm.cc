@@ -60,12 +60,14 @@ LogM::lock(Addr line_addr)
 void
 LogM::unlock(Addr line_addr)
 {
-    auto it = _locks.find(lineAlign(line_addr));
-    panic_if(it == _locks.end() || it->second.count == 0,
-             "unlock of a line that is not locked");
-    if (--it->second.count == 0) {
-        auto waiters = std::move(it->second.waiters);
-        _locks.erase(it);
+    const Addr line = lineAlign(line_addr);
+    LockState *ls = _locks.find(line);
+    panic_if(!ls || ls->count == 0, "unlock of a line that is not locked");
+    if (--ls->count == 0) {
+        // The waiters may re-lock lines: take them out of the table
+        // before running any.
+        auto waiters = std::move(ls->waiters);
+        _locks.erase(line);
         for (auto &w : waiters)
             w();
     }
@@ -74,21 +76,21 @@ LogM::unlock(Addr line_addr)
 bool
 LogM::lineLocked(Addr line_addr) const
 {
-    auto it = _locks.find(lineAlign(line_addr));
-    return it != _locks.end() && it->second.count > 0;
+    const LockState *ls = _locks.find(lineAlign(line_addr));
+    return ls && ls->count > 0;
 }
 
 bool
 LogM::tryAcquire(Addr line_addr, UnlockCallback on_unlock)
 {
     const Addr line = lineAlign(line_addr);
-    auto it = _locks.find(line);
-    if (it == _locks.end() || it->second.count == 0)
+    LockState *ls = _locks.find(line);
+    if (!ls || ls->count == 0)
         return true;
 
     // The data write matched a pending record header: expedite the
     // header persist by sealing any open record holding this line.
-    it->second.waiters.push_back(std::move(on_unlock));
+    ls->waiters.push_back(std::move(on_unlock));
     for (std::uint32_t a = 0; a < _aus.size(); ++a) {
         OpenRecord *open = _aus[a].open.get();
         if (open && !open->sealed) {
@@ -183,7 +185,7 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
     {
         AusState &st = _aus[aus];
         panic_if(!st.active, "log entry for inactive AUS %u", aus);
-        if (st.loggedLines.count(line)) {
+        if (!st.loggedLines.tryEmplace(line).second) {
             _statDupEntries.inc();
             if (!ack)
                 return;
@@ -215,7 +217,6 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
             _eq.postIn(_cfg.mcAddrMatchLatency, std::move(ack));
             return;
         }
-        st.loggedLines.insert(line);
     }
 
     withOpenRecord(aus, [this, aus, line, old_value, posted,
@@ -396,8 +397,9 @@ LogM::truncate(std::uint32_t aus, std::function<void()> done)
         std::vector<Addr> log_pages;
         if (eng) {
             data_pages.reserve(s.loggedLines.size());
-            for (Addr line : s.loggedLines)
+            s.loggedLines.forEach([&data_pages](Addr line, bool) {
                 data_pages.push_back(line & ~Addr(kPageBytes - 1));
+            });
             std::sort(data_pages.begin(), data_pages.end());
             data_pages.erase(
                 std::unique(data_pages.begin(), data_pages.end()),

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "atom/aus.hh"
@@ -35,6 +34,7 @@
 #include "os/log_space.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/line_map.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
@@ -148,7 +148,7 @@ class LogM : public WriteGate, public SourceLogger
         std::uint32_t count = 0;
         std::vector<UnlockCallback> waiters;
     };
-    std::unordered_map<Addr, LockState> _locks;
+    LineMap<LockState> _locks;
 
     Counter &_statEntries;
     Counter &_statRecords;

@@ -69,6 +69,16 @@ class CacheArray
         }
     }
 
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn) const
+    {
+        for (const auto &frame : _frames) {
+            if (frame.valid)
+                fn(frame);
+        }
+    }
+
     /** Invalidate every line (power failure). */
     void invalidateAll();
 

@@ -11,6 +11,12 @@ Directory::entry(Addr line_addr)
     return _entries[lineAlign(line_addr)];
 }
 
+DirEntry *
+Directory::find(Addr line_addr)
+{
+    return _entries.find(lineAlign(line_addr));
+}
+
 void
 Directory::erase(Addr line_addr)
 {
@@ -28,25 +34,22 @@ void
 Directory::acquire(Addr line_addr, Txn txn)
 {
     line_addr = lineAlign(line_addr);
-    auto [it, inserted] = _ctl.try_emplace(line_addr);
-    LineCtl &ctl = it->second;
-    if (inserted && _liveHw && _ctl.size() > _liveHwSeen) {
+    auto [ctl, inserted] = _ctl.tryEmplace(line_addr);
+    if (!inserted) {
+        // Busy: queue behind the running transaction.
+        Waiter *w = _pool.acquire();
+        w->fn = std::move(txn);
+        if (ctl->tail)
+            ctl->tail->next = w;
+        else
+            ctl->head = w;
+        ctl->tail = w;
+        return;
+    }
+    if (_liveHw && _ctl.size() > _liveHwSeen) {
         _liveHwSeen = _ctl.size();
         _liveHw->set(_liveHwSeen);
     }
-    if (!inserted && !ctl.busy)
-        --_idleCtl;  // reusing a cached idle block
-    if (ctl.busy) {
-        Waiter *w = _pool.acquire();
-        w->fn = std::move(txn);
-        if (ctl.tail)
-            ctl.tail->next = w;
-        else
-            ctl.head = w;
-        ctl.tail = w;
-        return;
-    }
-    ctl.busy = true;
     txn();
 }
 
@@ -54,53 +57,40 @@ void
 Directory::release(Addr line_addr)
 {
     line_addr = lineAlign(line_addr);
-    auto it = _ctl.find(line_addr);
-    panic_if(it == _ctl.end() || !it->second.busy,
-             "release of a line that is not busy");
-    auto &ctl = it->second;
-    if (ctl.head) {
-        Waiter *w = ctl.head;
-        ctl.head = w->next;
-        if (!ctl.head)
-            ctl.tail = nullptr;
-        Txn next = std::move(w->fn);
-        releaseWaiter(w);
-        next();  // stays busy; next transaction owns the line now
+    LineCtl *ctl = _ctl.find(line_addr);
+    panic_if(!ctl, "release of a line that is not busy");
+    Waiter *w = ctl->head;
+    if (!w) {
+        _ctl.erase(line_addr);
         return;
     }
-    // Cache the idle control block for the next transaction on this
-    // line -- up to the cap, past which cold blocks are dropped.
-    if (_idleCtl < _idleCap) {
-        ctl.busy = false;
-        ++_idleCtl;
-    } else {
-        if (_evictions)
-            _evictions->inc();
-        _ctl.erase(it);
-    }
+    ctl->head = w->next;
+    if (!ctl->head)
+        ctl->tail = nullptr;
+    Txn next = std::move(w->fn);
+    releaseWaiter(w);
+    next();  // stays busy; next transaction owns the line now
 }
 
 bool
 Directory::busy(Addr line_addr) const
 {
-    auto it = _ctl.find(lineAlign(line_addr));
-    return it != _ctl.end() && it->second.busy;
+    return _ctl.contains(lineAlign(line_addr));
 }
 
 void
 Directory::clear()
 {
     _entries.clear();
-    for (auto &kv : _ctl) {
-        Waiter *w = kv.second.head;
+    _ctl.forEach([this](Addr, LineCtl &ctl) {
+        Waiter *w = ctl.head;
         while (w) {
             Waiter *next = w->next;
             releaseWaiter(w);
             w = next;
         }
-    }
+    });
     _ctl.clear();
-    _idleCtl = 0;
 }
 
 } // namespace atomsim

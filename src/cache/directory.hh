@@ -7,13 +7,11 @@
  * sharer bitmask. A per-line busy flag serializes coherence
  * transactions; queued requests run in arrival order.
  *
- * Transaction waiters are fixed-capacity continuations in pooled
- * intrusive nodes (no allocation in steady state), and the per-line
- * control blocks are cached across acquire/release cycles so contending
- * on a hot line does not churn the map. The idle cache is capped
- * (setIdleCap, scaled with the core count via idleCapFor): past it,
- * released control blocks are erased instead, trading per-transaction
- * map churn on cold lines for bounded memory on huge footprints.
+ * Both per-line tables are flat LineMaps (sim/line_map.hh) and
+ * transaction waiters are fixed-capacity continuations in pooled
+ * intrusive nodes, so steady state allocates nothing. A line has a
+ * control block only while it is busy: acquire() of an idle line
+ * inserts it, and the release() that finds no waiter erases it.
  */
 
 #ifndef ATOMSIM_CACHE_DIRECTORY_HH
@@ -21,10 +19,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/callback.hh"
+#include "sim/line_map.hh"
 #include "sim/pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -138,7 +136,14 @@ struct DirEntry
     }
 };
 
-/** Per-line transaction serialization + directory entries. */
+/**
+ * Per-line transaction serialization + directory entries.
+ *
+ * entry() and find() hand out references into a LineMap: they die at
+ * the next entry() or erase(). Likewise acquire() and release() run
+ * the line's next transaction last, after they are done with its
+ * control block, because that transaction may acquire other lines.
+ */
 class Directory
 {
   public:
@@ -147,50 +152,22 @@ class Directory
     static constexpr std::size_t kTxnBytes = 104;
     using Txn = InplaceCallback<kTxnBytes>;
 
-    /** Default idle-control-block cache cap: covers the hot working
-     * set of the paper's 32-core shapes. Larger machines must scale
-     * the cap with setIdleCap() -- at 256+ tiles a fixed 64K cap
-     * thrashes (every release erases, every acquire re-inserts). */
-    static constexpr std::size_t kMaxIdleCtl = 64 * 1024;
+    /** Publish the high-water mark of concurrently busy lines (live
+     * control blocks) as @p live_hw ("dirN.ctrl_blocks_live"). */
+    void attachStats(Counter *live_hw) { _liveHw = live_hw; }
 
-    /** Per-core idle-block budget used by idleCapFor(): at 32 cores it
-     * reproduces kMaxIdleCtl exactly, so the paper's shapes keep their
-     * historical behavior. */
-    static constexpr std::size_t kIdleCtlPerCore = 2048;
-
-    /** Idle-cache cap for a machine with @p num_cores cores. */
-    static constexpr std::size_t
-    idleCapFor(std::uint32_t num_cores)
-    {
-        const std::size_t scaled = std::size_t(num_cores) * kIdleCtlPerCore;
-        return scaled > kMaxIdleCtl ? scaled : kMaxIdleCtl;
-    }
-
-    /**
-     * Publish occupancy stats: @p live_hw gets the live control-block
-     * high-water mark ("dirN.ctrl_blocks_live"; live = busy +
-     * cached-idle blocks, bounded near the idle cap), and @p evictions
-     * (optional) counts idle blocks dropped because the cache was at
-     * its cap ("dirN.ctrl_evictions") -- the thrash signal.
-     */
-    void
-    attachStats(Counter *live_hw, Counter *evictions = nullptr)
-    {
-        _liveHw = live_hw;
-        _evictions = evictions;
-    }
-
-    /** Override the idle-cache cap (defaults to kMaxIdleCtl). */
-    void setIdleCap(std::size_t cap) { _idleCap = cap; }
-
-    /** Current idle-cache cap. */
-    std::size_t idleCap() const { return _idleCap; }
-
-    /** Current live control blocks (tests). */
+    /** Lines busy right now, i.e. live control blocks (tests). */
     std::size_t liveCtl() const { return _ctl.size(); }
+
+    /** Directory entries held (tests: at most the resident lines). */
+    std::size_t entryCount() const { return _entries.size(); }
 
     /** Directory entry for @p line_addr (created on demand). */
     DirEntry &entry(Addr line_addr);
+
+    /** The entry of @p line_addr, or nullptr; never inserts. For
+     * requests about a line the L2 may no longer hold. */
+    DirEntry *find(Addr line_addr);
 
     /** Drop the entry (line evicted from L2). */
     void erase(Addr line_addr);
@@ -217,23 +194,18 @@ class Directory
         Txn fn;
     };
 
+    /** A busy line's queue of waiting transactions (FIFO). */
     struct LineCtl
     {
-        bool busy = false;
         Waiter *head = nullptr;
         Waiter *tail = nullptr;
     };
 
     void releaseWaiter(Waiter *w);
 
-    std::unordered_map<Addr, DirEntry> _entries;
-    /** Cached across acquire/release (busy=false when idle) so hot
-     * lines don't churn map nodes; bounded by _idleCap. */
-    std::unordered_map<Addr, LineCtl> _ctl;
-    std::size_t _idleCtl = 0;
-    std::size_t _idleCap = kMaxIdleCtl;
+    LineMap<DirEntry> _entries;
+    LineMap<LineCtl> _ctl;       //!< busy lines only
     Counter *_liveHw = nullptr;  //!< optional occupancy high-water
-    Counter *_evictions = nullptr;  //!< optional at-cap drop count
     std::size_t _liveHwSeen = 0;
 
     FreeListPool<Waiter> _pool;

@@ -26,16 +26,9 @@ L2Tile::L2Tile(std::uint32_t tile_id, EventQueue &eq,
       _statVictimHits(stats.counter("l2t" + std::to_string(tile_id),
                                     "victim_hits"))
 {
-    // Directory control-block occupancy (ROADMAP follow-up): high-water
-    // mark of live per-line control blocks, plus the at-cap eviction
-    // count that signals idle-cache thrash. The cap scales with the
-    // core count (a fixed 64K cap thrashes at 256+ tiles).
-    _dir.setIdleCap(Directory::idleCapFor(cfg.numCores));
-    _dir.attachStats(
-        &stats.counter("dir" + std::to_string(tile_id),
-                       "ctrl_blocks_live"),
-        &stats.counter("dir" + std::to_string(tile_id),
-                       "ctrl_evictions"));
+    // Directory occupancy: high-water mark of concurrently busy lines.
+    _dir.attachStats(&stats.counter("dir" + std::to_string(tile_id),
+                                    "ctrl_blocks_live"));
 }
 
 L2Tile::~L2Tile() = default;
@@ -556,9 +549,9 @@ L2Tile::handleUpgrade(CoreId core, Addr addr, bool in_atomic)
     after(_cfg.l2Latency, [this, core, line, in_atomic] {
         _dir.acquire(line, Directory::Txn([this, core, line, in_atomic] {
             CacheLineState *frame = _array.touch(line);
-            DirEntry &dir = _dir.entry(line);
+            DirEntry *dir = _dir.find(line);
             const bool still_sharer =
-                frame && dir.sharers.test(core);
+                frame && dir && dir->sharers.test(core);
             if (!still_sharer) {
                 // The requester lost the line (invalidated or L2
                 // evicted it): morph into a full GetX. Release first;
@@ -568,10 +561,10 @@ L2Tile::handleUpgrade(CoreId core, Addr addr, bool in_atomic)
                 return;
             }
 
-            SharerSet mask = std::move(dir.sharers);
+            SharerSet mask = std::move(dir->sharers);
             mask.clear(core);
-            dir.owner = core;
-            dir.sharers.reset();
+            dir->owner = core;
+            dir->sharers.reset();
             invalidateSharers(core, line, mask);
         }));
     });
@@ -592,8 +585,8 @@ L2Tile::handlePutM(CoreId core, Addr addr, const Line &data)
 {
     const Addr line = lineAlign(addr);
     _dir.acquire(line, Directory::Txn([this, core, line, data] {
-        DirEntry &dir = _dir.entry(line);
-        if (dir.owner == core) {
+        DirEntry *dir = _dir.find(line);
+        if (dir && dir->owner == core) {
             // Inclusion: a line whose owner we still track must be
             // resident (evictions clear the owner under the same busy
             // bit this transaction waited on).
@@ -603,7 +596,7 @@ L2Tile::handlePutM(CoreId core, Addr addr, const Line &data)
                      "the L2");
             frame->data = data;
             frame->dirty = true;
-            dir.owner = kNoCore;
+            dir->owner = kNoCore;
         }
         // Otherwise a recall or forward crossed this PutM in the mesh
         // and already took the data from the L1's writeback buffer:
@@ -622,12 +615,12 @@ L2Tile::handleFlush(CoreId core, Addr addr, bool has_data,
     after(_cfg.l2Latency, [this, core, line, has_data, data] {
         _dir.acquire(line,
                      Directory::Txn([this, core, line, has_data, data] {
-            DirEntry &dir = _dir.entry(line);
-            if (dir.owner != kNoCore && dir.owner != core) {
+            DirEntry *dir = _dir.find(line);
+            if (dir && dir->owner != kNoCore && dir->owner != core) {
                 // Pull the freshest copy back from the owner first --
                 // a split-phase recall round under the busy bit.
-                const CoreId owner = dir.owner;
-                dir.owner = kNoCore;
+                const CoreId owner = dir->owner;
+                dir->owner = kNoCore;
                 _statRecalls.inc();
                 startRound(line, owner, SharerSet{},
                            [this, core, line, has_data,

@@ -96,12 +96,9 @@ Core::execOp(std::size_t idx)
         return;
       }
 
-      case OpKind::Store: {
-        std::vector<std::uint8_t> payload = _txn->ops[idx].payload;
-        _sq.push(op.addr, std::move(payload),
-                 [this, idx] { opDone(idx); });
+      case OpKind::Store:
+        _sq.push(op, [this, idx] { opDone(idx); });
         return;
-      }
 
       case OpKind::AtomicBegin:
         _hooks->atomicBegin(_id, [this, idx] { opDone(idx); });

@@ -4,16 +4,19 @@
  *
  * Workloads execute functionally at dispatch time and emit a stream of
  * MemOps per transaction; the core consumes the stream through the
- * timing model. Loads/stores never span a cache line (the trace
- * recorder splits them).
+ * timing model. Loads/stores never span a cache line, and a store
+ * carries at most kMaxStoreBytes (the trace recorder splits them), so
+ * a store's payload lives inline in the op.
  */
 
 #ifndef ATOMSIM_CPU_MEM_OP_HH
 #define ATOMSIM_CPU_MEM_OP_HH
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -34,11 +37,21 @@ const char *opName(OpKind kind);
 /** One micro-op in a transaction's trace. */
 struct MemOp
 {
-    OpKind kind;
-    Addr addr = 0;
+    /** Widest store a single op carries (one word). */
+    static constexpr std::uint32_t kMaxStoreBytes = 8;
+
+    OpKind kind = OpKind::Compute;
     std::uint32_t size = 0;
-    Cycles cycles = 0;                  //!< Compute only
-    std::vector<std::uint8_t> payload;  //!< Store only
+    Addr addr = 0;
+    Cycles cycles = 0;          //!< Compute only
+    std::uint64_t payload = 0;  //!< Store only: the first `size` bytes
+
+    /** The store's bytes, in memory order. */
+    const std::uint8_t *
+    payloadBytes() const
+    {
+        return reinterpret_cast<const std::uint8_t *>(&payload);
+    }
 
     static MemOp
     load(Addr a, std::uint32_t sz)
@@ -53,12 +66,13 @@ struct MemOp
     static MemOp
     store(Addr a, const void *bytes, std::uint32_t sz)
     {
+        panic_if(sz > kMaxStoreBytes, "store of %u bytes exceeds the "
+                 "%u-byte inline payload", sz, kMaxStoreBytes);
         MemOp op;
         op.kind = OpKind::Store;
         op.addr = a;
         op.size = sz;
-        const auto *p = static_cast<const std::uint8_t *>(bytes);
-        op.payload.assign(p, p + sz);
+        std::memcpy(&op.payload, bytes, sz);
         return op;
     }
 

@@ -11,9 +11,9 @@ StoreQueue::StoreQueue(CoreId core, EventQueue &eq, std::uint32_t entries,
                        StatSet &stats)
     : _core(core),
       _eq(eq),
-      _entries(entries),
       _drainWidth(std::max<std::uint32_t>(1, drain_width)),
       _l1(l1),
+      _ring(entries),
       _statFullCycles(
           stats.counter("core" + std::to_string(core), "sq_full_cycles")),
       _statRetired(
@@ -22,23 +22,24 @@ StoreQueue::StoreQueue(CoreId core, EventQueue &eq, std::uint32_t entries,
 }
 
 void
-StoreQueue::push(Addr addr, std::vector<std::uint8_t> payload,
-                 Callback accepted)
+StoreQueue::push(const MemOp &store, Callback accepted)
 {
-    if (occupancy() >= _entries) {
+    panic_if(store.kind != OpKind::Store, "SQ push of a %s op",
+             opName(store.kind));
+    if (_count == _ring.size()) {
         // SQ full: the pipeline stalls until retirement frees an entry.
-        _waiters.emplace_back(
-            _eq.now(),
-            [this, addr, payload = std::move(payload),
-             accepted = std::move(accepted)]() mutable {
-                push(addr, std::move(payload), std::move(accepted));
-            });
+        Parked *p = _parkedPool.acquire();
+        p->since = _eq.now();
+        p->store = store;
+        p->cb = std::move(accepted);
+        _full.push(p);
         return;
     }
-    auto entry = std::make_shared<Entry>();
-    entry->addr = addr;
-    entry->payload = std::move(payload);
-    _queue.push_back(entry);
+    Entry &e = _ring[slotOf(_count)];
+    e.store = store;
+    e.issued = false;
+    e.done = false;
+    ++_count;
     accepted();
     pump();
 }
@@ -51,26 +52,27 @@ StoreQueue::pump()
     // issue while an older in-flight store targets the same line:
     // completions are out of order, and same-line stores must apply
     // in program order.
-    for (std::size_t i = 0; i < _queue.size(); ++i) {
-        auto &entry = _queue[i];
-        if (_issued >= _drainWidth)
-            break;
-        if (entry->issued)
+    for (std::size_t i = 0; i < _count && _issued < _drainWidth; ++i) {
+        const std::size_t slot = slotOf(i);
+        Entry &entry = _ring[slot];
+        if (entry.issued)
             continue;
+        const Addr line = lineAlign(entry.store.addr);
         bool conflict = false;
         for (std::size_t j = 0; j < i && !conflict; ++j) {
-            conflict = _queue[j]->issued && !_queue[j]->done &&
-                       lineAlign(_queue[j]->addr) ==
-                           lineAlign(entry->addr);
+            const Entry &older = _ring[slotOf(j)];
+            conflict = older.issued && !older.done &&
+                       lineAlign(older.store.addr) == line;
         }
         if (conflict)
             continue;
-        entry->issued = true;
+        entry.issued = true;
         ++_issued;
-        _l1.store(entry->addr, entry->payload.data(),
-                  std::uint32_t(entry->payload.size()),
-                  [this, entry] {
-                      entry->done = true;
+        // A slot is reused only after its store retires, so the slot
+        // index names this store until its completion runs.
+        _l1.store(entry.store.addr, entry.store.payloadBytes(),
+                  entry.store.size, [this, slot] {
+                      _ring[slot].done = true;
                       --_issued;
                       retireCompleted();
                   });
@@ -80,22 +82,31 @@ StoreQueue::pump()
 void
 StoreQueue::retireCompleted()
 {
-    while (!_queue.empty() && _queue.front()->done) {
-        _queue.pop_front();
+    while (_count > 0 && _ring[_head].done) {
+        _head = slotOf(1);
+        --_count;
         _statRetired.inc();
-        if (!_waiters.empty()) {
-            auto [since, retry] = std::move(_waiters.front());
-            _waiters.pop_front();
-            _statFullCycles.inc(_eq.now() - since);
-            retry();
+        if (Parked *p = _full.pop()) {
+            _statFullCycles.inc(_eq.now() - p->since);
+            const MemOp store = p->store;
+            Callback accepted = std::move(p->cb);
+            _parkedPool.release(p);
+            push(store, std::move(accepted));
         }
     }
     pump();
     if (empty()) {
-        auto drained = std::move(_drainWaiters);
-        _drainWaiters.clear();
-        for (auto &cb : drained)
+        // Fire in registration order; a waiter registered meanwhile
+        // waits for the next drain.
+        Parked *p = _drain.head;
+        _drain = ParkedFifo{};
+        while (p) {
+            Parked *next = p->next;
+            Callback cb = std::move(p->cb);
+            _parkedPool.release(p);
             cb();
+            p = next;
+        }
     }
 }
 
@@ -106,15 +117,17 @@ StoreQueue::whenEmpty(Callback cb)
         cb();
         return;
     }
-    _drainWaiters.push_back(std::move(cb));
+    Parked *p = _parkedPool.acquire();
+    p->cb = std::move(cb);
+    _drain.push(p);
 }
 
 bool
 StoreQueue::holdsLine(Addr addr) const
 {
     const Addr line = lineAlign(addr);
-    for (const auto &e : _queue) {
-        if (lineAlign(e->addr) == line)
+    for (std::size_t i = 0; i < _count; ++i) {
+        if (lineAlign(_ring[slotOf(i)].store.addr) == line)
             return true;
     }
     return false;

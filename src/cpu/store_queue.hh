@@ -7,18 +7,24 @@
  * retirement is slow the SQ fills and back-pressures the pipeline; the
  * cycles a store spends waiting for a free SQ entry are the paper's
  * "SQ full cycles" metric (Figure 6).
+ *
+ * The SQ is a fixed ring of sqEntries slots that hold each store, its
+ * payload included, by value; continuations are fixed-capacity
+ * InplaceCallbacks, and stores that find the ring full park by value in
+ * a FIFO of pooled nodes. The store path allocates nothing in steady
+ * state.
  */
 
 #ifndef ATOMSIM_CPU_STORE_QUEUE_HH
 #define ATOMSIM_CPU_STORE_QUEUE_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <vector>
 
+#include "cpu/mem_op.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -31,21 +37,22 @@ class L1Cache;
 class StoreQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** Acceptance / drain continuation (fixed capacity, no heap). */
+    using Callback = InplaceCallback<32>;
 
     StoreQueue(CoreId core, EventQueue &eq, std::uint32_t entries,
                std::uint32_t drain_width, L1Cache &l1, StatSet &stats);
 
     /**
-     * Issue a store. @p accepted runs as soon as the store owns an SQ
-     * entry (immediately when not full); the producing core stalls
-     * until then. Retirement proceeds asynchronously.
+     * Issue @p store (a Store op, copied). @p accepted runs as soon as
+     * the store owns an SQ entry (immediately when not full); the
+     * producing core stalls until then. Retirement proceeds
+     * asynchronously.
      */
-    void push(Addr addr, std::vector<std::uint8_t> payload,
-              Callback accepted);
+    void push(const MemOp &store, Callback accepted);
 
     /** True when no stores are buffered or in flight. */
-    bool empty() const { return _queue.empty(); }
+    bool empty() const { return _count == 0; }
 
     /** Run @p cb once the queue fully drains (immediately if empty). */
     void whenEmpty(Callback cb);
@@ -54,7 +61,7 @@ class StoreQueue
      * (store-to-load forwarding). */
     bool holdsLine(Addr addr) const;
 
-    std::size_t occupancy() const { return _queue.size(); }
+    std::size_t occupancy() const { return _count; }
 
     /** Cycles stores spent waiting for a free entry (Figure 6). */
     std::uint64_t fullCycles() const { return _statFullCycles.value(); }
@@ -62,25 +69,76 @@ class StoreQueue
   private:
     struct Entry
     {
-        Addr addr;
-        std::vector<std::uint8_t> payload;
+        MemOp store;
         bool issued = false;
         bool done = false;
     };
+
+    /** A parked continuation: a store waiting for a free entry (since
+     * its stall began) or a drain waiter. */
+    struct Parked
+    {
+        Parked *next = nullptr;
+        Tick since = 0;
+        MemOp store;
+        Callback cb;
+    };
+
+    /** Intrusive FIFO of pooled Parked nodes. */
+    struct ParkedFifo
+    {
+        Parked *head = nullptr;
+        Parked *tail = nullptr;
+
+        void
+        push(Parked *p)
+        {
+            p->next = nullptr;
+            if (tail)
+                tail->next = p;
+            else
+                head = p;
+            tail = p;
+        }
+
+        Parked *
+        pop()
+        {
+            Parked *p = head;
+            if (p) {
+                head = p->next;
+                if (!head)
+                    tail = nullptr;
+                p->next = nullptr;
+            }
+            return p;
+        }
+    };
+
+    /** Ring slot of the @p i-th oldest entry (i <= _count). */
+    std::size_t
+    slotOf(std::size_t i) const
+    {
+        const std::size_t s = _head + i;
+        return s < _ring.size() ? s : s - _ring.size();
+    }
 
     void pump();
     void retireCompleted();
 
     CoreId _core;
     EventQueue &_eq;
-    std::uint32_t _entries;
     std::uint32_t _drainWidth;
     L1Cache &_l1;
 
-    std::deque<std::shared_ptr<Entry>> _queue;
+    std::vector<Entry> _ring;  //!< live entries: _count from _head on
+    std::size_t _head = 0;
+    std::size_t _count = 0;
     std::uint32_t _issued = 0;
-    std::deque<std::pair<Tick, Callback>> _waiters;  //!< full-queue stalls
-    std::vector<Callback> _drainWaiters;
+
+    FreeListPool<Parked> _parkedPool;
+    ParkedFifo _full;   //!< SQ-full stalls, oldest first
+    ParkedFifo _drain;  //!< whenEmpty waiters, oldest first
 
     Counter &_statFullCycles;
     Counter &_statRetired;

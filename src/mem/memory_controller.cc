@@ -218,10 +218,9 @@ MemoryController::readLine(Addr addr, ReadKind kind, ReadCallback cb)
             // device window. Its writeThrough() was a no-op while the
             // line was absent, so installing the snapshot would leave
             // a permanently stale clean line for later reads to hit.
-            const auto fwd = _inflightWrites.find(op->addr);
-            const Line &newest = fwd != _inflightWrites.end()
-                                     ? fwd->second.data
-                                     : data;
+            // (A copy: the victim writeback below can grow the table.)
+            const PendingWrite *fwd = _inflightWrites.find(op->addr);
+            const Line newest = fwd ? fwd->data : data;
             const DramCache::Victim victim = _dram->fill(op->addr,
                                                          newest);
             if (victim.dirty)
@@ -249,7 +248,7 @@ MemoryController::hasPendingWriteInPage(Addr page_base) const
     if (_inflightWrites.empty())
         return false;
     for (Addr a = page_base; a < page_base + kPageBytes; a += kLineBytes) {
-        if (_inflightWrites.count(a))
+        if (_inflightWrites.contains(a))
             return true;
     }
     return false;
@@ -355,9 +354,8 @@ MemoryController::writeNvm(Addr addr, const Line &data, WriteKind kind,
             // accepted value too, or a read (and, in hybrid mode, the
             // DRAM demand fill it feeds) observes the pre-combine
             // bytes. The count stays put: still one queued request.
-            auto it = _inflightWrites.find(addr);
-            if (it != _inflightWrites.end())
-                it->second.data = data;
+            if (PendingWrite *pw = _inflightWrites.find(addr))
+                pw->data = data;
             if (cb)
                 addWcb(queued, std::move(cb));
             return;
@@ -399,8 +397,8 @@ MemoryController::whenLineDurable(Addr addr, WriteCallback cb)
         writeNvm(addr, data, WriteKind::Flush, std::move(cb));
         return;
     }
-    auto it = _inflightWrites.find(addr);
-    if (it == _inflightWrites.end() || it->second.count == 0) {
+    const PendingWrite *pw = _inflightWrites.find(addr);
+    if (!pw || pw->count == 0) {
         cb();
         return;
     }
@@ -473,9 +471,8 @@ MemoryController::issueRead(std::uint32_t ch, Request *req)
     // (read-after-write correctness; the in-flight device window is
     // ~360 cycles, easily reachable by a demand read chasing a
     // writeback).
-    const auto fwd = _inflightWrites.find(req->addr);
-    Line data = fwd != _inflightWrites.end() ? fwd->second.data
-                                             : _nvm.readLine(req->addr);
+    const PendingWrite *fwd = _inflightWrites.find(req->addr);
+    Line data = fwd ? fwd->data : _nvm.readLine(req->addr);
 
     // Media-error model: a seeded fraction of device read attempts
     // fail and are retried with bounded backoff; running out of
@@ -539,17 +536,16 @@ MemoryController::issueWrite(std::uint32_t ch, Request *req)
         // ones tears committed data after truncation discarded its
         // undo record. The stale write keeps its device-slot timing
         // and acks; only its image update is suppressed.
-        auto it = _inflightWrites.find(req->addr);
-        const bool stale = it != _inflightWrites.end() &&
-                           req->acceptSeq < it->second.committedSeq;
+        PendingWrite *pw = _inflightWrites.find(req->addr);
+        const bool stale = pw && req->acceptSeq < pw->committedSeq;
         if (!stale) {
             _nvm.writeLine(req->addr, req->data);
-            if (it != _inflightWrites.end())
-                it->second.committedSeq = req->acceptSeq;
+            if (pw)
+                pw->committedSeq = req->acceptSeq;
         }
         --_pendingWrites;
-        if (it != _inflightWrites.end() && --it->second.count == 0) {
-            _inflightWrites.erase(it);
+        if (pw && --pw->count == 0) {
+            _inflightWrites.erase(req->addr);
             auto wit = _durWaiters.find(req->addr);
             if (wit != _durWaiters.end()) {
                 auto waiters = std::move(wit->second);
@@ -603,16 +599,15 @@ MemoryController::powerFail()
                       return a->acceptSeq < b->acceptSeq;
                   });
         for (Request *req : _deviceWrites) {
-            auto it = _inflightWrites.find(req->addr);
-            const bool stale = it != _inflightWrites.end() &&
-                               req->acceptSeq < it->second.committedSeq;
+            PendingWrite *pw = _inflightWrites.find(req->addr);
+            const bool stale = pw && req->acceptSeq < pw->committedSeq;
             if (stale)
                 continue;
             const std::uint32_t words = tornWordCount(
                 _cfg.faultSeed, _id, req->addr, req->acceptSeq);
             _nvm.writeLineWords(req->addr, req->data, words);
-            if (it != _inflightWrites.end())
-                it->second.committedSeq = req->acceptSeq;
+            if (pw)
+                pw->committedSeq = req->acceptSeq;
         }
         // The nodes stay alive: their cancelled completions (epoch
         // mismatch) release them back to the pool.

@@ -45,6 +45,7 @@
 #include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/line_map.hh"
 #include "sim/pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -427,7 +428,7 @@ class MemoryController
         std::uint64_t committedSeq = 0;
         Line data{};
     };
-    std::unordered_map<Addr, PendingWrite> _inflightWrites;
+    LineMap<PendingWrite> _inflightWrites;
     std::uint64_t _acceptSeq = 0;  //!< write-acceptance order stamp
     /** Writes issued to the device but not yet completed, tracked
      * only under cfg.tornWrites: these are the writes a power

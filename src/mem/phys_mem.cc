@@ -10,8 +10,8 @@ namespace atomsim
 const DataImage::Page *
 DataImage::findPage(Addr page_num) const
 {
-    auto it = _pages.find(page_num);
-    return it == _pages.end() ? nullptr : it->second.get();
+    const std::unique_ptr<Page> *slot = _pages.find(page_num);
+    return slot ? slot->get() : nullptr;
 }
 
 DataImage::Page &
@@ -86,9 +86,9 @@ DataImage
 DataImage::clone() const
 {
     DataImage copy;
-    copy._pages.reserve(_pages.size());
-    for (const auto &[num, page] : _pages)
-        copy._pages.emplace(num, std::make_unique<Page>(*page));
+    _pages.forEach([&copy](Addr num, const std::unique_ptr<Page> &page) {
+        copy._pages[num] = std::make_unique<Page>(*page);
+    });
     return copy;
 }
 

@@ -19,8 +19,8 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 
+#include "sim/line_map.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -110,7 +110,8 @@ class DataImage
     const Page *findPage(Addr page_num) const;
     Page &touchPage(Addr page_num);
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> _pages;
+    /** Page number -> page (pages stay put when the index grows). */
+    LineMap<std::unique_ptr<Page>> _pages;
 };
 
 } // namespace atomsim

@@ -49,8 +49,8 @@ RecordingAccessor::emitStore(Addr addr, const void *bytes,
     while (size > 0) {
         const std::uint32_t to_line =
             std::uint32_t(lineAlign(addr) + kLineBytes - addr);
-        const std::uint32_t chunk =
-            std::min<std::uint32_t>({8, size, to_line});
+        const std::uint32_t chunk = std::min<std::uint32_t>(
+            {MemOp::kMaxStoreBytes, size, to_line});
         _txn.ops.push_back(MemOp::store(addr, p, chunk));
         if (_inAtomic) {
             const Addr line = lineAlign(addr);

@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "cache/cache_array.hh"
 #include "cache/directory.hh"
 #include "cache/mshr.hh"
+#include "harness/runner.hh"
 #include "harness/system.hh"
 #include "net/mesh.hh"
+#include "workloads/btree_workload.hh"
+#include "workloads/hash_workload.hh"
 
 namespace atomsim
 {
@@ -752,95 +757,85 @@ TEST(WbHitFastPathTest, DisabledByDefaultTakesTheFullMissPath)
     sys.mesh().setTracer(nullptr);
 }
 
-TEST(DirectoryStatTest, CtrlBlockOccupancyGrowsAndIsCappedAt64K)
+// A line holds a control block only while it is busy:
+// ctrl_blocks_live is the high-water mark of concurrently busy lines,
+// and however many distinct lines were touched, none stays live once
+// released.
+TEST(DirectoryStatTest, CtrlBlocksLiveOnlyWhileLinesAreBusy)
 {
     StatSet stats;
     Counter &live = stats.counter("dir0", "ctrl_blocks_live");
     Directory dir;
     dir.attachStats(&live);
 
-    auto touch = [&dir](Addr line) {
-        dir.acquire(line, [&dir, line] { dir.release(line); });
-    };
+    const Addr touched = 128 * 1024;
+    for (Addr i = 0; i < touched; ++i)
+        dir.acquire(i * kLineBytes,
+                    [&dir, i] { dir.release(i * kLineBytes); });
+    EXPECT_EQ(live.value(), 1u);
+    EXPECT_EQ(dir.liveCtl(), 0u);
 
-    // The high-water mark tracks live (busy + cached-idle) control
-    // blocks as distinct lines are touched...
-    for (Addr i = 0; i < 1000; ++i)
-        touch(i * kLineBytes);
-    EXPECT_EQ(live.value(), 1000u);
-    EXPECT_EQ(dir.liveCtl(), 1000u);
+    // Three lines busy at once, one of them with a queued transaction.
+    int queued_ran = 0;
+    for (Addr line : {Addr(0x1000), Addr(0x2000), Addr(0x3000)})
+        dir.acquire(line, [] {});
+    dir.acquire(0x1000, [&dir, &queued_ran] {
+        ++queued_ran;
+        dir.release(0x1000);
+    });
+    EXPECT_EQ(dir.liveCtl(), 3u);
+    EXPECT_EQ(live.value(), 3u);
+    EXPECT_TRUE(dir.busy(0x1000));
 
-    // ...and saturates at the idle-cache cap: one transient busy block
-    // above kMaxIdleCtl, after which released cold blocks are erased
-    // instead of cached.
-    const Addr total = Directory::kMaxIdleCtl + 4096;
-    for (Addr i = 1000; i < total; ++i)
-        touch(i * kLineBytes);
-    EXPECT_EQ(live.value(), std::uint64_t(Directory::kMaxIdleCtl) + 1);
-    EXPECT_EQ(dir.liveCtl(), Directory::kMaxIdleCtl);
+    dir.release(0x1000);  // hands the line to the queued transaction
+    EXPECT_EQ(queued_ran, 1);
+    dir.release(0x2000);
+    dir.release(0x3000);
+    EXPECT_EQ(dir.liveCtl(), 0u);
+    EXPECT_FALSE(dir.busy(0x1000));
+    EXPECT_EQ(live.value(), 3u);  // high-water mark
 }
 
-// Regression for the 256-/1024-tile presets: the idle control-block
-// cap must scale with the core count. A 256-tile serving footprint
-// holds more distinct hot lines than the historical fixed 64K cap;
-// under that cap the cache thrashes -- every cold release erases a
-// block and every re-acquire re-inserts it -- which is exactly what
-// the ctrl_evictions counter observes. Reverting idleCapFor() to the
-// fixed cap makes the zero-evictions half of this test fail.
-TEST(DirectoryStatTest, IdleCapScalesWithCoreCountAt256TileShape)
+// Stale PutMs, flushes and upgrades about lines the L2 no longer holds
+// only read the directory; they must not leave default entries behind.
+// On 4-core machines with 8 KB 2-way L2 tiles, create-on-demand
+// lookups there left more entries than resident lines.
+TEST(DirectoryStatTest, EntriesNeverOutnumberResidentL2Lines)
 {
-    // The Table-I shapes keep their historical cap exactly...
-    EXPECT_EQ(Directory::idleCapFor(32), Directory::kMaxIdleCtl);
-    EXPECT_EQ(Directory::idleCapFor(8), Directory::kMaxIdleCtl);
-    // ...and the large presets scale linearly past it.
-    EXPECT_EQ(Directory::idleCapFor(256),
-              256u * Directory::kIdleCtlPerCore);
-    EXPECT_GT(Directory::idleCapFor(256), Directory::kMaxIdleCtl);
-    EXPECT_EQ(Directory::idleCapFor(1024),
-              1024u * Directory::kIdleCtlPerCore);
+    for (const char *name : {"hash", "btree"}) {
+        MicroParams params;
+        params.entryBytes = 512;
+        params.initialItems = 12;
+        params.txnsPerCore = 10;
+        std::unique_ptr<Workload> workload;
+        if (std::string(name) == "hash")
+            workload = std::make_unique<HashWorkload>(params);
+        else
+            workload = std::make_unique<BTreeWorkload>(params);
 
-    // A 256-tile-shape footprint: 2x the old cap in distinct lines.
-    const Addr lines = 2 * Directory::kMaxIdleCtl;
+        SystemConfig cfg;
+        cfg.numCores = 4;
+        cfg.l2Tiles = 4;
+        cfg.meshRows = 2;
+        cfg.ausPerMc = 4;
+        cfg.l2TileBytes = 8 * 1024;
+        cfg.l2Assoc = 2;
+        cfg.design = DesignKind::Atom;
+        Runner runner(cfg, *workload, params.txnsPerCore,
+                      Addr(64) * 1024 * 1024);
+        runner.setUp();
+        runner.run();
 
-    StatSet stats;
-    Directory scaled;
-    scaled.attachStats(&stats.counter("scaled", "ctrl_blocks_live"),
-                       &stats.counter("scaled", "ctrl_evictions"));
-    scaled.setIdleCap(Directory::idleCapFor(256));
-    for (Addr i = 0; i < lines; ++i)
-        scaled.acquire(i * kLineBytes,
-                       [&scaled, i] { scaled.release(i * kLineBytes); });
-    EXPECT_EQ(stats.value("scaled", "ctrl_evictions"), 0u);
-    EXPECT_EQ(scaled.liveCtl(), lines);
-
-    // The same footprint under the old fixed cap thrashes: every
-    // release past the cap is an eviction.
-    Directory fixed;
-    fixed.attachStats(&stats.counter("fixed", "ctrl_blocks_live"),
-                      &stats.counter("fixed", "ctrl_evictions"));
-    for (Addr i = 0; i < lines; ++i)
-        fixed.acquire(i * kLineBytes,
-                      [&fixed, i] { fixed.release(i * kLineBytes); });
-    EXPECT_EQ(stats.value("fixed", "ctrl_evictions"),
-              std::uint64_t(lines) - Directory::kMaxIdleCtl);
-    EXPECT_EQ(fixed.liveCtl(), Directory::kMaxIdleCtl);
-}
-
-// The System actually wires the scaled cap into every tile's
-// directory (and registers the eviction counter).
-TEST(DirectoryStatTest, MeshPresetWiresScaledIdleCap)
-{
-    System sys(SystemConfig::makeMeshPreset(256),
-               Addr(64) * 1024 * 1024);
-    EXPECT_EQ(sys.l2Tile(0).directory().idleCap(),
-              Directory::idleCapFor(256));
-    EXPECT_EQ(sys.l2Tile(255).directory().idleCap(),
-              Directory::idleCapFor(256));
-    bool has_eviction_stat = false;
-    for (const auto &s : std::as_const(sys).stats().dump())
-        if (s.first == "dir0.ctrl_evictions")
-            has_eviction_stat = true;
-    EXPECT_TRUE(has_eviction_stat);
+        std::size_t entries = 0, resident = 0;
+        for (std::uint32_t t = 0; t < cfg.l2Tiles; ++t) {
+            L2Tile &tile = runner.system().l2Tile(t);
+            entries += tile.directory().entryCount();
+            tile.array().forEachValid(
+                [&resident](const CacheLineState &) { ++resident; });
+        }
+        EXPECT_GT(resident, 0u) << name;
+        EXPECT_LE(entries, resident) << name;
+    }
 }
 
 } // namespace

@@ -181,28 +181,81 @@ TEST(StoreQueueTest, HoldsLineMatchesPendingStores)
 {
     System sys(tinyConfig(DesignKind::NonAtomic), Addr(8) * 1024 * 1024);
     StoreQueue &sq = sys.core(0).storeQueue();
-    std::vector<std::uint8_t> payload(8, 0xaa);
+    const std::uint64_t value = 0xaaaaaaaaaaaaaaaaull;
     bool accepted = false;
-    sq.push(0x90008, payload, [&] { accepted = true; });
+    sq.push(MemOp::store(0x90008, &value, 8), [&] { accepted = true; });
     EXPECT_TRUE(accepted);
     EXPECT_TRUE(sq.holdsLine(0x90000));   // same line
     EXPECT_TRUE(sq.holdsLine(0x9003f));
     EXPECT_FALSE(sq.holdsLine(0x90040));  // next line
     sys.eventQueue().run();
     EXPECT_TRUE(sq.empty());
+    // The inline payload reached the cache, at its offset in the line.
+    const CacheLineState *fr = sys.l1(0).array().find(0x90000);
+    ASSERT_NE(fr, nullptr);
+    EXPECT_EQ(fr->data[7], 0u);
+    EXPECT_EQ(fr->data[8], 0xaau);
+    EXPECT_EQ(fr->data[15], 0xaau);
+    EXPECT_EQ(fr->data[16], 0u);
 }
 
 TEST(StoreQueueTest, WhenEmptyFiresAfterDrain)
 {
     System sys(tinyConfig(DesignKind::NonAtomic), Addr(8) * 1024 * 1024);
     StoreQueue &sq = sys.core(0).storeQueue();
-    std::vector<std::uint8_t> payload(8, 1);
-    sq.push(0xa0000, payload, [] {});
+    const std::uint64_t value = 1;
+    sq.push(MemOp::store(0xa0000, &value, 8), [] {});
     bool drained = false;
     sq.whenEmpty([&] { drained = true; });
     EXPECT_FALSE(drained);
     sys.eventQueue().run();
     EXPECT_TRUE(drained);
+}
+
+// Twice as many stores as the ring has slots, pushed back to back: the
+// second half parks as SQ-full waiters and is accepted, in push order,
+// into slots the first half's retirements free -- so the ring wraps
+// while stores are still pending.
+TEST(StoreQueueTest, FullWaitersAcceptInOrderAcrossRingWrap)
+{
+    const std::uint32_t entries = 8;
+    System sys(tinyConfig(DesignKind::NonAtomic, entries),
+               Addr(8) * 1024 * 1024);
+    StoreQueue &sq = sys.core(0).storeQueue();
+    const std::uint32_t pushes = 2 * entries;
+    const Addr base = 0xb0000;  // one cold line per store
+    std::vector<std::uint32_t> accepted;
+    for (std::uint32_t i = 0; i < pushes; ++i) {
+        const std::uint64_t value = i;
+        sq.push(MemOp::store(base + Addr(i) * kLineBytes, &value, 8),
+                [&accepted, i] { accepted.push_back(i); });
+    }
+    EXPECT_EQ(accepted.size(), entries);
+    EXPECT_EQ(sq.occupancy(), entries);
+
+    // Run until the last store owns an entry: it sits in a wrapped
+    // slot, behind stores that have not retired yet.
+    sys.eventQueue().runUntil(
+        [&] { return accepted.size() == pushes; });
+    ASSERT_EQ(accepted.size(), pushes);
+    EXPECT_EQ(sq.occupancy(), entries);
+    EXPECT_TRUE(sq.holdsLine(base + Addr(pushes - 1) * kLineBytes));
+    EXPECT_TRUE(sq.holdsLine(base + Addr(entries) * kLineBytes));
+    EXPECT_FALSE(sq.holdsLine(base));  // retired long ago
+
+    sys.eventQueue().run();
+    EXPECT_TRUE(sq.empty());
+    for (std::uint32_t i = 0; i < pushes; ++i)
+        EXPECT_EQ(accepted[i], i);
+    const auto &stats = sys.stats();
+    EXPECT_EQ(stats.value("core0", "stores_retired"), pushes);
+    EXPECT_GT(stats.value("core0", "sq_full_cycles"), 0u);
+}
+
+TEST(MemOpDeathTest, StoreWiderThanAWordPanics)
+{
+    const std::uint8_t bytes[16] = {};
+    EXPECT_DEATH(MemOp::store(0x1000, bytes, 9), "inline payload");
 }
 
 TEST(AusPoolTest, StructuralOverflowStallsAndRecovers)

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/line_map.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -656,6 +659,183 @@ TEST(EventQueueTest, NarrowWheelKeepsOrderRaisesSpillRatio)
 TEST(EventQueueDeathTest, RejectsNonPowerOfTwoWheel)
 {
     EXPECT_DEATH({ EventQueue eq(100); }, "power of two");
+}
+
+// --- LineMap -----------------------------------------------------------
+
+/** Home slot of @p key in a LineMap of @p capacity slots: the map's
+ * Fibonacci hash, restated so a test can aim keys at chosen slots. */
+std::size_t
+lineMapHome(Addr key, std::size_t capacity)
+{
+    const unsigned bits = unsigned(__builtin_ctzll(capacity));
+    return std::size_t((key * 0x9e3779b97f4a7c15ull) >> (64 - bits));
+}
+
+/** The first @p n line addresses whose home is @p slot. */
+std::vector<Addr>
+keysHomedAt(std::size_t slot, std::size_t capacity, std::size_t n)
+{
+    std::vector<Addr> keys;
+    for (Addr line = 0; keys.size() < n; line += kLineBytes) {
+        if (lineMapHome(line, capacity) == slot)
+            keys.push_back(line);
+    }
+    return keys;
+}
+
+/** The map's keys in slot order (forEach walks the slots in order). */
+std::vector<Addr>
+slotOrder(const LineMap<int> &map)
+{
+    std::vector<Addr> keys;
+    map.forEach([&keys](Addr key, int) { keys.push_back(key); });
+    return keys;
+}
+
+TEST(LineMapTest, ProbeChainsWrapAroundTheTableEnd)
+{
+    LineMap<int> map;
+    map[0] = 0;  // the first insert sizes the table
+    map.erase(0);
+    const std::size_t cap = map.capacity();
+    ASSERT_EQ(cap, 16u);
+
+    // Three keys homed at the last slot: their chain runs 15, 0, 1.
+    const std::vector<Addr> k = keysHomedAt(cap - 1, cap, 3);
+    for (int i = 0; i < 3; ++i)
+        map[k[i]] = i + 1;
+    EXPECT_EQ(slotOrder(map), (std::vector<Addr>{k[1], k[2], k[0]}));
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_NE(map.find(k[i]), nullptr);
+        EXPECT_EQ(*map.find(k[i]), i + 1);
+    }
+
+    // Erasing the head shifts both wrapped members back across the end.
+    EXPECT_TRUE(map.erase(k[0]));
+    EXPECT_EQ(slotOrder(map), (std::vector<Addr>{k[2], k[1]}));
+    EXPECT_EQ(map.find(k[0]), nullptr);
+    EXPECT_EQ(*map.find(k[1]), 2);
+    EXPECT_EQ(*map.find(k[2]), 3);
+
+    // A key homed at slot 0 joins the chain at slot 1, and shifts back
+    // to its home -- never past it -- as the chain ahead empties.
+    const Addr zero = keysHomedAt(0, cap, 1)[0];
+    map[zero] = 4;
+    EXPECT_EQ(slotOrder(map), (std::vector<Addr>{k[2], zero, k[1]}));
+    EXPECT_TRUE(map.erase(k[1]));
+    EXPECT_EQ(slotOrder(map), (std::vector<Addr>{zero, k[2]}));
+    EXPECT_TRUE(map.erase(k[2]));
+    EXPECT_EQ(slotOrder(map), (std::vector<Addr>{zero}));
+    EXPECT_EQ(*map.find(zero), 4);
+    EXPECT_FALSE(map.erase(k[2]));
+    EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(LineMapTest, GrowthKeepsEveryEntryAndClearKeepsCapacity)
+{
+    LineMap<std::uint64_t> map;
+    const Addr n = 10000;
+    std::size_t cap = 0;
+    int grows = 0;
+    for (Addr i = 0; i < n; ++i) {
+        map[i * kLineBytes] = i;
+        if (map.capacity() != cap) {
+            ++grows;
+            cap = map.capacity();
+        }
+    }
+    EXPECT_EQ(map.size(), n);
+    EXPECT_GE(map.capacity(), 2 * n);  // never more than half full
+    EXPECT_GT(grows, 5);
+    for (Addr i = 0; i < n; ++i) {
+        const std::uint64_t *v = map.find(i * kLineBytes);
+        ASSERT_NE(v, nullptr);
+        EXPECT_EQ(*v, i);
+    }
+
+    for (Addr i = 0; i < n; i += 2)
+        EXPECT_TRUE(map.erase(i * kLineBytes));
+    EXPECT_EQ(map.size(), n / 2);
+    for (Addr i = 0; i < n; ++i) {
+        const std::uint64_t *v = map.find(i * kLineBytes);
+        if (i % 2 == 0) {
+            EXPECT_EQ(v, nullptr);
+        } else {
+            ASSERT_NE(v, nullptr);
+            EXPECT_EQ(*v, i);
+        }
+    }
+
+    cap = map.capacity();
+    map.clear();
+    EXPECT_TRUE(map.empty());
+    EXPECT_EQ(map.capacity(), cap);
+    EXPECT_EQ(map.find(kLineBytes), nullptr);
+    map[kLineBytes] = 7;
+    EXPECT_EQ(*map.find(kLineBytes), 7u);
+    EXPECT_EQ(map.capacity(), cap);
+}
+
+TEST(LineMapTest, ForEachVisitsEachLiveKeyOnce)
+{
+    LineMap<int> map;
+    for (Addr i = 0; i < 1000; ++i)
+        map[i * kLineBytes] = int(i);
+    for (Addr i = 0; i < 1000; i += 3)
+        map.erase(i * kLineBytes);
+
+    std::map<Addr, int> visits;
+    map.forEach([&visits](Addr key, int &value) {
+        ++visits[key];
+        EXPECT_EQ(Addr(value) * kLineBytes, key);
+    });
+    EXPECT_EQ(visits.size(), map.size());
+    for (const auto &[key, n] : visits) {
+        EXPECT_EQ(n, 1);
+        EXPECT_NE((key / kLineBytes) % 3, 0u);
+    }
+}
+
+// Differential test against std::unordered_map. The key space is
+// small, so the table stays near half full and erases keep shifting
+// long probe chains.
+TEST(LineMapTest, MatchesUnorderedMapUnderRandomChurn)
+{
+    LineMap<std::uint64_t> map;
+    std::unordered_map<Addr, std::uint64_t> ref;
+    Random rng(20261016);
+    for (int op = 0; op < 100000; ++op) {
+        const Addr key = rng.below(300) * kLineBytes;
+        switch (rng.below(3)) {
+          case 0: {
+            const std::uint64_t value = rng.next();
+            map[key] = value;
+            ref[key] = value;
+            break;
+          }
+          case 1:
+            ASSERT_EQ(map.erase(key), ref.erase(key) == 1) << "op " << op;
+            break;
+          default: {
+            const std::uint64_t *v = map.find(key);
+            const auto it = ref.find(key);
+            ASSERT_EQ(v != nullptr, it != ref.end()) << "op " << op;
+            if (v) {
+                ASSERT_EQ(*v, it->second) << "op " << op;
+            }
+          }
+        }
+        ASSERT_EQ(map.size(), ref.size()) << "op " << op;
+    }
+    std::size_t visited = 0;
+    map.forEach([&](Addr key, std::uint64_t value) {
+        ++visited;
+        const auto it = ref.find(key);
+        ASSERT_NE(it, ref.end());
+        EXPECT_EQ(it->second, value);
+    });
+    EXPECT_EQ(visited, ref.size());
 }
 
 } // namespace
