@@ -9,8 +9,6 @@
  * and off on the ATOM (posted) design.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -19,7 +17,7 @@ using namespace atomsim;
 using namespace atomsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
     setVerbose(false);
     const MicroParams params = microParams(false);
@@ -52,8 +50,5 @@ main(int argc, char **argv)
     std::printf("paper:  LEC turns 2 writes/entry into 8 writes/7 "
                 "entries = 42.9%% fewer writes at full records (57%% "
                 "fewer vs 2/entry)\n");
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  * interrupt-latency cost.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -19,7 +17,7 @@ using namespace atomsim;
 using namespace atomsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
     setVerbose(false);
     MicroParams params = microParams(false);
@@ -78,8 +76,5 @@ main(int argc, char **argv)
         std::printf("expectation: overflow interrupts appear as the "
                     "reservation shrinks; all runs complete\n");
     }
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

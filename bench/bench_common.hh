@@ -3,9 +3,8 @@
  * Shared helpers for the paper-reproduction bench binaries.
  *
  * Each bench binary regenerates one table or figure of the paper:
- * it runs the relevant configurations, prints the paper-style rows
- * (normalized the same way the paper normalizes), and registers
- * google-benchmark entries that report the measured throughput.
+ * it runs the relevant configurations and prints the paper-style rows,
+ * normalized the same way the paper normalizes.
  */
 
 #ifndef ATOMSIM_BENCH_BENCH_COMMON_HH

@@ -9,8 +9,6 @@
  *   large: ATOM +24%, ATOM-OPT +33%, NON-ATOMIC +41%
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -70,18 +68,6 @@ runFigure(bool large)
     }
 }
 
-/** google-benchmark entry: one full design run per iteration. */
-void
-BM_Throughput(benchmark::State &state, const char *workload,
-              DesignKind design, bool large)
-{
-    for (auto _ : state) {
-        const RunResult r = runCell(workload, design, microParams(large));
-        state.counters["txn_per_s"] = r.txnPerSec;
-        state.counters["sq_full_cycles"] = double(r.sqFullCycles);
-    }
-}
-
 } // namespace
 
 int
@@ -103,20 +89,5 @@ main(int argc, char **argv)
     if (!only_small)
         runFigure(true);
 
-    for (const char *name : {"rbtree", "hash"}) {
-        for (DesignKind d : {DesignKind::Base, DesignKind::AtomOpt}) {
-            const std::string bname = std::string("fig5/") + name + "/" +
-                                      designName(d);
-            benchmark::RegisterBenchmark(
-                bname.c_str(),
-                [name, d](benchmark::State &st) {
-                    BM_Throughput(st, name, d, false);
-                })
-                ->Unit(benchmark::kMillisecond)
-                ->Iterations(1);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,8 +8,6 @@
  * NON-ATOMIC.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 
@@ -19,7 +17,7 @@ using namespace atomsim;
 using namespace atomsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
     setVerbose(false);
     const MicroParams params = microParams(false);
@@ -57,17 +55,5 @@ main(int argc, char **argv)
     std::printf("paper:  ATOM-OPT ~0.79 of BASE on average; "
                 "queue 0.57, rbtree 0.65, sps 0.99\n");
 
-    benchmark::RegisterBenchmark(
-        "fig6/rbtree/sq_full", [&](benchmark::State &st) {
-            for (auto _ : st) {
-                const RunResult r =
-                    runCell("rbtree", DesignKind::AtomOpt, params);
-                st.counters["sq_full_cycles"] = double(r.sqFullCycles);
-            }
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -9,8 +9,6 @@
  * demand reads); REDO generates ~19x more log entries.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 
@@ -20,7 +18,7 @@ using namespace atomsim;
 using namespace atomsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
     setVerbose(false);
     const MicroParams params = microParams(false);
@@ -75,8 +73,5 @@ main(int argc, char **argv)
     table.print();
     std::printf("paper:  REDO ~0.22 of ATOM-OPT (1 channel), ~0.30 "
                 "with a dedicated log channel; ~19x log entries\n");
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -10,8 +10,6 @@
  * 5-10x.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -20,7 +18,7 @@ using namespace atomsim;
 using namespace atomsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
     setVerbose(false);
     const MicroParams params = microParams(false);
@@ -55,8 +53,5 @@ main(int argc, char **argv)
     table.print();
     std::printf("paper:  REDO above ATOM-OPT at 1x, crossing below as "
                 "latency grows; ATOM-OPT degrades ~linearly\n");
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

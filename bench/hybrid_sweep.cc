@@ -9,7 +9,7 @@
  *     than a flat-NVM read (gated, directed bare-controller probe);
  *  2. allocation: the DRAM hit path (read hits + absorbed writeback
  *     hits) performs zero steady-state heap allocations, proven with
- *     an operator-new counter as in the other benches (gated);
+ *     the shared operator-new counter (bench/alloc_counter.cc) (gated);
  *  3. capacity: the DRAM-cache hit rate on TPC-C is monotone
  *     non-decreasing in dramCacheMBPerMc (gated);
  *  4. placement: throughput / hit-rate / log-traffic rows across
@@ -26,47 +26,18 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "designs/design.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "mem/memory_controller.hh"
 #include "workloads/hash_workload.hh"
 #include "workloads/tpcc/tpcc_workload.hh"
-
-namespace
-{
-std::uint64_t g_allocCount = 0;
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace
 {
@@ -195,9 +166,9 @@ allocSection()
     // mark.
     batch(64);
 
-    const std::uint64_t before = g_allocCount;
+    const std::uint64_t before = bench::allocCount();
     batch(1000);
-    const std::uint64_t allocs = g_allocCount - before;
+    const std::uint64_t allocs = bench::allocCount() - before;
 
     std::printf("allocs across %u DRAM-hit reads + absorbed writes: "
                 "%llu\n",

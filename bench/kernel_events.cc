@@ -1,29 +1,23 @@
 /**
  * @file
- * Hot-path microbenchmarks: the DES kernel, the mesh delivery path and
- * the L1/L2 miss path.
+ * Hot-path microbenchmarks: the DES kernel, the mesh delivery path,
+ * the L1/L2 miss path and the store path.
  *
- * Kernel section: pooled intrusive events + calendar queue (the
- * current kernel) versus the seed's std::function-per-event
- * std::priority_queue kernel, kept here verbatim as the baseline.
- * The workload mirrors the simulator's steady state: a population of
+ * Kernel section: the event queue's two scheduling paths on one
+ * workload that mirrors the simulator's steady state: a population of
  * actors, each rescheduling itself with a deterministic mix of short
  * delays (cache/network latencies), mid delays (NVM completions) and
  * occasional far-future delays (the 5000-cycle OS interrupt), plus a
  * one-shot "continuation" posted per firing (the miss-fill / delivery
- * pattern). Events/sec is reported for three kernels:
+ * pattern). Events/sec is reported for both:
  *
- *   legacy    std::function closures through std::priority_queue
  *   pooled    one-shot post() path (pooled FuncEvents, calendar queue)
  *   intrusive member TickEvents (zero allocation, calendar queue)
  *
- * Mesh section: typed intrusive packets through per-link delivery
- * queues versus a closure-per-message baseline (the pre-refactor mesh,
- * reconstructed here: identical routing/reservation math, delivery via
- * a heap-captured std::function). The binary overrides operator
- * new/delete to count allocations, proving the packet path performs
- * ZERO steady-state heap allocations, and reports messages/sec for
- * both.
+ * Mesh section: typed intrusive packets ping-ponging through per-link
+ * delivery queues. The binary links bench/alloc_counter.cc, which
+ * counts every operator new, proving the packet path performs ZERO
+ * steady-state heap allocations; messages/sec is reported.
  *
  * Miss-path section: a real (small) System driven through L1
  * load/store miss churn -- ownership ping-pong between two cores, so
@@ -36,11 +30,9 @@
  * ownership -- SQ-full waiters, ring wrap, MSHRs and the directory's
  * busy-line table all run. Steady-state allocations must be zero.
  *
- * Exit status is non-zero when --min-speedup N is given and the
- * intrusive kernel fails to beat the legacy kernel by that factor, or
- * when --min-mesh-speedup N is given and the packet mesh fails to beat
- * the closure mesh by that factor, or when a zero-allocation check
- * fails.
+ * Exit status is 2 when the two kernels fire different event counts,
+ * and 1 when a zero-allocation check fails or the store path never
+ * fills an SQ.
  */
 
 #include <chrono>
@@ -50,130 +42,21 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
-#include <queue>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "harness/system.hh"
 #include "net/mesh.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
-
-// --- allocation accounting (whole binary) ------------------------------
-
-namespace
-{
-std::uint64_t g_allocCount = 0;
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
 
 using atomsim::Cycles;
 using atomsim::EventQueue;
-using atomsim::Tick;
 using atomsim::TickEvent;
-
-// --- the seed kernel, verbatim ---------------------------------------
-
-class LegacyQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Tick now() const { return _now; }
-
-    void
-    schedule(Tick when, Callback cb)
-    {
-        _heap.push(Entry{when, _seq++, std::move(cb)});
-    }
-
-    void
-    scheduleIn(Cycles delay, Callback cb)
-    {
-        schedule(_now + delay, std::move(cb));
-    }
-
-    bool empty() const { return _heap.empty(); }
-
-    bool
-    step()
-    {
-        if (_heap.empty())
-            return false;
-        Entry e = std::move(const_cast<Entry &>(_heap.top()));
-        _heap.pop();
-        _now = e.when;
-        e.cb();
-        return true;
-    }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, Later> _heap;
-    Tick _now = 0;
-    std::uint64_t _seq = 0;
-};
+using atomsim::bench::allocCount;
 
 // --- deterministic workload shape -------------------------------------
 
@@ -189,29 +72,6 @@ actorDelay(std::uint32_t a, std::uint64_t n)
 }
 
 constexpr std::uint32_t kActors = 256;
-
-double
-runLegacy(std::uint64_t budget, std::uint64_t &fired_out)
-{
-    LegacyQueue q;
-    std::uint64_t fired = 0;
-    std::vector<std::uint64_t> n(kActors, 0);
-
-    std::function<void(std::uint32_t)> fire = [&](std::uint32_t a) {
-        ++fired;
-        q.scheduleIn(1, [&fired] { ++fired; });  // one-shot continuation
-        if (fired < budget)
-            q.scheduleIn(actorDelay(a, n[a]++), [&fire, a] { fire(a); });
-    };
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t a = 0; a < kActors; ++a)
-        q.scheduleIn(actorDelay(a, n[a]++), [&fire, a] { fire(a); });
-    while (q.step()) {
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    fired_out = fired;
-    return std::chrono::duration<double>(t1 - t0).count();
-}
 
 double g_pooledSpillRatio = 0.0;
 std::uint64_t g_pooledSpills = 0;
@@ -274,139 +134,9 @@ runIntrusive(std::uint64_t budget, std::uint64_t &fired_out)
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// --- mesh delivery: typed packets vs. per-message closures -------------
-
-/**
- * The pre-refactor mesh, reconstructed as a baseline: same XY routing
- * and link-reservation math, but each message's delivery is a
- * std::function closure scheduled through the event queue. The capture
- * holds a 64-byte line (as the old protocol's respond closures did), so
- * every message heap-allocates its closure.
- */
-class ClosureMesh
-{
-  public:
-    ClosureMesh(EventQueue &eq, const atomsim::SystemConfig &cfg)
-        : _eq(eq),
-          _rows(cfg.meshRows),
-          _cols(cfg.meshCols()),
-          _hopLatency(cfg.hopLatency)
-    {
-        _links.resize(std::size_t(_rows) * _cols * 4);
-    }
-
-    void
-    send(std::uint32_t src, std::uint32_t dst, atomsim::MsgType type,
-         std::function<void()> deliver)
-    {
-        const std::uint32_t flits = atomsim::msgFlits(type);
-        atomsim::MeshCoord cur = coordOf(src);
-        const atomsim::MeshCoord target = coordOf(dst);
-        Tick head = _eq.now() + _hopLatency;
-        while (!(cur == target)) {
-            atomsim::MeshCoord next = cur;
-            if (cur.col != target.col)
-                next.col += (target.col > cur.col) ? 1 : -1;
-            else
-                next.row += (target.row > cur.row) ? 1 : -1;
-            Link &link = _links[linkIndex(nodeOf(cur), nodeOf(next))];
-            const Tick start = std::max(head, link.busyUntil);
-            head = start + _hopLatency;
-            link.busyUntil = head + flits - 1;
-            link.flits += flits;
-            cur = next;
-        }
-        _eq.post(head + flits - 1, [fn = std::move(deliver)]() mutable {
-            fn();
-        });
-    }
-
-  private:
-    // The pre-refactor per-link state and index math, verbatim.
-    struct Link
-    {
-        Tick busyUntil = 0;
-        std::uint64_t flits = 0;
-    };
-
-    atomsim::MeshCoord
-    coordOf(std::uint32_t node) const
-    {
-        return atomsim::MeshCoord{node / _cols, node % _cols};
-    }
-
-    std::uint32_t
-    nodeOf(atomsim::MeshCoord c) const
-    {
-        return c.row * _cols + c.col;
-    }
-
-    std::size_t
-    linkIndex(std::uint32_t from, std::uint32_t to) const
-    {
-        const atomsim::MeshCoord a = coordOf(from);
-        const atomsim::MeshCoord b = coordOf(to);
-        std::uint32_t dir;
-        if (b.row == a.row)
-            dir = (b.col == a.col + 1) ? 0 : 1;
-        else
-            dir = (b.row == a.row + 1) ? 2 : 3;
-        return std::size_t(from) * 4 + dir;
-    }
-
-    EventQueue &_eq;
-    std::uint32_t _rows, _cols;
-    Cycles _hopLatency;
-    std::vector<Link> _links;
-};
+// --- mesh delivery -----------------------------------------------------
 
 constexpr std::uint32_t kMeshPairs = 8;
-
-double
-runClosureMesh(std::uint64_t budget, std::uint64_t &delivered_out,
-               std::uint64_t &steady_allocs)
-{
-    EventQueue eq;
-    atomsim::SystemConfig cfg;  // 4x8 mesh
-    ClosureMesh mesh(eq, cfg);
-
-    std::uint64_t delivered = 0;
-    std::uint64_t remaining = budget;
-    const std::uint64_t warmup = budget / 10;
-
-    // Ping-pong across the die: each bounce re-sends with a captured
-    // 64-byte payload, modeling the old respond-closure pattern.
-    std::function<void(std::uint32_t, std::uint32_t)> bounce =
-        [&](std::uint32_t self, std::uint32_t peer) {
-            if (remaining == 0)
-                return;
-            --remaining;
-            atomsim::Line payload{};
-            payload[0] = std::uint8_t(remaining);
-            mesh.send(self, peer, atomsim::MsgType::Data,
-                      [&, payload, self, peer]() mutable {
-                          (void)payload;
-                          ++delivered;
-                          bounce(peer, self);
-                      });
-        };
-
-    std::uint64_t allocs_at_steady = 0;
-    bool counting = false;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t i = 0; i < kMeshPairs; ++i)
-        bounce(i, 31 - i);
-    while (eq.step()) {
-        if (!counting && delivered >= warmup) {
-            counting = true;
-            allocs_at_steady = g_allocCount;
-        }
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    delivered_out = delivered;
-    steady_allocs = counting ? g_allocCount - allocs_at_steady : 0;
-    return std::chrono::duration<double>(t1 - t0).count();
-}
 
 /** Typed-packet bounce endpoint (one per mesh node in use). */
 struct BounceSink final : public atomsim::MeshSink
@@ -470,12 +200,12 @@ runPacketMesh(std::uint64_t budget, std::uint64_t &delivered_out,
     while (eq.step()) {
         if (!counting && delivered >= warmup) {
             counting = true;
-            allocs_at_steady = g_allocCount;
+            allocs_at_steady = allocCount();
         }
     }
     const auto t1 = std::chrono::steady_clock::now();
     delivered_out = delivered;
-    steady_allocs = counting ? g_allocCount - allocs_at_steady : 0;
+    steady_allocs = counting ? allocCount() - allocs_at_steady : 0;
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
@@ -528,12 +258,12 @@ runMissPath(std::uint64_t rounds, std::uint64_t &ops_out,
     };
 
     churn(4);  // warmup: fills, pools, directory control blocks
-    const std::uint64_t allocs_before = g_allocCount;
+    const std::uint64_t allocs_before = allocCount();
     const std::uint64_t ops_before = ops;
     const auto t0 = std::chrono::steady_clock::now();
     churn(rounds);
     const auto t1 = std::chrono::steady_clock::now();
-    steady_allocs = g_allocCount - allocs_before;
+    steady_allocs = allocCount() - allocs_before;
     ops_out = ops - ops_before;
     spill_ratio = eq.spillRatio();
     return std::chrono::duration<double>(t1 - t0).count();
@@ -590,12 +320,12 @@ runStorePath(std::uint64_t rounds, std::uint64_t &stores_out,
     };
 
     round(4);  // warmup: fills, MSHRs, parked-store pool, line tables
-    const std::uint64_t allocs_before = g_allocCount;
+    const std::uint64_t allocs_before = allocCount();
     const std::uint64_t pushed_before = pushed;
     const auto t0 = std::chrono::steady_clock::now();
     round(rounds);
     const auto t1 = std::chrono::steady_clock::now();
-    steady_allocs = g_allocCount - allocs_before;
+    steady_allocs = allocCount() - allocs_before;
     stores_out = pushed - pushed_before;
     if (accepted != pushed)
         std::abort();
@@ -611,66 +341,42 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t budget = 5'000'000;
-    double min_speedup = 0.0;
-    double min_mesh_speedup = 0.0;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--events") && i + 1 < argc)
             budget = std::strtoull(argv[++i], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--min-speedup") && i + 1 < argc)
-            min_speedup = std::strtod(argv[++i], nullptr);
-        else if (!std::strcmp(argv[i], "--min-mesh-speedup") &&
-                 i + 1 < argc)
-            min_mesh_speedup = std::strtod(argv[++i], nullptr);
     }
 
     std::printf("DES kernel microbenchmark: %llu scheduled events, "
                 "%u actors\n\n",
                 (unsigned long long)budget, kActors);
 
-    // Warm-up pass so all three kernels run against a hot allocator.
+    // Warm-up pass so both kernels run against a hot allocator.
     std::uint64_t fired = 0;
-    runLegacy(budget / 10, fired);
     runPooled(budget / 10, fired);
     runIntrusive(budget / 10, fired);
 
-    std::uint64_t fired_legacy = 0, fired_pooled = 0, fired_intr = 0;
-    const double t_legacy = runLegacy(budget, fired_legacy);
+    std::uint64_t fired_pooled = 0, fired_intr = 0;
     const double t_pooled = runPooled(budget, fired_pooled);
     const double t_intr = runIntrusive(budget, fired_intr);
 
-    if (fired_legacy != fired_pooled || fired_legacy != fired_intr) {
+    if (fired_pooled != fired_intr) {
         std::fprintf(stderr,
-                     "event-count mismatch: legacy=%llu pooled=%llu "
-                     "intrusive=%llu\n",
-                     (unsigned long long)fired_legacy,
+                     "event-count mismatch: pooled=%llu intrusive=%llu\n",
                      (unsigned long long)fired_pooled,
                      (unsigned long long)fired_intr);
         return 2;
     }
 
-    const double eps_legacy = double(fired_legacy) / t_legacy;
-    const double eps_pooled = double(fired_pooled) / t_pooled;
-    const double eps_intr = double(fired_intr) / t_intr;
-
     std::printf("  %-38s %8.1f M events/s\n",
-                "legacy (std::function + prio-queue)", eps_legacy / 1e6);
-    std::printf("  %-38s %8.1f M events/s   (%.2fx)\n",
-                "pooled one-shots (calendar queue)", eps_pooled / 1e6,
-                eps_pooled / eps_legacy);
-    std::printf("  %-38s %8.1f M events/s   (%.2fx)\n",
-                "intrusive TickEvents (calendar queue)", eps_intr / 1e6,
-                eps_intr / eps_legacy);
+                "pooled one-shots (calendar queue)",
+                double(fired_pooled) / t_pooled / 1e6);
+    std::printf("  %-38s %8.1f M events/s\n",
+                "intrusive TickEvents (calendar queue)",
+                double(fired_intr) / t_intr / 1e6);
     std::printf("  calendar wheel spill ratio: %.6f (%llu of the "
                 "schedules crossed the %u-tick horizon)\n",
                 g_pooledSpillRatio, (unsigned long long)g_pooledSpills,
                 EventQueue::kWheelBuckets);
-
-    if (min_speedup > 0.0 && eps_intr < min_speedup * eps_legacy) {
-        std::fprintf(stderr,
-                     "\nFAIL: intrusive kernel %.2fx < required %.2fx\n",
-                     eps_intr / eps_legacy, min_speedup);
-        return 1;
-    }
 
     // --- mesh delivery path -------------------------------------------
 
@@ -679,38 +385,20 @@ main(int argc, char **argv)
                 "on the 4x8 mesh\n\n",
                 (unsigned long long)mesh_budget, kMeshPairs * 2);
 
-    std::uint64_t d_closure = 0, d_packet = 0;
-    std::uint64_t a_closure = 0, a_packet = 0;
-    // Warm-up pass for both against a hot allocator / warm pools.
-    runClosureMesh(mesh_budget / 10, d_closure, a_closure);
-    runPacketMesh(mesh_budget / 10, d_packet, a_packet);
-
-    const double t_closure =
-        runClosureMesh(mesh_budget, d_closure, a_closure);
-    const double t_packet =
-        runPacketMesh(mesh_budget, d_packet, a_packet);
-    const double mps_closure = double(d_closure) / t_closure;
-    const double mps_packet = double(d_packet) / t_packet;
+    std::uint64_t delivered = 0, mesh_allocs = 0;
+    // Warm-up pass so the timed run starts against a hot allocator.
+    runPacketMesh(mesh_budget / 10, delivered, mesh_allocs);
+    const double t_mesh = runPacketMesh(mesh_budget, delivered, mesh_allocs);
 
     std::printf("  %-38s %8.2f M msgs/s   (%llu steady-state allocs)\n",
-                "closure mesh (std::function/post)", mps_closure / 1e6,
-                (unsigned long long)a_closure);
-    std::printf("  %-38s %8.2f M msgs/s   (%.2fx, %llu steady-state "
-                "allocs)\n",
-                "intrusive packet mesh (typed sinks)", mps_packet / 1e6,
-                mps_packet / mps_closure, (unsigned long long)a_packet);
+                "intrusive packet mesh (typed sinks)",
+                double(delivered) / t_mesh / 1e6,
+                (unsigned long long)mesh_allocs);
 
-    if (a_packet != 0) {
+    if (mesh_allocs != 0) {
         std::fprintf(stderr, "\nFAIL: packet mesh allocated %llu times "
                              "in steady state (expected 0)\n",
-                     (unsigned long long)a_packet);
-        return 1;
-    }
-    if (min_mesh_speedup > 0.0 &&
-        mps_packet < min_mesh_speedup * mps_closure) {
-        std::fprintf(stderr,
-                     "\nFAIL: packet mesh %.2fx < required %.2fx\n",
-                     mps_packet / mps_closure, min_mesh_speedup);
+                     (unsigned long long)mesh_allocs);
         return 1;
     }
 

@@ -26,42 +26,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "workloads/kv_workload.hh"
-
-namespace
-{
-std::uint64_t g_allocCount = 0;
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace
 {
@@ -180,12 +151,12 @@ scalingGates()
     bool ok = true;
 
     const SystemConfig cfg = SystemConfig::makeMeshPreset(1024);
-    const std::uint64_t a0 = g_allocCount;
+    const std::uint64_t a0 = bench::allocCount();
     const auto t0 = std::chrono::steady_clock::now();
     System sys(cfg, Addr(512) * 1024 * 1024);
     const auto t1 = std::chrono::steady_clock::now();
     const double build_s = std::chrono::duration<double>(t1 - t0).count();
-    const std::uint64_t build_allocs = g_allocCount - a0;
+    const std::uint64_t build_allocs = bench::allocCount() - a0;
 
     const auto dump = std::as_const(sys).stats().dump();
     const std::uint64_t counters = dump.size();

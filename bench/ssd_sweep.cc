@@ -26,43 +26,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "mem/ssd_device.hh"
 #include "workloads/hash_workload.hh"
-
-namespace
-{
-std::uint64_t g_allocCount = 0;
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++g_allocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace
 {
@@ -246,11 +217,11 @@ hotPathAllocGate()
     batch(0x11);
     batch(0x22);
 
-    const std::uint64_t a0 = g_allocCount;
+    const std::uint64_t a0 = bench::allocCount();
     const std::uint32_t before = completions;
     for (std::uint32_t round = 0; round < 8; ++round)
         batch(std::uint8_t(0x30 + round));
-    const std::uint64_t steady_allocs = g_allocCount - a0;
+    const std::uint64_t steady_allocs = bench::allocCount() - a0;
 
     std::printf("hot path: %u completions, %llu steady-state allocs\n",
                 completions - before,

@@ -9,8 +9,6 @@
  * with the dataset size.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -19,7 +17,7 @@ using namespace atomsim;
 using namespace atomsim::bench;
 
 int
-main(int argc, char **argv)
+main()
 {
     setVerbose(false);
 
@@ -52,8 +50,5 @@ main(int argc, char **argv)
                 "rbtree 0.4, sdg 0.07, sps 0.01\n");
     std::printf("expectation: the large-dataset fraction exceeds the "
                 "small one (more store misses reach memory)\n");
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,8 +8,6 @@
  * cycles by 42%.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 
@@ -50,7 +48,7 @@ runTpcc(DesignKind design)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     setVerbose(false);
 
@@ -90,8 +88,5 @@ main(int argc, char **argv)
     std::printf("paper:  ATOM 1.58, ATOM-OPT 1.60, REDO 1.47 (vs "
                 "BASE); ATOM-OPT SQ-full 0.58 of BASE; 0.02%% source "
                 "logged\n");
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -29,9 +29,7 @@ L1Cache::L1Cache(CoreId core, EventQueue &eq, const SystemConfig &cfg,
       _statWritebacks(
           stats.counter("l1c" + std::to_string(core), "writebacks")),
       _statLogRequests(
-          stats.counter("l1c" + std::to_string(core), "log_requests")),
-      _statWbHits(
-          stats.counter("l1c" + std::to_string(core), "wb_hits"))
+          stats.counter("l1c" + std::to_string(core), "log_requests"))
 {
 }
 
@@ -380,22 +378,6 @@ L1Cache::load(Addr addr, Callback done)
     after(_cfg.l1Latency, [this, addr, done = std::move(done)]() mutable {
         CacheLineState *frame = _array.touch(addr);
         if (frame && frame->valid) {
-            done();
-            return;
-        }
-        if (_cfg.l1WbHit && findWb(lineAlign(addr))) {
-            // Writeback-buffer snoop hit (SystemConfig::l1WbHit): the
-            // line we just evicted is still parked here waiting for
-            // its WbAck, and the buffered copy is the newest value of
-            // the line (we were its owner), so the load's data is
-            // available locally -- no round trip through home. This
-            // is a pure timing shortcut: the line is *not* revived in
-            // the array (the PutM is already in the mesh, and without
-            // a writeback-cancel handshake a locally-revived Modified
-            // copy would go untracked by the directory once the home
-            // processes the PutM). The next access after the buffer
-            // drains misses and refetches normally.
-            _statWbHits.inc();
             done();
             return;
         }

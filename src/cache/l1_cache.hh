@@ -328,7 +328,6 @@ class L1Cache : public MeshSink
     Counter &_statStoreMisses;
     Counter &_statWritebacks;
     Counter &_statLogRequests;
-    Counter &_statWbHits;
 };
 
 } // namespace atomsim

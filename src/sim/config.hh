@@ -132,7 +132,6 @@ struct SystemConfig
     std::uint32_t numCores = 32;
     /** Core clock in Hz; used only to convert cycles to seconds. */
     double clockHz = 2.0e9;
-    std::uint32_t robSize = 192;
     std::uint32_t sqEntries = 32;
     /**
      * Stores the SQ may retire concurrently (entries dequeue in
@@ -155,18 +154,6 @@ struct SystemConfig
     std::uint32_t l1Assoc = 4;
     Cycles l1Latency = 3;
     std::uint32_t mshrs = 32;
-    /**
-     * L1 writeback-buffer snoop-hit fast path: a *load* miss whose
-     * line sits in the L1's own writeback buffer (PutM in flight to
-     * home) completes locally from the buffered copy instead of a
-     * full round trip through the home tile. Default off to keep the
-     * goldens; store misses always refetch through home — reviving a
-     * line whose PutM is already in the mesh would need a
-     * writeback-cancel handshake the protocol does not have (the home
-     * would stop tracking us as owner once the PutM lands, making a
-     * locally-revived Modified copy invisible to the directory).
-     */
-    bool l1WbHit = false;
 
     // --- L2 (Table I) ----------------------------------------------------
     std::uint32_t l2Tiles = 32;
@@ -189,8 +176,6 @@ struct SystemConfig
     Cycles mcAddrMatchLatency = 1;
     /** MC scheduling / queueing overhead per request. */
     Cycles mcFrontendLatency = 8;
-    /** Read queue entries per controller. */
-    std::uint32_t mcReadQueue = 64;
     /** Write queue entries per controller. */
     std::uint32_t mcWriteQueue = 64;
 
@@ -270,7 +255,6 @@ struct SystemConfig
 
     // --- Network (Table I) -----------------------------------------------
     std::uint32_t meshRows = 4;
-    std::uint32_t flitBytes = 16;
     /** Per-hop router + link traversal latency. */
     Cycles hopLatency = 2;
     /**

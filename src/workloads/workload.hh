@@ -153,22 +153,6 @@ struct MicroParams
     /** Transactions each core executes. */
     std::uint32_t txnsPerCore = 40;
     std::uint64_t seed = 42;
-
-    static MicroParams
-    small()
-    {
-        return MicroParams{};
-    }
-
-    static MicroParams
-    large()
-    {
-        MicroParams p;
-        p.entryBytes = 4096;
-        p.initialItems = 16;
-        p.txnsPerCore = 16;
-        return p;
-    }
 };
 
 /** A multi-core workload: per-core structures + transaction stream. */

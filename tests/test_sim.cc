@@ -503,7 +503,6 @@ TEST(ConfigTest, DefaultsMatchTableOne)
     EXPECT_EQ(cfg.nvmWriteLatency, 360u);
     EXPECT_EQ(cfg.meshRows, 4u);
     EXPECT_EQ(cfg.mshrs, 32u);
-    EXPECT_EQ(cfg.robSize, 192u);
     cfg.validate();  // must not die
 }
 

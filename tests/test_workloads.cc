@@ -147,7 +147,8 @@ TEST_P(WorkloadFunctionalTest, ManyTransactionsStayConsistent)
 
 TEST_P(WorkloadFunctionalTest, LargeEntriesWork)
 {
-    MicroParams params = MicroParams::large();
+    MicroParams params;
+    params.entryBytes = 4096;
     params.initialItems = 8;
     auto workload = make(GetParam(), params);
     DataImage img;
