@@ -24,10 +24,10 @@ runTpcc(DesignKind design)
 {
     SystemConfig cfg;
     cfg.design = design;
-    // Simulation-scale run: 8 terminals (vs the paper's 32) and
-    // reduced table cardinalities keep each design's simulation in
-    // the minutes range; the design comparison is unaffected (all
-    // designs share the workload). Documented in EXPERIMENTS.md.
+    // Reduced scale: 8 terminals (vs the paper's 32) and reduced table
+    // cardinalities. The design comparison is unaffected, since all
+    // designs share the workload. Run time does not bound the scale:
+    // the whole table runs in about 0.15 s (Release, 4-core Xeon).
     cfg.numCores = 8;
     cfg.l2Tiles = 8;
     cfg.meshRows = 2;

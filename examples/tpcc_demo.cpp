@@ -22,9 +22,9 @@ main()
 {
     setVerbose(false);
 
-    // Single terminal for the crash demo: byte-exact durable state
-    // requires disjoint writers in the trace-at-dispatch execution
-    // model (see DESIGN.md).
+    // Single terminal for the crash demo: store payloads are computed
+    // when a transaction is dispatched, so byte-exact durable state
+    // requires disjoint writers.
     SystemConfig cfg;
     cfg.design = DesignKind::AtomOpt;
     cfg.numCores = 1;

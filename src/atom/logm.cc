@@ -434,23 +434,13 @@ LogM::truncate(std::uint32_t aus, std::function<void()> done)
     st.quiesceWaiters.push_back(std::move(finish));
 }
 
-std::uint32_t
-LogM::criticalStateBytes() const
-{
-    // Per AUS: bucket vector (bucketsPerMc bits) + currentBucket (4) +
-    // currentRecord (4) + txnStartSeq (4) + nextSeq (4) + active (1,
-    // padded to 4). Plus a 16-byte region header.
-    const std::uint32_t vec_bytes = (_cfg.bucketsPerMc + 7) / 8;
-    return 16 + _cfg.ausPerMc * (vec_bytes + 20);
-}
-
 void
 LogM::flushCriticalState(DataImage &nvm) const
 {
     // ADR guarantee: these registers reach NVM even on power failure
     // (Section IV-D); the write is modeled as instantaneous.
     Addr cursor = _amap.adrBase(_mc);
-    panic_if(criticalStateBytes() > kPageBytes,
+    panic_if(_cfg.adrStateBytes() > kPageBytes,
              "critical state exceeds the ADR page");
 
     const std::uint32_t magic = 0xADA70001u;

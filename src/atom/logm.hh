@@ -99,9 +99,6 @@ class LogM : public WriteGate, public SourceLogger
      */
     void flushCriticalState(DataImage &nvm) const;
 
-    /** Size in bytes of the serialized critical state. */
-    std::uint32_t criticalStateBytes() const;
-
     // --- Introspection ---------------------------------------------------
 
     bool lineLocked(Addr line_addr) const;

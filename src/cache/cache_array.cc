@@ -82,11 +82,4 @@ CacheArray::install(CacheLineState *frame, Addr line_addr)
     frame->lruStamp = ++_stamp;
 }
 
-void
-CacheArray::invalidateAll()
-{
-    for (auto &frame : _frames)
-        frame.reset();
-}
-
 } // namespace atomsim

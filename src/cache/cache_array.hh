@@ -79,9 +79,6 @@ class CacheArray
         }
     }
 
-    /** Invalidate every line (power failure). */
-    void invalidateAll();
-
   private:
     std::uint32_t setIndex(Addr line_addr) const;
 

@@ -78,19 +78,4 @@ Directory::busy(Addr line_addr) const
     return _ctl.contains(lineAlign(line_addr));
 }
 
-void
-Directory::clear()
-{
-    _entries.clear();
-    _ctl.forEach([this](Addr, LineCtl &ctl) {
-        Waiter *w = ctl.head;
-        while (w) {
-            Waiter *next = w->next;
-            releaseWaiter(w);
-            w = next;
-        }
-    });
-    _ctl.clear();
-}
-
 } // namespace atomsim

@@ -184,9 +184,6 @@ class Directory
     /** True if a transaction is active on the line. */
     bool busy(Addr line_addr) const;
 
-    /** Power failure: all volatile directory state vanishes. */
-    void clear();
-
   private:
     struct Waiter
     {

@@ -55,32 +55,9 @@ L1Cache::myNode() const
     return _mesh.coreNode(_core);
 }
 
-L1Cache::PendingStore *
-L1Cache::acquireStore()
-{
-    PendingStore *ps = _storePool.acquire();
-    ps->activeNext = _storeActive;
-    _storeActive = ps;
-    return ps;
-}
-
 void
 L1Cache::releaseStore(PendingStore *ps)
 {
-    // Unlink from the in-flight list (a handful of entries at most:
-    // bounded by the SQ drain width plus logger overlap).
-    PendingStore *prev = nullptr;
-    PendingStore *cur = _storeActive;
-    while (cur && cur != ps) {
-        prev = cur;
-        cur = cur->activeNext;
-    }
-    panic_if(!cur, "releasing a PendingStore that is not in flight");
-    if (prev)
-        prev->activeNext = ps->activeNext;
-    else
-        _storeActive = ps->activeNext;
-    ps->activeNext = nullptr;
     ps->done = nullptr;
     _storePool.release(ps);
 }
@@ -406,15 +383,12 @@ L1Cache::store(Addr addr, const std::uint8_t *bytes, std::uint32_t size,
              (unsigned long long)addr, size);
     panic_if(size > kLineBytes, "store larger than a line");
     _statStores.inc();
-    PendingStore *ps = acquireStore();
+    PendingStore *ps = _storePool.acquire();
     ps->addr = addr;
     ps->size = size;
     std::memcpy(ps->bytes.data(), bytes, size);
     ps->done = std::move(done);
-    after(_cfg.l1Latency, [this, ps, epoch = _epoch] {
-        if (epoch == _epoch)
-            finishStore(ps);
-    });
+    after(_cfg.l1Latency, [this, ps] { finishStore(ps); });
 }
 
 void
@@ -441,10 +415,7 @@ L1Cache::finishStore(PendingStore *ps)
             const Line old_value = frame->data;
             const Addr line = lineAlign(ps->addr);
             _logger->onFirstWrite(_core, line, old_value,
-                                  [this, ps, epoch = _epoch] {
-                                      if (epoch == _epoch)
-                                          storeLogged(ps);
-                                  });
+                                  [this, ps] { storeLogged(ps); });
             return;
         }
         if (mode == StoreLogger::Mode::Redo && _logger->inAtomic(_core)) {
@@ -456,10 +427,7 @@ L1Cache::finishStore(PendingStore *ps)
             _logger->onStore(_core, lineAlign(ps->addr), frame->data,
                              std::uint32_t(ps->addr - frame->tag),
                              ps->bytes.data(), ps->size,
-                             [this, ps, epoch = _epoch] {
-                                 if (epoch == _epoch)
-                                     applyStore(ps, false);
-                             });
+                             [this, ps] { applyStore(ps, false); });
             return;
         }
     }
@@ -606,45 +574,6 @@ L1Cache::invalidateLine(Addr addr)
     CacheLineState *frame = _array.find(addr);
     if (frame && frame->valid)
         frame->reset();
-}
-
-void
-L1Cache::powerFail()
-{
-    ++_epoch;  // strand any still-queued slot-holding continuation
-    _array.invalidateAll();
-    _mshrs.clear();
-    // The continuations that would have resumed in-flight stores and
-    // flushes died with the MSHRs or went inert with the epoch bump;
-    // the accesses are lost (matching Section IV-D), so reclaim their
-    // pooled transaction state.
-    while (_storeActive) {
-        PendingStore *ps = _storeActive;
-        _storeActive = ps->activeNext;
-        ps->activeNext = nullptr;
-        ps->done = nullptr;
-        _storePool.release(ps);
-    }
-    while (_flushHead) {
-        PendingFlush *pf = _flushHead;
-        _flushHead = pf->next;
-        releaseFlush(pf);
-    }
-    _flushTail = nullptr;
-    // In-flight writebacks die with the rest of the volatile machine:
-    // the PutM packets still in the mesh will never be acked, so
-    // reclaim their buffer slots here (the home-side stale check makes
-    // a post-crash delivery harmless anyway -- nothing runs after
-    // powerFail).
-    while (_wbHead) {
-        PendingPutM *wb = _wbHead;
-        _wbHead = wb->next;
-        wb->next = nullptr;
-        _wbPool.release(wb);
-    }
-    _wbTail = nullptr;
-    _wbCount = 0;
-    _unpinWaiters.clear();
 }
 
 } // namespace atomsim

@@ -150,29 +150,11 @@ class L1Cache : public MeshSink
 
     void meshDeliver(Packet &pkt) override;
 
-    /** Power failure: everything volatile vanishes. */
-    void powerFail();
-
     // --- Introspection -------------------------------------------------
     const CacheArray &array() const { return _array; }
     CacheArray &arrayForTest() { return _array; }
     std::size_t outstandingMisses() const { return _mshrs.active(); }
     const MshrTable &mshrs() const { return _mshrs; }
-
-    /** PendingStore slots ever allocated (pool high-water mark). */
-    std::size_t storePoolAllocated() const
-    {
-        return _storePool.allocated();
-    }
-
-    /** PendingStore slots currently idle (pool reuse proof). */
-    std::size_t storePoolFree() const { return _storePool.idle(); }
-
-    /** Writeback-buffer entries ever allocated (pool high-water). */
-    std::size_t wbPoolAllocated() const { return _wbPool.allocated(); }
-
-    /** Writeback-buffer entries currently idle (pool reuse proof). */
-    std::size_t wbPoolFree() const { return _wbPool.idle(); }
 
     /** PutM writebacks currently awaiting their WbAck. */
     std::size_t outstandingWritebacks() const { return _wbCount; }
@@ -182,14 +164,10 @@ class L1Cache : public MeshSink
      * In-flight state of one store, pooled and reused: the payload
      * bytes, the core's completion, and (implicitly, by being pointed
      * at from MSHR waiters / logger acks) the store's continuation.
-     * Live slots are additionally chained into _storeActive so a power
-     * failure can reclaim stores whose continuations died with the
-     * MSHRs.
      */
     struct PendingStore
     {
-        PendingStore *next = nullptr;       //!< pool free-list link
-        PendingStore *activeNext = nullptr; //!< in-flight list link
+        PendingStore *next = nullptr;  //!< pool free-list link
         Addr addr = 0;
         std::uint32_t size = 0;
         std::array<std::uint8_t, kLineBytes> bytes{};
@@ -286,7 +264,6 @@ class L1Cache : public MeshSink
     /** Write the bytes, set dirty/log bits, complete and recycle. */
     void applyStore(PendingStore *ps, bool set_log_bit);
 
-    PendingStore *acquireStore();
     void releaseStore(PendingStore *ps);
     PendingFlush *acquireFlush();
     void releaseFlush(PendingFlush *pf);
@@ -308,12 +285,6 @@ class L1Cache : public MeshSink
     std::unordered_map<Addr, std::vector<Callback>> _unpinWaiters;
 
     FreeListPool<PendingStore> _storePool;
-    PendingStore *_storeActive = nullptr;  //!< in-flight stores
-    /** Bumped on powerFail: continuations holding a PendingStore
-     * pointer carry their epoch and go inert when it goes stale, so a
-     * queue pumped after a crash can never touch a recycled slot
-     * (same pattern as the memory controller's completion epoch). */
-    std::uint64_t _epoch = 0;
     FreeListPool<PendingFlush> _flushPool;
     PendingFlush *_flushHead = nullptr;  //!< outstanding flushes (FIFO)
     PendingFlush *_flushTail = nullptr;

@@ -121,34 +121,6 @@ L2Tile::writeThrough(Addr addr, const Line &data, WriteKind kind,
     _mesh.send(_mesh.tileNode(_tileId), _mesh.mcNode(mc), p);
 }
 
-L2Tile::PendingFill *
-L2Tile::acquireFill()
-{
-    PendingFill *pf = _fillPool.acquire();
-    pf->activeNext = _fillActive;
-    _fillActive = pf;
-    return pf;
-}
-
-void
-L2Tile::releaseFill(PendingFill *pf)
-{
-    PendingFill *prev = nullptr;
-    PendingFill *cur = _fillActive;
-    while (cur && cur != pf) {
-        prev = cur;
-        cur = cur->activeNext;
-    }
-    panic_if(!cur, "releasing a PendingFill that is not in flight");
-    if (prev)
-        prev->activeNext = pf->activeNext;
-    else
-        _fillActive = pf->activeNext;
-    pf->activeNext = nullptr;
-    pf->next = nullptr;
-    _fillPool.release(pf);
-}
-
 void
 L2Tile::startRound(Addr line, CoreId owner, const SharerSet &sharers,
                    RoundCallback done)
@@ -264,7 +236,7 @@ L2Tile::evictThen(CacheLineState *frame, PendingFill *pf)
             const Line data = pf->data;
             const bool logged = pf->logged;
             const bool exclusive = pf->exclusive;
-            releaseFill(pf);
+            _fillPool.release(pf);
             // Install the fill into the frame *before* releasing the
             // victim's busy bit: Directory::release runs the next
             // queued transaction synchronously, and a demand access
@@ -294,7 +266,7 @@ L2Tile::retryStalledFills()
         const Line data = pf->data;
         const bool logged = pf->logged;
         const bool exclusive = pf->exclusive;
-        releaseFill(pf);
+        _fillPool.release(pf);
         onMemFill(core, line, data, logged, exclusive);
     }
 }
@@ -337,7 +309,7 @@ L2Tile::onMemFill(CoreId core, Addr addr, const Line &data, bool logged,
         return;
     }
 
-    PendingFill *pf = acquireFill();
+    PendingFill *pf = _fillPool.acquire();
     pf->core = core;
     pf->line = line;
     pf->data = data;
@@ -676,31 +648,6 @@ L2Tile::finishFlush(CoreId core, Addr line, bool has_data,
         _mesh.send(_mesh.tileNode(_tileId), _mesh.mcNode(mc), p);
     }
     _dir.release(line);
-}
-
-void
-L2Tile::powerFail()
-{
-    _array.invalidateAll();
-    _dir.clear();
-    // In-flight recall/invalidation rounds and parked fills die with
-    // the caches; reclaim their pooled records (their acks will never
-    // arrive -- nothing runs after powerFail).
-    while (_roundActive) {
-        Round *r = _roundActive;
-        _roundActive = r->next;
-        r->done = nullptr;
-        r->next = nullptr;
-        _roundPool.release(r);
-    }
-    while (_fillActive) {
-        PendingFill *pf = _fillActive;
-        _fillActive = pf->activeNext;
-        pf->activeNext = nullptr;
-        pf->next = nullptr;
-        _fillPool.release(pf);
-    }
-    _stallHead = _stallTail = nullptr;
 }
 
 } // namespace atomsim

@@ -102,7 +102,6 @@ class VictimCache
     }
 
     std::size_t size() const { return _lines.size(); }
-    void clear() { _lines.clear(); }
 
   private:
     std::unordered_map<Addr, Line> _lines;
@@ -177,9 +176,6 @@ class L2Tile : public MeshSink
     void handleFlush(CoreId core, Addr addr, bool has_data,
                      const Line &data);
 
-    /** Power failure: all cached state vanishes. */
-    void powerFail();
-
     /** Tests: direct visibility into the tile. */
     const CacheArray &array() const { return _array; }
     Directory &directory() { return _dir; }
@@ -224,8 +220,7 @@ class L2Tile : public MeshSink
      */
     struct PendingFill
     {
-        PendingFill *next = nullptr;        //!< pool / stall-list link
-        PendingFill *activeNext = nullptr;  //!< in-flight list link
+        PendingFill *next = nullptr;  //!< pool / stall-list link
         CoreId core = 0;
         Addr line = 0;
         bool logged = false;
@@ -302,8 +297,6 @@ class L2Tile : public MeshSink
     void writeThrough(Addr addr, const Line &data, WriteKind kind,
                       AckCallback on_durable);
 
-    PendingFill *acquireFill();
-    void releaseFill(PendingFill *pf);
 
     std::uint32_t _tileId;
     EventQueue &_eq;
@@ -321,7 +314,6 @@ class L2Tile : public MeshSink
     FreeListPool<Round> _roundPool;
     Round *_roundActive = nullptr;
     FreeListPool<PendingFill> _fillPool;
-    PendingFill *_fillActive = nullptr;  //!< every live PendingFill
     PendingFill *_stallHead = nullptr;   //!< fills waiting for a frame
     PendingFill *_stallTail = nullptr;
 

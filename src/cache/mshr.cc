@@ -40,16 +40,6 @@ MshrTable::releaseWaiter(Waiter *w)
 }
 
 void
-MshrTable::releaseChain(Waiter *w)
-{
-    while (w) {
-        Waiter *next = w->next;
-        releaseWaiter(w);
-        w = next;
-    }
-}
-
-void
 MshrTable::allocate(Addr line_addr)
 {
     line_addr = lineAlign(line_addr);
@@ -129,22 +119,6 @@ MshrTable::queueForFree(Continuation fn)
         _overflowHead = w;
     _overflowTail = w;
     ++_overflowCount;
-}
-
-void
-MshrTable::clear()
-{
-    for (Entry &e : _entries) {
-        if (e.used) {
-            releaseChain(e.head);
-            e.used = false;
-            e.head = e.tail = nullptr;
-        }
-    }
-    _active = 0;
-    releaseChain(_overflowHead);
-    _overflowHead = _overflowTail = nullptr;
-    _overflowCount = 0;
 }
 
 } // namespace atomsim

@@ -87,9 +87,6 @@ class MshrTable
     std::size_t active() const { return _active; }
     std::size_t overflowDepth() const { return _overflowCount; }
 
-    /** Drop all state (power failure). */
-    void clear();
-
     // --- pool introspection (tests / no-allocation proofs) ------------
 
     /** Waiter nodes ever allocated (pool high-water mark). */
@@ -113,7 +110,6 @@ class MshrTable
     const Entry *find(Addr line_addr) const;
 
     void releaseWaiter(Waiter *w);
-    void releaseChain(Waiter *w);
 
     std::vector<Entry> _entries;  //!< fixed-size table (Table I: 32)
     std::size_t _active = 0;

@@ -7,7 +7,10 @@
  * dispatch) and executes their ops: loads block; stores issue into the
  * StoreQueue and retire asynchronously; Atomic_Begin / Atomic_End call
  * into the active design's hooks (AUS acquisition, commit protocol).
- * See DESIGN.md for how this substitutes for the paper's OoO core.
+ * This stands in for the paper's out-of-order core: a fixed compute gap
+ * between memory ops replaces the non-memory instructions, and only the
+ * store queue overlaps memory latency with execution -- the structure
+ * through which logging latency reaches the core.
  */
 
 #ifndef ATOMSIM_CPU_CORE_HH

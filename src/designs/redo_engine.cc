@@ -220,8 +220,9 @@ RedoEngine::appendToFrame(McId mc, CoreId core, Addr slot_word,
     // Start a frame if none is open. The cursor hops bucket (page) to
     // bucket so it only ever touches this MC's interleaved log pages.
     // The log is circular: frames whose entries the backend has
-    // applied are dead, so the cursor wraps (recovery-from-crash tests
-    // size their runs to finish before the first wrap; see DESIGN.md).
+    // applied are dead, so the cursor wraps. Recovery replays frames in
+    // address order, which is log order only until the first wrap, so
+    // recovery-from-crash tests size their runs to finish before it.
     if (ms.frameMeta == 0) {
         const std::uint32_t frames_per_bucket =
             kPageBytes / (8 * kLineBytes);
@@ -392,29 +393,6 @@ RedoEngine::backlog() const
     for (const auto &ms : _mcState)
         n += ms.applyQueue.size();
     return n;
-}
-
-void
-RedoEngine::powerFail()
-{
-    for (auto &ev : _drainEvents)
-        _eq.deschedule(*ev);
-    for (auto &cs : _cores) {
-        cs.active = false;
-        cs.wcb.clear();
-        cs.draining = false;
-        cs.fullWaiters.clear();
-        cs.commitWaiter = nullptr;
-        cs.entriesInFlight = 0;
-        cs.stagedApplies.clear();
-    }
-    for (auto &ms : _mcState) {
-        ms.frameMeta = 0;
-        ms.applyQueue.clear();
-        ms.applyLogAddr.clear();
-        ms.backendBusy = false;
-    }
-    _victims.clear();
 }
 
 } // namespace atomsim

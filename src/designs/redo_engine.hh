@@ -79,9 +79,6 @@ class RedoEngine : public StoreLogger
     /** Entries still waiting for in-place application (tests). */
     std::size_t backlog() const;
 
-    /** Power failure: volatile front-end/backend state is lost. */
-    void powerFail();
-
   private:
     /** One pending redo entry (newest value of a line). The data is
      * owned by the buffer from onStore time -- the line's pre-store

@@ -161,22 +161,15 @@ System::powerFail()
     // ADR: the critical LogM registers reach NVM even as power drops.
     for (auto &logm : _logms)
         logm->flushCriticalState(_nvm);
-
+    // Under the torn-write model, writes in flight at each NVM device
+    // commit a word-aligned prefix.
     for (auto &mc : _mcs)
         mc->powerFail();
-    // Destage engines before devices: the engines drop their volatile
-    // tracking (durable truth is the NVM forwarding map + flash
-    // image), then the devices reclaim in-flight commands.
-    for (auto &eng : _destages)
-        eng->powerFail();
-    for (auto &ssd : _ssds)
-        ssd->powerFail();
-    for (auto &tile : _tiles)
-        tile->powerFail();
-    for (auto &l1 : _l1s)
-        l1->powerFail();
-    if (_redo)
-        _redo->powerFail();
+    // Everything else that is volatile -- caches, queues, in-flight
+    // continuations -- is lost, and the run ends: recovery reads only
+    // the NVM and flash images. Dropping every pending event is the
+    // one place that enforces this; no pre-crash continuation can run.
+    _eq.clear();
 }
 
 RecoveryReport

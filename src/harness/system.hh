@@ -88,9 +88,12 @@ class System
     void makeDurableSnapshot() { _nvm = _arch.clone(); }
 
     /**
-     * Power failure: every volatile structure (caches, SQ contents,
-     * MC queues, directory, MSHRs) is lost; the ATOM critical
-     * registers are ADR-flushed into the NVM image (Section IV-D).
+     * Power failure (Section IV-D): the ATOM critical registers are
+     * ADR-flushed into the NVM image, writes that have not reached NVM
+     * are lost (torn at a word boundary under cfg.tornWrites), and
+     * every pending event is dropped. The run ends here: afterwards
+     * only the NVM and flash images, the stats and the media-fault
+     * records are meaningful, and the event queue must not be run.
      */
     void powerFail();
 

@@ -153,17 +153,6 @@ DramCache::markClean(Addr addr)
         way->dirty = false;
 }
 
-void
-DramCache::invalidateAll()
-{
-    for (Way &w : _ways) {
-        w.valid = false;
-        w.dirty = false;
-        w.lru = 0;
-    }
-    _useStamp = 0;
-}
-
 std::size_t
 DramCache::dirtyLines() const
 {

@@ -24,9 +24,9 @@
  *    traffic) is write-through: NVM decides the completion, and a
  *    present cached copy is updated and marked clean.
  *
- * The cache is volatile: powerFail() invalidates everything, so dirty
- * absorbed lines are lost and only NVM-resident bytes survive into the
- * recovery image (tests/test_recovery.cc pins this).
+ * The cache is volatile: recovery reads only the NVM image, so dirty
+ * absorbed lines are lost at a power failure and only NVM-resident
+ * bytes survive (tests/test_recovery.cc pins this).
  */
 
 #ifndef ATOMSIM_MEM_DRAM_CACHE_HH
@@ -99,13 +99,10 @@ class DramCache
     /** Mark a present line clean (durability cleanse issued). */
     void markClean(Addr addr);
 
-    /** Power failure: DRAM contents are lost wholesale. */
-    void invalidateAll();
-
     std::uint32_t numSets() const { return _sets; }
     std::uint32_t assoc() const { return _assoc; }
 
-    /** Lines currently valid+dirty (tests / powerFail accounting). */
+    /** Lines currently valid+dirty (tests). */
     std::size_t dirtyLines() const;
 
   private:

@@ -148,24 +148,4 @@ DramDevice::pick()
         _eq.schedule(*_pickEvent, std::max(wake, now + 1));
 }
 
-void
-DramDevice::clear()
-{
-    while (_head) {
-        Req *r = _head;
-        _head = r->next;
-        r->next = nullptr;
-        r->done = nullptr;
-        _pool.release(r);
-    }
-    _tail = nullptr;
-    _queuedCount = 0;
-    _eq.deschedule(*_pickEvent);
-    for (Bank &b : _banks) {
-        b.busyUntil = 0;
-        b.openRow = ~Addr(0);
-    }
-    _busBusyUntil = 0;
-}
-
 } // namespace atomsim

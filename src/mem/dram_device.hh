@@ -44,8 +44,8 @@ class DramDevice
 {
   public:
     /** Completion continuation; capacity fits the controller's pooled
-     * DRAM-op capture (a this pointer, a node pointer and an epoch). */
-    using Callback = InplaceCallback<32>;
+     * DRAM-op capture (a this pointer and a node pointer). */
+    using Callback = InplaceCallback<16>;
 
     /**
      * @param eq    the owning controller's event queue
@@ -61,11 +61,6 @@ class DramDevice
      * runs when the access completes at the device.
      */
     void access(Addr addr, bool is_write, Tick ready, Callback done);
-
-    /** Drop every queued access (power failure). Completions already
-     * posted to the event queue still fire; callers guard them with
-     * their own epoch. Row buffers and reservations reset. */
-    void clear();
 
     /** Queued (not yet issued) accesses. */
     std::size_t queued() const { return _queuedCount; }

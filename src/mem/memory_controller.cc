@@ -133,30 +133,9 @@ MemoryController::addWcb(Request *r, WriteCallback cb)
     *tail = n;
 }
 
-MemoryController::DramOp *
-MemoryController::acquireDramOp()
-{
-    DramOp *op = _dramOpPool.acquire();
-    op->activeNext = _dramActive;
-    _dramActive = op;
-    return op;
-}
-
 void
 MemoryController::releaseDramOp(DramOp *op)
 {
-    DramOp *prev = nullptr;
-    DramOp *cur = _dramActive;
-    while (cur && cur != op) {
-        prev = cur;
-        cur = cur->activeNext;
-    }
-    panic_if(!cur, "releasing a DramOp that is not in flight");
-    if (prev)
-        prev->activeNext = op->activeNext;
-    else
-        _dramActive = op->activeNext;
-    op->activeNext = nullptr;
     op->rcb = nullptr;
     op->wcb = nullptr;
     _dramOpPool.release(op);
@@ -185,19 +164,16 @@ MemoryController::readLine(Addr addr, ReadKind kind, ReadCallback cb)
         _statLogReads.inc();
 
     if (_dram && dramCacheable(addr)) {
-        DramOp *op = acquireDramOp();
+        DramOp *op = _dramOpPool.acquire();
         op->addr = addr;
         op->rcb = std::move(cb);
         if (_dram->read(addr, op->data)) {
             // DRAM hit: the data snapshot rides the op; completion at
             // device timing, never touching the NVM channel.
             ++_pendingReads;
-            const std::uint64_t epoch = _epoch;
             _dramDev->access(
                 addr, false, _eq.now() + _cfg.mcFrontendLatency,
-                [this, op, epoch] {
-                    if (epoch != _epoch)
-                        return;
+                [this, op] {
                     --_pendingReads;
                     ReadCallback done = std::move(op->rcb);
                     const Line data = op->data;
@@ -287,22 +263,19 @@ MemoryController::writeLine(Addr addr, const Line &data, WriteKind kind,
             // Absorb the eviction writeback at DRAM latency. Its
             // completion has never been a durability promise (commit
             // persistence travels as Flush), so acking from volatile
-            // DRAM is architecturally honest -- and exactly what
-            // powerFail dropping the dirty line models.
+            // DRAM is architecturally honest: a power failure loses
+            // the dirty line, and recovery never sees DRAM contents.
             const DramCache::Victim victim = _dram->absorb(addr, data);
             if (victim.dirty)
                 writeBackVictim(victim);
-            DramOp *op = acquireDramOp();
+            DramOp *op = _dramOpPool.acquire();
             op->addr = addr;
             if (cb)
                 op->wcb = std::move(cb);
             ++_pendingWrites;
-            const std::uint64_t epoch = _epoch;
             _dramDev->access(
                 addr, true, _eq.now() + _cfg.mcFrontendLatency,
-                [this, op, epoch] {
-                    if (epoch != _epoch)
-                        return;
+                [this, op] {
                     --_pendingWrites;
                     WriteCallback done = std::move(op->wcb);
                     releaseDramOp(op);
@@ -442,13 +415,8 @@ MemoryController::kick(std::uint32_t ch)
                 // write is scheduled out of the controller. A locked
                 // line waits for its record header to persist; the
                 // pooled node itself parks in the unlock continuation.
-                const std::uint64_t epoch = _epoch;
                 const bool free = _gate->tryAcquire(
-                    req->addr, [this, ch, req, epoch] {
-                        if (epoch != _epoch) {
-                            releaseReq(req);
-                            return;
-                        }
+                    req->addr, [this, ch, req] {
                         _chState[ch].writeQ.push_front(req);
                         scheduleKick(ch, _eq.now());
                     });
@@ -491,13 +459,10 @@ MemoryController::issueRead(std::uint32_t ch, Request *req)
             req->rkind});
     }
     const Tick done = grant.ready;
-    const std::uint64_t epoch = _epoch;
     ReadCallback cb = std::move(req->rcb);
     releaseReq(req);
-    _eq.post(done, [this, epoch, cb = std::move(cb),
+    _eq.post(done, [this, cb = std::move(cb),
                     data = std::move(data)]() mutable {
-        if (epoch != _epoch)
-            return;
         --_pendingReads;
         cb(data);
     });
@@ -513,15 +478,10 @@ MemoryController::issueWrite(std::uint32_t ch, Request *req)
     // Under the torn-write model the controller remembers what is in
     // flight at the device: powerFail consumes this list to commit a
     // word-aligned prefix of each write (the posted completions alone
-    // cannot tell us -- the epoch bump cancels them first).
+    // cannot tell us -- a power failure drops them unrun).
     if (_cfg.tornWrites)
         _deviceWrites.push_back(req);
-    const std::uint64_t epoch = _epoch;
-    _eq.post(done, [this, epoch, req] {
-        if (epoch != _epoch) {
-            releaseReq(req);
-            return;
-        }
+    _eq.post(done, [this, req] {
         if (_cfg.tornWrites) {
             const auto dw = std::find(_deviceWrites.begin(),
                                       _deviceWrites.end(), req);
@@ -578,11 +538,6 @@ MemoryController::issueWrite(std::uint32_t ch, Request *req)
 void
 MemoryController::powerFail()
 {
-    // Queued and in-flight (not yet completed at the device) work is
-    // lost; epoch bump cancels all scheduled completions (which then
-    // just return their pooled nodes).
-    ++_epoch;
-
     // Torn writes: each write in flight at the device commits a
     // seeded word-aligned prefix of its data (real NVM guarantees
     // 8-byte atomicity, nothing more), instead of vanishing whole.
@@ -590,56 +545,26 @@ MemoryController::powerFail()
     // staleness rule as completed writes (a parked writeback replayed
     // behind a newer commit of its line must not resurface, not even
     // partially). Queued-but-unissued writes never reached the device
-    // and are dropped atomically as before. The tear boundary hashes
-    // only deterministic keys, so the post-crash image is identical
-    // across reruns.
-    if (_cfg.tornWrites && !_deviceWrites.empty()) {
-        std::sort(_deviceWrites.begin(), _deviceWrites.end(),
-                  [](const Request *a, const Request *b) {
-                      return a->acceptSeq < b->acceptSeq;
-                  });
-        for (Request *req : _deviceWrites) {
-            PendingWrite *pw = _inflightWrites.find(req->addr);
-            const bool stale = pw && req->acceptSeq < pw->committedSeq;
-            if (stale)
-                continue;
-            const std::uint32_t words = tornWordCount(
-                _cfg.faultSeed, _id, req->addr, req->acceptSeq);
-            _nvm.writeLineWords(req->addr, req->data, words);
-            if (pw)
-                pw->committedSeq = req->acceptSeq;
-        }
-        // The nodes stay alive: their cancelled completions (epoch
-        // mismatch) release them back to the pool.
-        _deviceWrites.clear();
+    // and are lost whole. The tear boundary hashes only deterministic
+    // keys, so the post-crash image is identical across reruns.
+    if (!_cfg.tornWrites)
+        return;
+    std::sort(_deviceWrites.begin(), _deviceWrites.end(),
+              [](const Request *a, const Request *b) {
+                  return a->acceptSeq < b->acceptSeq;
+              });
+    for (Request *req : _deviceWrites) {
+        PendingWrite *pw = _inflightWrites.find(req->addr);
+        const bool stale = pw && req->acceptSeq < pw->committedSeq;
+        if (stale)
+            continue;
+        const std::uint32_t words = tornWordCount(
+            _cfg.faultSeed, _id, req->addr, req->acceptSeq);
+        _nvm.writeLineWords(req->addr, req->data, words);
+        if (pw)
+            pw->committedSeq = req->acceptSeq;
     }
-
-    for (auto &st : _chState) {
-        while (!st.readQ.empty())
-            releaseReq(st.readQ.pop_front());
-        while (!st.writeQ.empty())
-            releaseReq(st.writeQ.pop_front());
-        _eq.deschedule(*st.kickEvent);
-    }
-    _inflightWrites.clear();
-    _durWaiters.clear();
-    _pendingWrites = 0;
-    _pendingReads = 0;
-    if (_dram) {
-        // The DRAM tier is volatile: every cached line -- dirty
-        // absorbed writebacks included -- is lost. Only bytes the NVM
-        // device had completed survive into the recovery image.
-        _dram->invalidateAll();
-        _dramDev->clear();
-        while (_dramActive) {
-            DramOp *op = _dramActive;
-            _dramActive = op->activeNext;
-            op->activeNext = nullptr;
-            op->rcb = nullptr;
-            op->wcb = nullptr;
-            _dramOpPool.release(op);
-        }
-    }
+    _deviceWrites.clear();
 }
 
 std::uint64_t

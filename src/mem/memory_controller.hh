@@ -14,9 +14,9 @@
  * the ordinary gated write queue), DataWb writes are absorbed at DRAM
  * latency, and every durability-bearing write kind stays write-through
  * to NVM. An app-direct address window (setUncacheableWindow) bypasses
- * the tier entirely. The DRAM contents are volatile: powerFail drops
- * dirty cached lines, so only NVM-resident bytes survive into the
- * recovery image.
+ * the tier entirely. The DRAM contents are volatile: they never reach
+ * the recovery image, which holds only bytes the NVM device completed
+ * before a power failure.
  *
  * Two hooks let the ATOM log manager (atom/logm.hh) attach:
  *
@@ -204,11 +204,12 @@ class MemoryController
     DramCache *dramCache() { return _dram.get(); }
     DramDevice *dramDevice() { return _dramDev.get(); }
 
-    /** Drop all queued work (power failure). In-flight writes that have
-     * not completed at the device are lost, matching Section IV-D --
-     * except under SystemConfig::tornWrites, where each write in
-     * flight at the device commits a seeded word-aligned prefix
-     * (NVM's 8-byte atomicity guarantee, nothing more). */
+    /** The controller's durable effect of a power failure. Writes that
+     * have not completed at the device are lost, matching Section
+     * IV-D -- except under SystemConfig::tornWrites, where each write
+     * in flight at the device commits a seeded word-aligned prefix
+     * (NVM's 8-byte atomicity guarantee, nothing more). The queued
+     * work itself dies with the event queue (System::powerFail). */
     void powerFail();
 
     /** Uncorrectable media read failures recorded so far (survives
@@ -322,14 +323,11 @@ class MemoryController
     /**
      * In-flight state of one DRAM-tier operation: a hit read's data
      * snapshot + completion, a miss's parked fill target, or an
-     * absorbed write's completion ack. Pooled, and chained into
-     * _dramActive so powerFail can reclaim slots whose continuations
-     * went inert with the epoch bump.
+     * absorbed write's completion ack. Pooled.
      */
     struct DramOp
     {
-        DramOp *next = nullptr;       //!< pool free-list link
-        DramOp *activeNext = nullptr; //!< in-flight list link
+        DramOp *next = nullptr;  //!< pool free-list link
         Addr addr = 0;
         Line data{};
         ReadCallback rcb;
@@ -350,7 +348,7 @@ class MemoryController
         return !inAddrWindow(addr, _directBase, _directEnd);
     }
 
-    DramOp *acquireDramOp();
+    /** Scrub callbacks and return the node. */
     void releaseDramOp(DramOp *op);
 
     /** Write a displaced dirty DRAM victim back to NVM (gated). */
@@ -401,7 +399,6 @@ class MemoryController
     std::unique_ptr<DramCache> _dram;
     std::unique_ptr<DramDevice> _dramDev;
     FreeListPool<DramOp> _dramOpPool;
-    DramOp *_dramActive = nullptr;  //!< in-flight DRAM ops
     Addr _directBase = 0;  //!< app-direct (uncacheable) window
     Addr _directEnd = 0;
 
@@ -433,9 +430,9 @@ class MemoryController
     /** Writes issued to the device but not yet completed, tracked
      * only under cfg.tornWrites: these are the writes a power
      * failure tears at a word boundary instead of discarding whole
-     * (the posted completion lambdas alone hide them -- the epoch
-     * bump cancels the completions before they can tell us what was
-     * in flight). */
+     * (the posted completion lambdas alone hide them -- a power
+     * failure drops them before they can tell us what was in
+     * flight). */
     std::vector<Request *> _deviceWrites;
     /** Uncorrectable media read failures (hard-fail fault report). */
     std::vector<MediaFaultRecord> _mediaFaults;
@@ -444,7 +441,6 @@ class MemoryController
 
     std::size_t _pendingWrites = 0;
     std::size_t _pendingReads = 0;
-    std::uint64_t _epoch = 0;  //!< bumped on powerFail to cancel events
 
     Counter &_statReads;
     Counter &_statLogReads;

@@ -175,18 +175,12 @@ SsdDevice::dispatch(std::uint32_t q, Cmd *cmd)
         _dieFree[die_idx] = fin;
         _chanFree[q] = fin;
     }
-    _inDevice.push_back(cmd);
-    _eq.post(fin, [this, q, cmd, e = _epoch] { onDeviceDone(q, cmd, e); });
+    _eq.post(fin, [this, q, cmd] { onDeviceDone(q, cmd); });
 }
 
 void
-SsdDevice::onDeviceDone(std::uint32_t q, Cmd *cmd, std::uint64_t epoch)
+SsdDevice::onDeviceDone(std::uint32_t q, Cmd *cmd)
 {
-    if (epoch != _epoch)
-        return;  // powerFail reclaimed the command node
-    const auto it = std::find(_inDevice.begin(), _inDevice.end(), cmd);
-    if (it != _inDevice.end())
-        _inDevice.erase(it);
     if (cmd->isWrite) {
         _flash.write(Addr(cmd->flashPage) * kPageBytes, kPageBytes,
                      cmd->data.data());
@@ -204,37 +198,6 @@ SsdDevice::onDeviceDone(std::uint32_t q, Cmd *cmd, std::uint64_t epoch)
     ++qp.cqCount;
     // The poll loop keeps itself scheduled while commands are
     // outstanding, so this completion will be reaped without help.
-}
-
-void
-SsdDevice::powerFail()
-{
-    ++_epoch;
-    for (auto &qp : _qps) {
-        while (qp.sqCount > 0) {
-            Cmd *cmd = qp.sq[qp.sqHead];
-            qp.sq[qp.sqHead] = nullptr;
-            qp.sqHead = (qp.sqHead + 1) % _cfg.ssdQueueDepth;
-            --qp.sqCount;
-            releaseCmd(cmd);
-        }
-        while (qp.cqCount > 0) {
-            Cmd *cmd = qp.cq[qp.cqHead];
-            qp.cq[qp.cqHead] = nullptr;
-            qp.cqHead = (qp.cqHead + 1) % _cfg.ssdQueueDepth;
-            --qp.cqCount;
-            releaseCmd(cmd);
-        }
-        qp.sqHead = qp.sqTail = qp.cqHead = qp.cqTail = 0;
-        qp.outstanding = 0;
-    }
-    for (Cmd *cmd : _inDevice)
-        releaseCmd(cmd);
-    _inDevice.clear();
-    std::fill(_chanFree.begin(), _chanFree.end(), Tick(0));
-    std::fill(_dieFree.begin(), _dieFree.end(), Tick(0));
-    _eq.deschedule(_pollEvent);
-    // _flash is the non-volatile medium: it survives.
 }
 
 // ---------------------------------------------------------------------
@@ -742,29 +705,6 @@ DestageEngine::pump()
     maybeDestage();
     if (!_promoteRetry.empty())
         schedulePump();
-}
-
-void
-DestageEngine::powerFail()
-{
-    // Everything here is volatile pipeline state; the durable truth a
-    // crash leaves behind is the NVM-resident map (plus the flash
-    // image the device keeps), which recovery rehydrates.
-    _pages.clear();
-    for (auto &s : _slots)
-        s = MapSlot{};
-    _freeSlots.clear();
-    for (std::uint32_t s = std::uint32_t(_slots.size()); s-- > 0;)
-        _freeSlots.push_back(s);
-    _freeFlash.clear();
-    for (std::uint32_t p = _cfg.ssdFlashPagesPerMc; p-- > 0;)
-        _freeFlash.push_back(p);
-    _coldLru.clear();
-    _pendingColdLog.clear();
-    _promoteRetry.clear();
-    _boundWaiters.clear();
-    _inFlight = 0;
-    _eq.deschedule(_pumpEvent);
 }
 
 } // namespace atomsim

@@ -126,8 +126,8 @@ std::uint32_t rehydrate(DataImage &nvm, const AddressMap &amap, McId mc,
 
 /**
  * One controller's SSD slice: queue pairs + channel/die timing + a
- * non-volatile flash DataImage (survives powerFail; the rings and
- * in-flight commands do not).
+ * non-volatile flash DataImage (survives a power failure; the rings
+ * and in-flight commands do not).
  */
 class SsdDevice
 {
@@ -174,9 +174,6 @@ class SsdDevice
     /** The flash image (non-volatile; recovery reads through it). */
     const DataImage &flash() const { return _flash; }
 
-    /** Drop rings and in-flight commands; keep the flash image. */
-    void powerFail();
-
     // --- introspection (tests / benches) -----------------------------
     std::uint32_t outstanding(std::uint32_t qp) const
     {
@@ -204,25 +201,21 @@ class SsdDevice
 
     void poll();
     void dispatch(std::uint32_t qp, Cmd *cmd);
-    void onDeviceDone(std::uint32_t qp, Cmd *cmd, std::uint64_t epoch);
+    void onDeviceDone(std::uint32_t qp, Cmd *cmd);
 
     McId _id;
     EventQueue &_eq;
     const SystemConfig &_cfg;
     const Cycles _xferCycles;
 
-    DataImage _flash;  //!< non-volatile: survives powerFail
+    DataImage _flash;  //!< non-volatile: survives a power failure
     std::vector<Qp> _qps;
     FreeListPool<Cmd> _pool;
-    /** Commands at the device (between fetch and completion); tracked
-     * so powerFail can reclaim their nodes under the epoch guard. */
-    std::vector<Cmd *> _inDevice;
 
     std::vector<Tick> _chanFree;  //!< per-channel bus free time
     std::vector<Tick> _dieFree;   //!< per-(channel,die) free time
 
     TickEvent _pollEvent;
-    std::uint64_t _epoch = 0;
     std::uint64_t _reads = 0;
     std::uint64_t _programs = 0;
 
@@ -283,10 +276,6 @@ class DestageEngine
                        MemoryController::ReadCallback &cb);
     bool interceptWrite(Addr addr, const Line &data, WriteKind kind,
                         MemoryController::WriteCallback &cb);
-
-    /** Drop all volatile pipeline state (the durable NVM map is the
-     * truth a crash leaves behind). */
-    void powerFail();
 
     // --- introspection (tests / benches / Runner) --------------------
 

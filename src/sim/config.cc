@@ -125,6 +125,13 @@ SystemConfig::meshCols() const
     return (numCores + meshRows - 1) / meshRows;
 }
 
+std::uint64_t
+SystemConfig::adrStateBytes() const
+{
+    const std::uint64_t vec_bytes = (std::uint64_t(bucketsPerMc) + 7) / 8;
+    return 16 + std::uint64_t(ausPerMc) * (vec_bytes + 20);
+}
+
 void
 SystemConfig::validate() const
 {
@@ -149,6 +156,12 @@ SystemConfig::validate() const
              "recordEntries must be in [1,7] (512-byte record)");
     fatal_if(bucketsPerMc == 0, "bucketsPerMc must be > 0");
     fatal_if(ausPerMc == 0, "ausPerMc must be > 0");
+    // 4096 = kPageBytes (mem/phys_mem.hh), the size of each
+    // controller's ADR region.
+    fatal_if(adrStateBytes() > 4096,
+             "ADR critical state (%llu bytes for ausPerMc=%u, "
+             "bucketsPerMc=%u) exceeds the 4096-byte ADR page",
+             (unsigned long long)adrStateBytes(), ausPerMc, bucketsPerMc);
     fatal_if(meshRows == 0, "meshRows must be > 0");
     fatal_if(mediaErrorPer64k > 65536,
              "mediaErrorPer64k is a rate out of 65536");

@@ -63,8 +63,8 @@ enum class HybridMode : std::uint8_t
     /** Memory mode: every address is backed by a per-MC set-
      * associative DRAM cache in front of the NVM channel (demand
      * fill on read miss, dirty-victim writeback to NVM). The DRAM
-     * tier is volatile: powerFail drops dirty cached lines, and only
-     * NVM-resident bytes survive into the recovery image. */
+     * tier is volatile: its contents never reach the recovery image,
+     * which holds only NVM-resident bytes. */
     MemoryMode,
     /** App-direct: as MemoryMode, but an address window (chosen by
      * SystemConfig::appDirectRegion) bypasses the DRAM cache and
@@ -145,7 +145,8 @@ struct SystemConfig
      * Stands in for the OoO core's compute (instruction fetch/decode,
      * address generation, the program's non-memory instructions);
      * calibrated so the BASE-vs-NON-ATOMIC gap lands in the paper's
-     * reported range. See DESIGN.md substitutions.
+     * reported range. The in-order core model (cpu/core.hh) has no
+     * other source of non-memory time.
      */
     Cycles computeGap = 80;
 
@@ -394,6 +395,13 @@ struct SystemConfig
     bool hybrid() const { return hybridMode != HybridMode::NvmOnly; }
     /** Mesh columns = total tiles / rows (cores co-located with tiles). */
     std::uint32_t meshCols() const;
+    /**
+     * Bytes of LogM critical state the ADR flush writes per controller
+     * (LogM::flushCriticalState): a 16-byte header, then per AUS its
+     * bucket bit vector and five 4-byte registers. It must fit the
+     * controller's one-page ADR region; validate() checks that.
+     */
+    std::uint64_t adrStateBytes() const;
 
     /** Abort with a message if the configuration is inconsistent. */
     void validate() const;

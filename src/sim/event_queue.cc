@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace atomsim
@@ -48,20 +50,36 @@ EventQueue::~EventQueue()
     // Orphan everything still queued so events that outlive the queue
     // (and the pooled events destroyed next) don't deschedule against
     // freed state.
+    clear();
+}
+
+void
+EventQueue::clear()
+{
+    const auto drop = [this](Event *e) {
+        e->_next = nullptr;
+        e->_queue = nullptr;
+        e->_flags &= std::uint16_t(~(Event::kScheduled | Event::kInSpill));
+        if (e->_flags & Event::kPooled) {
+            auto *fe = static_cast<FuncEvent *>(e);
+            fe->_fn = nullptr;
+            releasePooled(fe);
+        }
+    };
     for (auto &b : _wheel) {
         for (Event *e = b.head; e != nullptr;) {
             Event *next = e->_next;
-            e->_flags &= ~Event::kScheduled;
-            e->_queue = nullptr;
-            e->_next = nullptr;
+            drop(e);
             e = next;
         }
         b.head = b.tail = nullptr;
     }
-    for (Event *e : _spill) {
-        e->_flags &= std::uint16_t(~(Event::kScheduled | Event::kInSpill));
-        e->_queue = nullptr;
-    }
+    for (Event *e : _spill)
+        drop(e);
+    _spill.clear();
+    std::fill(_occupied.begin(), _occupied.end(), 0);
+    _wheelCount = 0;
+    _pending = 0;
 }
 
 void

@@ -48,14 +48,15 @@
  *  - a *spill heap* for far-future events (when >= now() + width),
  *    ordered by (tick, seq). The heap is *indexed* (each spilled event
  *    carries its heap slot), so deschedule() on the spill is an
- *    O(log n) sift instead of the old O(n) erase + re-heapify --
- *    powerFail-heavy runs deschedule member events that routinely sit
- *    in the spill. Whenever now() advances, events whose tick has come
- *    inside the horizon migrate from the heap into their wheel bucket.
- *    Migration pops the heap in (tick, seq) order and the wheel window
- *    invariant guarantees a migrating event can never land in a bucket
- *    that already holds same-tick events, so FIFO order within a tick
- *    is preserved across the two levels.
+ *    O(log n) sift instead of an O(n) erase + re-heapify: a member
+ *    event re-armed at an earlier tick (a mesh link's drain, the DRAM
+ *    pick event) sits in the spill whenever its old tick lay beyond
+ *    a narrow wheel's horizon. Whenever now() advances, events whose
+ *    tick has come inside the horizon migrate from the heap into
+ *    their wheel bucket. Migration pops the heap in (tick, seq) order
+ *    and the wheel window invariant guarantees a migrating event can
+ *    never land in a bucket that already holds same-tick events, so
+ *    FIFO order within a tick is preserved across the two levels.
  *
  * Schedule/execute are therefore O(1) for the near horizon (the common
  * case: latencies in this machine are 1..~400 cycles) and O(log n) only
@@ -250,6 +251,15 @@ class EventQueue
     void postIn(Cycles delay, Callback cb) { post(_now + delay, std::move(cb)); }
 
     // --- execution ----------------------------------------------------
+
+    /**
+     * Drop every pending event without running it: member events come
+     * back unscheduled (and may be scheduled again), pooled one-shots
+     * destroy their callbacks and return to the pool. now(), executed()
+     * and the wheel/spill insert counts are left as they were. A power
+     * failure ends the run this way (System::powerFail).
+     */
+    void clear();
 
     /** True when no events remain. */
     bool empty() const { return _pending == 0; }

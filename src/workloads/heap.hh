@@ -8,8 +8,8 @@
  * interleaving spreads them across memory controllers. Freed blocks
  * go to per-size free lists for reuse; allocator *metadata* is
  * simulation-side (the paper's workloads use a persistent allocator,
- * but allocator persistence is orthogonal to the logging study --
- * noted in DESIGN.md).
+ * but allocator persistence is orthogonal to the logging study, so
+ * its metadata generates no simulated memory traffic).
  */
 
 #ifndef ATOMSIM_WORKLOADS_HEAP_HH

@@ -7,7 +7,7 @@
  * Section V). Nodes are 512 bytes (8 cache lines); leaves are chained
  * for ordered scans. Insert splits bottom-up along the descent path;
  * delete removes from the leaf and tolerates underflow (no rebalancing
- * merge -- searches and scans remain correct; noted in DESIGN.md).
+ * merge: searches and scans stay correct over underfull nodes).
  */
 
 #ifndef ATOMSIM_WORKLOADS_TPCC_BPLUS_TREE_HH

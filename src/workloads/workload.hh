@@ -7,7 +7,9 @@
  * (pure functional memory). During simulation each transaction runs
  * through a RecordingAccessor, which applies the operation to the
  * architectural image *and* emits the memory micro-op trace the timing
- * model replays (see DESIGN.md, "Execution model").
+ * model replays. Store payloads are fixed at that point (dispatch), so
+ * the simulated caches hold byte-exact data only while concurrent
+ * transactions write disjoint lines.
  */
 
 #ifndef ATOMSIM_WORKLOADS_WORKLOAD_HH

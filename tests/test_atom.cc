@@ -303,7 +303,7 @@ TEST_F(LogMTest, CriticalStateSmall)
     System sys(config(DesignKind::Atom), Addr(16) * 1024 * 1024);
     // The ADR-flushable state must stay tiny (the paper argues 128 B;
     // ours adds recovery-exact registers but must fit one page).
-    EXPECT_LE(sys.logm(0)->criticalStateBytes(), kPageBytes);
+    EXPECT_LE(sys.config().adrStateBytes(), kPageBytes);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "harness/crash_cell.hh"
@@ -367,6 +368,63 @@ TEST(CrashRecoveryTest, CleanShutdownNeedsNoRollback)
     EXPECT_EQ(workload.checkConsistency(durable, 4), "");
 }
 
+// With torn writes off, the ADR flush is a power failure's only write
+// to NVM: writes queued or in flight at the controllers are lost
+// whole, and the run ends before anything else can reach the image.
+TEST(CrashRecoveryTest, PowerFailWritesOnlyTheAdrPages)
+{
+    MicroParams params;
+    params.entryBytes = 512;
+    params.initialItems = 12;
+    params.txnsPerCore = 10;
+    HashWorkload workload(params);
+
+    const SystemConfig cfg = crashConfig(DesignKind::AtomOpt);
+    ASSERT_FALSE(cfg.tornWrites);
+    Runner runner(cfg, workload, params.txnsPerCore,
+                  Addr(64) * 1024 * 1024);
+    runner.setUp();
+
+    System &sys = runner.system();
+    const auto writes_in_flight = [&sys, &cfg] {
+        for (McId m = 0; m < cfg.numMemCtrls; ++m) {
+            if (sys.memCtrl(m).pendingWrites() > 0)
+                return true;
+        }
+        return false;
+    };
+    // Past the first few writes, so the crash lands mid-run.
+    for (Tick cursor = 1000; cursor < 400000 && !writes_in_flight();
+         cursor += 10) {
+        runner.advanceTo(cursor);
+    }
+    ASSERT_TRUE(writes_in_flight());
+
+    const DataImage before = sys.nvmImage().clone();
+    sys.powerFail();
+
+    const AddressMap &amap = sys.addressMap();
+    std::size_t changed = 0;
+    std::size_t adr_pages = 0;
+    for (Addr page = 0; page < amap.reservedEnd(); page += kPageBytes) {
+        bool adr = false;
+        for (McId m = 0; m < cfg.numMemCtrls; ++m)
+            adr = adr || page == amap.adrBase(m);
+        if (adr) {
+            ++adr_pages;
+            continue;
+        }
+        std::array<std::uint8_t, kPageBytes> was{};
+        std::array<std::uint8_t, kPageBytes> now{};
+        before.read(page, kPageBytes, was.data());
+        sys.nvmImage().read(page, kPageBytes, now.data());
+        if (was != now)
+            ++changed;
+    }
+    EXPECT_EQ(adr_pages, cfg.numMemCtrls);
+    EXPECT_EQ(changed, 0u);
+}
+
 TEST(CrashRecoveryTest, CommittedTransactionsSurviveRollback)
 {
     // After recovery, the durable image must reflect a clean boundary:
@@ -430,10 +488,10 @@ TEST(CrashRecoveryTest, TpccRecoversUnderAtomOpt)
     scale.items = 64;
     TpccWorkload workload(scale);
 
-    // Single-threaded TPC-C for the crash test: the trace-at-dispatch
-    // execution model guarantees byte-exact caches only for disjoint
-    // writers (see DESIGN.md), and recovery checking needs byte-exact
-    // durable state.
+    // Single-threaded TPC-C for the crash test: store payloads are
+    // computed when a transaction is dispatched, so caches are
+    // byte-exact only for disjoint writers, and recovery checking
+    // needs byte-exact durable state.
     SystemConfig cfg = crashConfig(DesignKind::AtomOpt);
     cfg.numCores = 1;
     cfg.l2Tiles = 1;
@@ -452,9 +510,9 @@ TEST(CrashRecoveryTest, TpccRecoversUnderAtomOpt)
 //
 // Since the L1<->L2 legs became mesh transactions, a crash can land
 // while a PutM writeback, a recall round, or a parked fill is in
-// flight. The pooled transaction state (L1 writeback-buffer entries,
-// L2 Round records, L2 PendingFills, MSHR waiters) must all return to
-// their pools -- the ASan job keeps this honest end to end.
+// flight. The crash ends the run: none of those transactions' pending
+// events survives it, and recovery from the durable image alone must
+// still produce a consistent state.
 
 TEST(SplitPhaseCrashTest, PowerFailReclaimsInFlightCoherenceState)
 {
@@ -502,25 +560,7 @@ TEST(SplitPhaseCrashTest, PowerFailReclaimsInFlightCoherenceState)
         << "workload never produced an in-flight writeback/recall";
 
     sys.powerFail();
-
-    for (CoreId c = 0; c < sys.numCores(); ++c) {
-        const L1Cache &l1 = sys.l1(c);
-        EXPECT_EQ(l1.outstandingWritebacks(), 0u) << "core " << c;
-        EXPECT_EQ(l1.wbPoolFree(), l1.wbPoolAllocated()) << "core " << c;
-        EXPECT_EQ(l1.storePoolFree(), l1.storePoolAllocated())
-            << "core " << c;
-        EXPECT_EQ(l1.outstandingMisses(), 0u) << "core " << c;
-        EXPECT_EQ(l1.mshrs().waiterPoolFree(),
-                  l1.mshrs().waiterPoolAllocated())
-            << "core " << c;
-    }
-    for (std::uint32_t t = 0; t < cfg.l2Tiles; ++t) {
-        L2Tile &tile = sys.l2Tile(t);
-        EXPECT_EQ(tile.roundPoolFree(), tile.roundPoolAllocated())
-            << "tile " << t;
-        EXPECT_EQ(tile.fillPoolFree(), tile.fillPoolAllocated())
-            << "tile " << t;
-    }
+    EXPECT_TRUE(sys.eventQueue().empty());
 
     // The machine must still recover to a consistent image.
     const RecoveryReport report = sys.recover();
@@ -599,12 +639,12 @@ TEST(SplitPhaseCrashTest, RecoveryOutputIsDeterministic)
 // --- Hybrid DRAM/NVM memory vs. power failure --------------------------
 //
 // With a DRAM tier in front of the NVM channel (memoryMode /
-// appDirect), powerFail drops every DRAM-cached dirty line -- absorbed
-// L2 writebacks that never reached NVM -- while commit-time Flush
-// writes and all log traffic persist write-through. Recovery therefore
-// still sees every byte Invariants 1 and 2 require, and the rollback
-// must produce a consistent image even though a slice of pre-crash
-// write traffic vanished with the DRAM.
+// appDirect), a power failure loses every DRAM-cached dirty line --
+// absorbed L2 writebacks that never reached NVM -- while commit-time
+// Flush writes and all log traffic persist write-through. Recovery
+// therefore still sees every byte Invariants 1 and 2 require, and the
+// rollback must produce a consistent image even though a slice of
+// pre-crash write traffic vanished with the DRAM.
 
 namespace
 {
@@ -684,8 +724,8 @@ TEST(HybridCrashTest, DirtyDramLinesAreLostAndNvmBytesSurvive)
     // Single-step until a controller holds genuinely dirty DRAM lines
     // (absorbed writebacks), then cut power: every one of those lines
     // must *not* have its DRAM value in the NVM image (the volatile
-    // copy was newer and died), the caches must come up empty, and
-    // recovery must still roll the image to a consistent state.
+    // copy was newer and died), and recovery must still roll the
+    // image to a consistent state.
     SystemConfig cfg =
         hybridCrashConfig(DesignKind::AtomOpt, HybridMode::MemoryMode);
 
@@ -732,8 +772,6 @@ TEST(HybridCrashTest, DirtyDramLinesAreLostAndNvmBytesSurvive)
 
     std::size_t lost = 0;
     for (const DirtyLine &dl : lines) {
-        for (McId m = 0; m < cfg.numMemCtrls; ++m)
-            EXPECT_FALSE(sys.memCtrl(m).dramCache()->contains(dl.addr));
         if (sys.nvmImage().readLine(dl.addr) != dl.data)
             ++lost;
     }

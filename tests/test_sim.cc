@@ -395,6 +395,58 @@ TEST(EventQueueTest, PoolReleasesBeforeCallbackRuns)
     EXPECT_EQ(eq.poolAllocated(), 1u);
 }
 
+// clear() is how a power failure ends the run: every pending event is
+// dropped unrun, member events (wheel and spill alike) come back
+// unscheduled and reschedulable, pooled nodes destroy their callbacks
+// and return to the pool, and the counters a crashed run still
+// reports are left as they were.
+TEST(EventQueueTest, ClearDropsPendingEventsAndKeepsCounters)
+{
+    EventQueue eq;
+    const Tick far = EventQueue::kWheelBuckets + 100;
+    int ran = 0;
+    eq.postIn(1, [&ran] { ++ran; });
+    eq.run();
+    ASSERT_EQ(ran, 1);
+
+    TickEvent near_ev([&ran] { ++ran; }, "near");
+    TickEvent far_ev([&ran] { ++ran; }, "far");
+    eq.scheduleIn(near_ev, 10);
+    eq.scheduleIn(far_ev, far);
+    auto token = std::make_shared<int>(0);
+    eq.postIn(5, [&ran, token] { ++ran; });
+    eq.postIn(far + 1, [&ran] { ++ran; });
+    eq.postIn(7, [&ran] { ++ran; });
+    ASSERT_GT(eq.spillInserts(), 0u);
+    const Tick now = eq.now();
+    const std::uint64_t executed = eq.executed();
+    const std::uint64_t wheel = eq.wheelInserts();
+    const std::uint64_t spill = eq.spillInserts();
+    const std::size_t nodes = eq.poolAllocated();
+
+    eq.clear();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(near_ev.scheduled());
+    EXPECT_FALSE(far_ev.scheduled());
+    EXPECT_EQ(eq.poolFree(), nodes);
+    EXPECT_EQ(token.use_count(), 1);  // the dropped callback is gone
+    EXPECT_EQ(eq.now(), now);
+    EXPECT_EQ(eq.executed(), executed);
+    EXPECT_EQ(eq.wheelInserts(), wheel);
+    EXPECT_EQ(eq.spillInserts(), spill);
+    EXPECT_EQ(eq.run(), 0u);
+    EXPECT_EQ(ran, 1);
+
+    // Member events reschedule, and the pool reuses its nodes.
+    eq.scheduleIn(near_ev, 10);
+    eq.scheduleIn(far_ev, far);
+    for (std::size_t i = 0; i < nodes; ++i)
+        eq.postIn(5, [&ran] { ++ran; });
+    EXPECT_EQ(eq.poolAllocated(), nodes);
+    EXPECT_EQ(eq.run(), 2 + nodes);
+    EXPECT_EQ(ran, int(3 + nodes));
+}
+
 TEST(StatSetTest, CountersAccumulateAndReset)
 {
     StatSet stats;
@@ -566,12 +618,33 @@ TEST(ConfigDeathTest, RejectsZeroMshrs)
     EXPECT_DEATH({ cfg.validate(); }, "mshrs must be > 0");
 }
 
+// The ADR flush writes 16 + ausPerMc x (ceil(bucketsPerMc / 8) + 20)
+// bytes into each controller's one-page ADR region; a config that
+// overflows it must die in validate(), not at its first powerFail().
+// At the default 32 AUSes, 856 buckets is the largest count that fits.
+TEST(ConfigDeathTest, RejectsAdrStateLargerThanAPage)
+{
+    SystemConfig cfg;
+    ASSERT_EQ(cfg.ausPerMc, 32u);
+    cfg.bucketsPerMc = 856;
+    EXPECT_EQ(cfg.adrStateBytes(), 4080u);
+    cfg.validate();
+    cfg.bucketsPerMc = 857;
+    EXPECT_EQ(cfg.adrStateBytes(), 4112u);
+    EXPECT_DEATH({ cfg.validate(); }, "exceeds the 4096-byte ADR page");
+    // Table IV's TPC-C shape: 2048 buckets at 8 AUSes is 2224 bytes.
+    cfg.ausPerMc = 8;
+    cfg.bucketsPerMc = 2048;
+    EXPECT_EQ(cfg.adrStateBytes(), 2224u);
+    cfg.validate();
+}
+
 // --- spill-heap deschedule (indexed heap) ------------------------------
 
-// Descheduling from the middle of the spill heap (the powerFail
-// pattern: member events parked thousands of ticks out) must keep the
-// heap consistent: remaining events still run in (tick, seq) order and
-// the descheduled event is rescheduleable.
+// Descheduling from the middle of the spill heap (member events parked
+// thousands of ticks out, then re-armed) must keep the heap
+// consistent: remaining events still run in (tick, seq) order and the
+// descheduled event is rescheduleable.
 TEST(EventQueueTest, DescheduleFromSpillHeapMiddle)
 {
     EventQueue eq;
