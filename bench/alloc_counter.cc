@@ -7,11 +7,13 @@ namespace
 {
 
 std::uint64_t g_allocCount = 0;
+std::uint64_t g_allocBytes = 0;
 
 void *
 countedAlloc(std::size_t size)
 {
     ++g_allocCount;
+    g_allocBytes += size;
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -30,4 +32,10 @@ std::uint64_t
 atomsim::bench::allocCount()
 {
     return g_allocCount;
+}
+
+std::uint64_t
+atomsim::bench::allocBytes()
+{
+    return g_allocBytes;
 }

@@ -4,8 +4,8 @@
  * allocations (kernel_events, hybrid_sweep, serving_sweep, ssd_sweep).
  *
  * bench/alloc_counter.cc replaces the global operator new/delete with
- * a malloc/free pair that counts every allocation, so only a binary
- * that links it is counted.
+ * a malloc/free pair that counts every allocation and its requested
+ * bytes, so only a binary that links it is counted.
  */
 
 #ifndef ATOMSIM_BENCH_ALLOC_COUNTER_HH
@@ -20,6 +20,10 @@ namespace bench
 
 /** Heap allocations made through operator new since program start. */
 std::uint64_t allocCount();
+
+/** Bytes requested through operator new since program start (frees
+ * are not subtracted). */
+std::uint64_t allocBytes();
 
 } // namespace bench
 } // namespace atomsim

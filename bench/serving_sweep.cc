@@ -11,10 +11,12 @@
  * `--smoke` runs the CI subset: the 256-tile preset with 2 tenants and
  * skew on, plus the 1024-tile scaling gates -- System construction at
  * the 1024-tile preset must finish inside a generous wall budget with
- * O(1) amortized allocations per registered stat counter, and stat
- * dump/aggregation over the full 1024-tile counter population must
- * stay in bounds. These gates pin the fix for ordered-map stat
- * registration, which went super-linear at 1024 tiles; the binary
+ * O(1) amortized allocations per registered stat counter and at most
+ * 64 MB allocated, and stat dump/aggregation over the full 1024-tile
+ * counter population must stay in bounds. The allocation gates pin
+ * the fix for ordered-map stat registration, which went super-linear
+ * at 1024 tiles, and the first-fill cache storage, without which
+ * construction zero-fills about 146 MB of L1/L2 frames; the binary
  * exits non-zero if any gate fails.
  *
  * `--stats-json <path>` exports one row per run with a per-tenant
@@ -139,10 +141,10 @@ runPoint(const SweepPoint &p)
 
 /**
  * 1024-tile scaling gates: construction wall time, amortized
- * allocations per registered counter, and stat dump/aggregation time
- * over the full counter population. Budgets are deliberately generous
- * (CI machines vary); the pre-fix super-linear structures blew them by
- * orders of magnitude.
+ * allocations per registered counter, construction bytes, and stat
+ * dump/aggregation time over the full counter population. Budgets are
+ * deliberately generous (CI machines vary); the pre-fix super-linear
+ * structures blew them by orders of magnitude.
  */
 bool
 scalingGates()
@@ -152,11 +154,13 @@ scalingGates()
 
     const SystemConfig cfg = SystemConfig::makeMeshPreset(1024);
     const std::uint64_t a0 = bench::allocCount();
+    const std::uint64_t b0 = bench::allocBytes();
     const auto t0 = std::chrono::steady_clock::now();
     System sys(cfg, Addr(512) * 1024 * 1024);
     const auto t1 = std::chrono::steady_clock::now();
     const double build_s = std::chrono::duration<double>(t1 - t0).count();
     const std::uint64_t build_allocs = bench::allocCount() - a0;
+    const double build_mb = double(bench::allocBytes() - b0) / (1 << 20);
 
     const auto dump = std::as_const(sys).stats().dump();
     const std::uint64_t counters = dump.size();
@@ -171,9 +175,9 @@ scalingGates()
     const auto t3 = std::chrono::steady_clock::now();
     const double sum_s = std::chrono::duration<double>(t3 - t2).count();
 
-    std::printf("construction: %.2f s, %llu allocs, %llu counters "
-                "(%.1f allocs/counter)\n",
-                build_s, (unsigned long long)build_allocs,
+    std::printf("construction: %.2f s, %llu allocs, %.1f MB, %llu "
+                "counters (%.1f allocs/counter)\n",
+                build_s, (unsigned long long)build_allocs, build_mb,
                 (unsigned long long)counters,
                 double(build_allocs) / double(counters));
     std::printf("stat dump: %.3f s; prefix aggregation: %.3f s\n",
@@ -191,6 +195,13 @@ scalingGates()
     if (counters > 0 && build_allocs / counters > 512) {
         std::printf("!! %.0f allocations per registered counter\n",
                     double(build_allocs) / double(counters));
+        ok = false;
+    }
+    // Cache and DRAM-cache sets are allocated at their first fill, so
+    // a fresh machine holds only their per-set pointer tables.
+    if (build_mb > 64.0) {
+        std::printf("!! 1024-tile construction allocated %.1f MB (> 64 "
+                    "MB budget)\n", build_mb);
         ok = false;
     }
     if (dump_s > 5.0 || sum_s > 5.0) {

@@ -13,9 +13,9 @@ CacheArray::CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
     const std::uint32_t lines = size_bytes / kLineBytes;
     panic_if(lines % assoc != 0, "lines not divisible by associativity");
     _numSets = lines / assoc;
-    panic_if((_numSets & (_numSets - 1)) != 0,
+    panic_if(_numSets == 0 || (_numSets & (_numSets - 1)) != 0,
              "set count must be a power of two (got %u)", _numSets);
-    _frames.resize(lines);
+    _sets.resize(_numSets);
 }
 
 std::uint32_t
@@ -29,11 +29,12 @@ CacheLineState *
 CacheArray::find(Addr line_addr)
 {
     line_addr = lineAlign(line_addr);
-    const std::uint32_t set = setIndex(line_addr);
+    CacheLineState *set = _sets[setIndex(line_addr)].get();
+    if (!set)
+        return nullptr;
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        auto &frame = _frames[std::size_t(set) * _assoc + w];
-        if (frame.valid && frame.tag == line_addr)
-            return &frame;
+        if (set[w].valid && set[w].tag == line_addr)
+            return &set[w];
     }
     return nullptr;
 }
@@ -56,11 +57,15 @@ CacheArray::touch(Addr line_addr)
 CacheLineState *
 CacheArray::victim(Addr line_addr)
 {
-    const std::uint32_t set = setIndex(lineAlign(line_addr));
+    auto &set = _sets[setIndex(lineAlign(line_addr))];
+    if (!set) {
+        set = std::make_unique<CacheLineState[]>(_assoc);
+        ++_setsAllocated;
+    }
     CacheLineState *lru = nullptr;
     CacheLineState *lru_any = nullptr;
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        auto &frame = _frames[std::size_t(set) * _assoc + w];
+        auto &frame = set[w];
         if (!frame.valid)
             return &frame;
         if (!frame.pinned && (!lru || frame.lruStamp < lru->lruStamp))

@@ -431,8 +431,9 @@ shrinkCell(const CrashCell &failing, Tick failTick,
     bisectTick();
 
     // Greedy shrink over every shrinkable axis, to a fixed point:
-    // halve while the failure reproduces, then refine by single steps
-    // (halving 12 visits 6, 3, 1 and would miss a true minimum of 2).
+    // halve while the failure reproduces, then refine by `step`
+    // (halving 12 visits 6, 3, 1 and would miss a true minimum of 2);
+    // a step of 0 only halves.
     // Any accepted shrink moves the timeline, so re-bisect the tick
     // after each productive round.
     const auto tryShrink = [&](CrashCell cand, const char *what) {
@@ -453,7 +454,7 @@ shrinkCell(const CrashCell &failing, Tick failTick,
                 break;
             changed = true;
         }
-        while (best.*axis >= floor + step) {
+        while (step != 0 && best.*axis >= floor + step) {
             CrashCell cand = best;
             cand.*axis = best.*axis - step;
             if (!tryShrink(cand, what))
@@ -485,7 +486,9 @@ shrinkCell(const CrashCell &failing, Tick failTick,
     for (int round = 0; round < 8; ++round) {
         bool changed = false;
         changed |= shrinkAxis(&CrashCell::cores, 1, 1, "cores");
-        changed |= shrinkAxis(&CrashCell::l2TileKb, 1, 1, "l2kb");
+        // L2 capacity only halves: validate() needs a power-of-two set
+        // count, and a config it rejects exits 1 like a failing cell.
+        changed |= shrinkAxis(&CrashCell::l2TileKb, 1, 0, "l2kb");
         changed |= shrinkAxis(&CrashCell::txnsPerCore, 1, 1, "txns");
         changed |= shrinkAxis(&CrashCell::initialItems, 1, 1, "items");
         // entryBytes must stay a multiple of 8 (and a word of payload).

@@ -14,25 +14,26 @@ DramCache::DramCache(const SystemConfig &cfg, StatSet &stats,
       _statWbEvictions(stats.counter(stat_group, "wb_evictions"))
 {
     const Addr bytes = Addr(cfg.dramCacheMBPerMc) * 1024 * 1024;
-    _sets = std::uint32_t(bytes / (Addr(_assoc) * kLineBytes));
-    panic_if(_sets == 0, "DRAM cache too small for its associativity");
-    _ways.resize(std::size_t(_sets) * _assoc);
-    _data.resize(std::size_t(_sets) * _assoc);
+    _numSets = std::uint32_t(bytes / (Addr(_assoc) * kLineBytes));
+    panic_if(_numSets == 0, "DRAM cache too small for its associativity");
+    _sets.resize(_numSets);
 }
 
 std::uint32_t
 DramCache::setOf(Addr line) const
 {
-    return std::uint32_t(lineNumber(line) % _sets);
+    return std::uint32_t(lineNumber(line) % _numSets);
 }
 
 DramCache::Way *
 DramCache::find(Addr line)
 {
-    Way *base = &_ways[std::size_t(setOf(line)) * _assoc];
+    Way *set = _sets[setOf(line)].get();
+    if (!set)
+        return nullptr;
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (base[w].valid && base[w].tag == line)
-            return &base[w];
+        if (set[w].valid && set[w].tag == line)
+            return &set[w];
     }
     return nullptr;
 }
@@ -41,12 +42,6 @@ const DramCache::Way *
 DramCache::find(Addr line) const
 {
     return const_cast<DramCache *>(this)->find(line);
-}
-
-Line &
-DramCache::dataOf(const Way *way)
-{
-    return _data[std::size_t(way - _ways.data())];
 }
 
 bool
@@ -66,9 +61,7 @@ const Line *
 DramCache::peek(Addr addr) const
 {
     const Way *way = find(lineAlign(addr));
-    if (!way)
-        return nullptr;
-    return &const_cast<DramCache *>(this)->dataOf(way);
+    return way ? &way->data : nullptr;
 }
 
 bool
@@ -81,7 +74,7 @@ DramCache::read(Addr addr, Line &out)
     }
     _statHits.inc();
     way->lru = ++_useStamp;
-    out = dataOf(way);
+    out = way->data;
     return true;
 }
 
@@ -96,27 +89,31 @@ DramCache::fill(Addr addr, const Line &data)
         way->lru = ++_useStamp;
         return victim;
     }
-    Way *base = &_ways[std::size_t(setOf(line)) * _assoc];
+    auto &set = _sets[setOf(line)];
+    if (!set) {
+        set = std::make_unique<Way[]>(_assoc);
+        ++_setsAllocated;
+    }
     Way *slot = nullptr;
     for (std::uint32_t w = 0; w < _assoc; ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
+        if (!set[w].valid) {
+            slot = &set[w];
             break;
         }
-        if (!slot || base[w].lru < slot->lru)
-            slot = &base[w];
+        if (!slot || set[w].lru < slot->lru)
+            slot = &set[w];
     }
     if (slot->valid && slot->dirty) {
         victim.dirty = true;
         victim.addr = slot->tag;
-        victim.data = dataOf(slot);
+        victim.data = slot->data;
         _statWbEvictions.inc();
     }
     slot->tag = line;
     slot->valid = true;
     slot->dirty = false;
     slot->lru = ++_useStamp;
-    dataOf(slot) = data;
+    slot->data = data;
     return victim;
 }
 
@@ -128,7 +125,7 @@ DramCache::absorb(Addr addr, const Line &data)
     if (Way *way = find(line)) {
         way->dirty = true;
         way->lru = ++_useStamp;
-        dataOf(way) = data;
+        way->data = data;
         return Victim{};
     }
     Victim victim = fill(line, data);
@@ -142,7 +139,7 @@ DramCache::writeThrough(Addr addr, const Line &data)
     if (Way *way = find(lineAlign(addr))) {
         way->lru = ++_useStamp;
         way->dirty = false;  // NVM is receiving these very bytes
-        dataOf(way) = data;
+        way->data = data;
     }
 }
 
@@ -157,9 +154,13 @@ std::size_t
 DramCache::dirtyLines() const
 {
     std::size_t n = 0;
-    for (const Way &w : _ways) {
-        if (w.valid && w.dirty)
-            ++n;
+    for (const auto &set : _sets) {
+        if (!set)
+            continue;
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            if (set[w].valid && set[w].dirty)
+                ++n;
+        }
     }
     return n;
 }

@@ -146,6 +146,16 @@ SystemConfig::validate() const
              "L1 size must be a multiple of assoc * line size");
     fatal_if(l2TileBytes % (l2Assoc * kLineBytes) != 0,
              "L2 tile size must be a multiple of assoc * line size");
+    // CacheArray masks the line number into a set index, so each
+    // level needs a non-zero power-of-two set count.
+    const std::uint32_t l1_sets = l1SizeBytes / (l1Assoc * kLineBytes);
+    const std::uint32_t l2_sets = l2TileBytes / (l2Assoc * kLineBytes);
+    fatal_if(l1_sets == 0 || (l1_sets & (l1_sets - 1)) != 0,
+             "L1 set count (%u) must be a non-zero power of two",
+             l1_sets);
+    fatal_if(l2_sets == 0 || (l2_sets & (l2_sets - 1)) != 0,
+             "L2 tile set count (%u) must be a non-zero power of two",
+             l2_sets);
     fatal_if(numMemCtrls == 0, "need at least one memory controller");
     fatal_if((numMemCtrls & (numMemCtrls - 1)) != 0,
              "numMemCtrls must be a power of two (address interleaving)");
@@ -223,10 +233,12 @@ SystemConfig::makeMeshPreset(std::uint32_t tiles)
         cfg.l2Tiles = 1024;
         cfg.meshRows = 32;
         cfg.numMemCtrls = 16;
-        // Smaller L2 slices keep the host footprint bounded at 1024
-        // tiles (the line-state map dominates resident memory). The
-        // narrow calendar wheel is kept as measured: widening it moves
-        // the preset's host time and needs its own measurement.
+        // Cache storage is allocated at first fill, so the host
+        // footprint follows the sets a run touches, not the slice
+        // size. The 64 KB slices stay because changing them would move
+        // kv-serving's modeled outputs. The narrow calendar wheel is
+        // kept as measured: widening it moves the preset's host time
+        // and needs its own measurement.
         cfg.l2TileBytes = 64 * 1024;
         cfg.wheelBuckets = 256;
         break;

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cache/cache_array.hh"
 #include "cache/directory.hh"
@@ -16,6 +18,7 @@
 #include "harness/runner.hh"
 #include "harness/system.hh"
 #include "net/mesh.hh"
+#include "sim/random.hh"
 #include "workloads/btree_workload.hh"
 #include "workloads/hash_workload.hh"
 
@@ -58,6 +61,251 @@ TEST(CacheArrayTest, InvalidFramePreferredOverLru)
         arr.install(arr.victim(i * stride), i * stride);
     CacheLineState *victim = arr.victim(7 * stride);
     EXPECT_FALSE(victim->valid);
+}
+
+// Sets are allocated at their first fill: lookups in never-filled sets
+// miss without allocating, and one victim() allocates one set.
+TEST(CacheArrayTest, LookupsNeverAllocate)
+{
+    CacheArray arr(16 * 1024, 4, 2);  // 64 sets
+    // Index divisor 2: 8 line numbers land in each set.
+    const std::uint32_t lines = arr.numSets() * 2 * 4;
+    for (std::uint32_t n = 0; n < lines; ++n) {
+        const Addr a = Addr(n) * kLineBytes;
+        EXPECT_EQ(arr.find(a), nullptr);
+        EXPECT_EQ(std::as_const(arr).find(a), nullptr);
+        EXPECT_EQ(arr.touch(a), nullptr);
+    }
+    EXPECT_EQ(arr.setsAllocated(), 0u);
+
+    CacheLineState *frame = arr.victim(0x1000);
+    EXPECT_EQ(arr.setsAllocated(), 1u);
+    EXPECT_FALSE(frame->valid);
+    arr.install(frame, 0x1000);
+    // The next victim in that set is its second way: no new set.
+    EXPECT_EQ(arr.victim(0x1000 + Addr(arr.numSets()) * 2 * kLineBytes),
+              frame + 1);
+    EXPECT_EQ(arr.setsAllocated(), 1u);
+}
+
+/**
+ * The dense array CacheArray replaced: every frame allocated up front,
+ * set-major, with the same scans. The reference the sparse array must
+ * match decision for decision.
+ */
+class DenseCacheArray
+{
+  public:
+    DenseCacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
+                    std::uint32_t index_div)
+        : _numSets(size_bytes / kLineBytes / assoc), _assoc(assoc),
+          _indexDiv(index_div), _frames(size_bytes / kLineBytes)
+    {
+    }
+
+    CacheLineState *
+    find(Addr line_addr)
+    {
+        line_addr = lineAlign(line_addr);
+        const std::uint32_t set = setIndex(line_addr);
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            auto &frame = _frames[std::size_t(set) * _assoc + w];
+            if (frame.valid && frame.tag == line_addr)
+                return &frame;
+        }
+        return nullptr;
+    }
+
+    CacheLineState *
+    touch(Addr line_addr)
+    {
+        CacheLineState *frame = find(line_addr);
+        if (frame)
+            frame->lruStamp = ++_stamp;
+        return frame;
+    }
+
+    CacheLineState *
+    victim(Addr line_addr)
+    {
+        const std::uint32_t set = setIndex(lineAlign(line_addr));
+        CacheLineState *lru = nullptr;
+        CacheLineState *lru_any = nullptr;
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            auto &frame = _frames[std::size_t(set) * _assoc + w];
+            if (!frame.valid)
+                return &frame;
+            if (!frame.pinned && (!lru || frame.lruStamp < lru->lruStamp))
+                lru = &frame;
+            if (!lru_any || frame.lruStamp < lru_any->lruStamp)
+                lru_any = &frame;
+        }
+        return lru ? lru : lru_any;
+    }
+
+    void
+    install(CacheLineState *frame, Addr line_addr)
+    {
+        frame->reset();
+        frame->tag = lineAlign(line_addr);
+        frame->valid = true;
+        frame->lruStamp = ++_stamp;
+    }
+
+    std::uint32_t
+    setIndex(Addr line_addr) const
+    {
+        return std::uint32_t((lineNumber(line_addr) / _indexDiv) &
+                             (_numSets - 1));
+    }
+
+    std::uint32_t numSets() const { return _numSets; }
+
+    /** Way index of @p frame within its set. */
+    std::uint32_t
+    wayOf(const CacheLineState *frame) const
+    {
+        return std::uint32_t(frame - _frames.data()) % _assoc;
+    }
+
+    const std::vector<CacheLineState> &frames() const { return _frames; }
+
+  private:
+    std::uint32_t _numSets;
+    std::uint32_t _assoc;
+    std::uint32_t _indexDiv;
+    std::uint64_t _stamp = 0;
+    std::vector<CacheLineState> _frames;
+};
+
+void
+expectSameFrame(const CacheLineState *got, std::uint32_t got_way,
+                const CacheLineState *want, std::uint32_t want_way,
+                std::uint32_t step)
+{
+    ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+    if (!want)
+        return;
+    EXPECT_EQ(got_way, want_way) << "step " << step;
+    EXPECT_EQ(got->valid, want->valid) << "step " << step;
+    EXPECT_EQ(got->tag, want->tag) << "step " << step;
+    EXPECT_EQ(got->lruStamp, want->lruStamp) << "step " << step;
+    EXPECT_EQ(got->pinned, want->pinned) << "step " << step;
+    EXPECT_EQ(got->dirty, want->dirty) << "step " << step;
+    EXPECT_EQ(got->data, want->data) << "step " << step;
+}
+
+// Seeded random find / touch / victim+install / reset / pin traffic on
+// a banked geometry (index_div 2): the sparse array must return the
+// same hits, the same victims in the same ways, the same data and the
+// same dirty-line count as the dense reference at every step. Most
+// traffic lands on 8 hot sets with twice as many lines as ways, so
+// victims are real evictions; the rest trickles into the other sets
+// so they are allocated one by one over the run.
+TEST(CacheArrayTest, MatchesDenseReferenceUnderRandomOps)
+{
+    constexpr std::uint32_t kBytes = 16 * 1024, kAssoc = 4, kDiv = 2;
+    CacheArray sparse(kBytes, kAssoc, kDiv);
+    DenseCacheArray dense(kBytes, kAssoc, kDiv);
+    const std::uint32_t sets = dense.numSets();
+    ASSERT_EQ(sparse.numSets(), sets);
+
+    // Way 0 of each sparse set, taken from the set's first victim()
+    // (every way of a fresh set is invalid, so that victim is way 0).
+    std::vector<const CacheLineState *> way0(sets, nullptr);
+    std::uint32_t filled_sets = 0;
+    const auto sparseWay = [&](const CacheLineState *f, std::uint32_t set) {
+        return f ? std::uint32_t(f - way0[set]) : 0u;
+    };
+    const auto denseWay = [&](const CacheLineState *f) {
+        return f ? dense.wayOf(f) : 0u;
+    };
+    const auto dirtyLines = [&] {
+        std::uint32_t sparse_dirty = 0, dense_dirty = 0;
+        sparse.forEachValid(
+            [&](const CacheLineState &f) { sparse_dirty += f.dirty; });
+        for (const CacheLineState &f : dense.frames())
+            dense_dirty += f.valid && f.dirty;
+        return std::make_pair(sparse_dirty, dense_dirty);
+    };
+
+    Random rng(2024);
+    for (std::uint32_t step = 0; step < 100000; ++step) {
+        const std::uint32_t set = rng.below(16) != 0
+                                      ? std::uint32_t(rng.below(8))
+                                      : std::uint32_t(rng.below(sets));
+        const Addr line_no = (rng.below(2 * kAssoc) * sets + set) * kDiv +
+                             rng.below(kDiv);
+        const Addr addr = line_no * kLineBytes + rng.below(kLineBytes);
+        ASSERT_EQ(dense.setIndex(addr), set);
+
+        const std::uint64_t op = rng.below(10);
+        CacheLineState *sf = nullptr;
+        CacheLineState *df = nullptr;
+        if (op < 2) {
+            sf = sparse.find(addr);
+            df = dense.find(addr);
+        } else if (op < 4) {
+            sf = sparse.touch(addr);
+            df = dense.touch(addr);
+        } else if (op < 8) {
+            // Fill path: only a miss picks a victim, as in L1 and L2.
+            sf = sparse.find(addr);
+            df = dense.find(addr);
+            if (!sf && !df) {
+                sf = sparse.victim(addr);
+                df = dense.victim(addr);
+                if (!way0[set]) {
+                    way0[set] = sf;
+                    ++filled_sets;
+                }
+                expectSameFrame(sf, sparseWay(sf, set), df, denseWay(df),
+                                step);
+                sparse.install(sf, addr);
+                dense.install(df, addr);
+                const std::uint64_t word = rng.next();
+                const bool dirty = rng.below(2) != 0;
+                for (CacheLineState *f : {sf, df}) {
+                    std::memcpy(f->data.data(), &word, sizeof(word));
+                    f->dirty = dirty;
+                    f->state = CoherenceState::Modified;
+                }
+            }
+        } else {
+            // Invalidate (reset) or pin/unpin a resident line.
+            sf = sparse.find(addr);
+            df = dense.find(addr);
+            if (sf && df) {
+                if (op == 8) {
+                    sf->reset();
+                    df->reset();
+                } else {
+                    sf->pinned = !sf->pinned;
+                    df->pinned = !df->pinned;
+                }
+            }
+        }
+        expectSameFrame(sf, sparseWay(sf, set), df, denseWay(df), step);
+        const auto dirty = dirtyLines();
+        EXPECT_EQ(dirty.first, dirty.second) << "step " << step;
+        ASSERT_EQ(sparse.setsAllocated(), filled_sets) << "step " << step;
+        if (::testing::Test::HasFailure())
+            FAIL() << "diverged at step " << step;
+    }
+
+    // Same lines in the same sets and ways, in the same order.
+    std::vector<std::pair<Addr, std::uint32_t>> want;
+    for (const CacheLineState &f : dense.frames()) {
+        if (f.valid)
+            want.emplace_back(f.tag, dense.wayOf(&f));
+    }
+    std::vector<std::pair<Addr, std::uint32_t>> got;
+    sparse.forEachValid([&](const CacheLineState &f) {
+        got.emplace_back(f.tag, sparseWay(&f, dense.setIndex(f.tag)));
+    });
+    EXPECT_EQ(got, want);
+    EXPECT_GT(filled_sets, 8u);
+    EXPECT_LE(sparse.setsAllocated(), sets);
 }
 
 TEST(MshrTest, TracksOutstandingMisses)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "harness/crash_cell.hh"
 
 namespace atomsim
@@ -460,6 +462,28 @@ TEST(CrashCellShrinkTest, NeverReturnsANonReproducingCell)
     EXPECT_TRUE(fails(minimal));
     EXPECT_EQ(minimal.cores, 4u);
     EXPECT_EQ(minimal.crashTick, Tick(500));
+}
+
+// validate() rejects an L2 whose set count is not a power of two, and
+// the campaign's child exits 1 on that rejection just as on a failing
+// cell, so the shrinker must never propose such a capacity: the L2
+// axis halves but takes no single steps (8 -> 7 KB would be 56 sets).
+TEST(CrashCellShrinkTest, KeepsL2CapacityAPowerOfTwo)
+{
+    std::vector<std::uint32_t> proposed;
+    const CellPredicate fails = [&proposed](const CrashCell &cell) {
+        proposed.push_back(cell.l2TileKb);
+        return cell.l2TileKb >= 3;
+    };
+
+    CrashCell failing;
+    failing.l2TileKb = 16;
+    ASSERT_TRUE(fails(failing));
+
+    const CrashCell minimal = shrinkCell(failing, 0, fails, nullptr);
+    EXPECT_EQ(minimal.l2TileKb, 4u);
+    for (std::uint32_t kb : proposed)
+        EXPECT_EQ(kb & (kb - 1), 0u) << kb << " KB proposed";
 }
 
 // regressionBody output must parse back to the same cell (the

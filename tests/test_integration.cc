@@ -166,6 +166,62 @@ TEST(IntegrationTest, DurableStateMatchesArchitecturalAfterQuiesce)
     EXPECT_EQ(workload.checkConsistency(durable, 4), "");
 }
 
+// Cache and DRAM-cache sets are allocated at their first fill, so a
+// fresh Table-I hybrid machine holds no set storage, and a run
+// allocates only sets it fills, never more than an array has.
+TEST(SystemBuildTest, FreshMachineHoldsNoCacheStorage)
+{
+    SystemConfig cfg;
+    cfg.hybridMode = HybridMode::MemoryMode;
+    MicroParams params;
+    params.initialItems = 8;
+    params.txnsPerCore = 2;
+    HashWorkload workload(params);
+    Runner runner(cfg, workload, params.txnsPerCore);
+    System &sys = runner.system();
+
+    struct Allocated
+    {
+        std::uint64_t l1 = 0, l2 = 0, dram = 0;
+    };
+    const auto allocated = [&] {
+        Allocated a;
+        for (CoreId c = 0; c < cfg.numCores; ++c) {
+            const CacheArray &arr = sys.l1(c).array();
+            EXPECT_LE(arr.setsAllocated(), arr.numSets());
+            a.l1 += arr.setsAllocated();
+        }
+        for (std::uint32_t t = 0; t < cfg.l2Tiles; ++t) {
+            const CacheArray &arr = sys.l2Tile(t).array();
+            EXPECT_LE(arr.setsAllocated(), arr.numSets());
+            a.l2 += arr.setsAllocated();
+        }
+        for (McId m = 0; m < cfg.numMemCtrls; ++m) {
+            const DramCache *dram = sys.memCtrl(m).dramCache();
+            EXPECT_NE(dram, nullptr);
+            if (!dram)
+                continue;
+            EXPECT_LE(dram->setsAllocated(), dram->numSets());
+            a.dram += dram->setsAllocated();
+        }
+        return a;
+    };
+
+    const Allocated fresh = allocated();
+    EXPECT_EQ(fresh.l1, 0u);
+    EXPECT_EQ(fresh.l2, 0u);
+    EXPECT_EQ(fresh.dram, 0u);
+
+    runner.setUp();
+    const RunResult result = runner.run(Tick(500) * 1000 * 1000);
+    EXPECT_EQ(result.txns, cfg.numCores * params.txnsPerCore);
+
+    const Allocated ran = allocated();
+    EXPECT_GT(ran.l1, 0u);
+    EXPECT_GT(ran.l2, 0u);
+    EXPECT_GT(ran.dram, 0u);
+}
+
 // The 1024-tile serving preset (32x32 mesh, 16 MCs) runs the zipfian
 // multi-tenant KV workload to completion, and every tenant commits.
 // This is also the regression test for the structures that used to be

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "mem/address_map.hh"
@@ -16,6 +17,7 @@
 #include "mem/nvm_channel.hh"
 #include "mem/phys_mem.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
@@ -698,6 +700,286 @@ TEST_F(HybridMcTest, GateBlocksDramVictimWriteback)
     eq.run();
     EXPECT_EQ(nvm.readLine(0x2000)[0], 0xa1);
     mc1.setWriteGate(nullptr);
+}
+
+/**
+ * The dense DRAM cache DramCache replaced: every way and its data
+ * allocated up front in parallel set-major arrays, with the same scans.
+ * The reference the sparse cache must match decision for decision.
+ */
+class DenseDramCache
+{
+  public:
+    DenseDramCache(const SystemConfig &cfg, StatSet &stats,
+                   const std::string &group)
+        : _assoc(cfg.dramCacheAssoc),
+          _sets(std::uint32_t(Addr(cfg.dramCacheMBPerMc) * 1024 * 1024 /
+                              (Addr(_assoc) * kLineBytes))),
+          _ways(std::size_t(_sets) * _assoc),
+          _data(std::size_t(_sets) * _assoc),
+          _statHits(stats.counter(group, "dram_hits")),
+          _statMisses(stats.counter(group, "dram_misses")),
+          _statWrAbsorbed(stats.counter(group, "dram_wr_absorbed")),
+          _statWbEvictions(stats.counter(group, "wb_evictions"))
+    {
+    }
+
+    bool contains(Addr addr) { return find(lineAlign(addr)) != nullptr; }
+
+    bool
+    isDirty(Addr addr)
+    {
+        const Way *way = find(lineAlign(addr));
+        return way && way->dirty;
+    }
+
+    const Line *
+    peek(Addr addr)
+    {
+        const Way *way = find(lineAlign(addr));
+        return way ? &dataOf(way) : nullptr;
+    }
+
+    bool
+    read(Addr addr, Line &out)
+    {
+        Way *way = find(lineAlign(addr));
+        if (!way) {
+            _statMisses.inc();
+            return false;
+        }
+        _statHits.inc();
+        way->lru = ++_useStamp;
+        out = dataOf(way);
+        return true;
+    }
+
+    DramCache::Victim
+    fill(Addr addr, const Line &data)
+    {
+        const Addr line = lineAlign(addr);
+        DramCache::Victim victim;
+        if (Way *way = find(line)) {
+            way->lru = ++_useStamp;
+            return victim;
+        }
+        Way *base = &_ways[std::size_t(setOf(line)) * _assoc];
+        Way *slot = nullptr;
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            if (!base[w].valid) {
+                slot = &base[w];
+                break;
+            }
+            if (!slot || base[w].lru < slot->lru)
+                slot = &base[w];
+        }
+        if (slot->valid && slot->dirty) {
+            victim.dirty = true;
+            victim.addr = slot->tag;
+            victim.data = dataOf(slot);
+            _statWbEvictions.inc();
+        }
+        slot->tag = line;
+        slot->valid = true;
+        slot->dirty = false;
+        slot->lru = ++_useStamp;
+        dataOf(slot) = data;
+        return victim;
+    }
+
+    DramCache::Victim
+    absorb(Addr addr, const Line &data)
+    {
+        const Addr line = lineAlign(addr);
+        _statWrAbsorbed.inc();
+        if (Way *way = find(line)) {
+            way->dirty = true;
+            way->lru = ++_useStamp;
+            dataOf(way) = data;
+            return DramCache::Victim{};
+        }
+        DramCache::Victim victim = fill(line, data);
+        find(line)->dirty = true;
+        return victim;
+    }
+
+    void
+    writeThrough(Addr addr, const Line &data)
+    {
+        if (Way *way = find(lineAlign(addr))) {
+            way->lru = ++_useStamp;
+            way->dirty = false;
+            dataOf(way) = data;
+        }
+    }
+
+    void
+    markClean(Addr addr)
+    {
+        if (Way *way = find(lineAlign(addr)))
+            way->dirty = false;
+    }
+
+    /** Valid dirty lines among the ways of @p sets. The caller lists
+     * every set it has filled, so the count covers the whole array:
+     * a never-filled set is all-invalid, and skipping those keeps a
+     * per-step check from scanning all 16 K ways. */
+    std::size_t
+    dirtyLines(const std::vector<std::uint32_t> &sets) const
+    {
+        std::size_t n = 0;
+        for (std::uint32_t set : sets) {
+            const Way *base = &_ways[std::size_t(set) * _assoc];
+            for (std::uint32_t w = 0; w < _assoc; ++w) {
+                if (base[w].valid && base[w].dirty)
+                    ++n;
+            }
+        }
+        return n;
+    }
+
+    std::uint32_t
+    setOf(Addr line) const
+    {
+        return std::uint32_t(lineNumber(line) % _sets);
+    }
+
+  private:
+    struct Way
+    {
+        Addr tag = 0;
+        std::uint64_t lru = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    Way *
+    find(Addr line)
+    {
+        Way *base = &_ways[std::size_t(setOf(line)) * _assoc];
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            if (base[w].valid && base[w].tag == line)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    Line &
+    dataOf(const Way *way)
+    {
+        return _data[std::size_t(way - _ways.data())];
+    }
+
+    const std::uint32_t _assoc;
+    std::uint32_t _sets;
+    std::vector<Way> _ways;
+    std::vector<Line> _data;
+    std::uint64_t _useStamp = 0;
+    Counter &_statHits;
+    Counter &_statMisses;
+    Counter &_statWrAbsorbed;
+    Counter &_statWbEvictions;
+};
+
+// Seeded random read / fill / absorb / writeThrough / markClean / peek
+// / isDirty traffic: the sparse DRAM cache must return the same hits,
+// the same victims, the same data and the same dirty-line count as the
+// dense reference at every step, and allocate a set only at its first
+// fill or absorb. Most traffic lands on 8 hot sets with twice as many
+// lines as ways, so fills evict; one op in 256 goes to a random set.
+TEST(DramCacheTest, MatchesDenseReferenceUnderRandomOps)
+{
+    SystemConfig cfg;
+    cfg.hybridMode = HybridMode::MemoryMode;
+    cfg.dramCacheMBPerMc = 1;
+    cfg.dramCacheAssoc = 16;
+    StatSet stats;
+    DramCache sparse(cfg, stats, "sparse");
+    DenseDramCache dense(cfg, stats, "dense");
+    const std::uint32_t sets = sparse.numSets();
+    ASSERT_EQ(sets, 1024u);
+
+    std::vector<bool> filled(sets, false);
+    std::vector<std::uint32_t> filled_sets;
+    Random rng(4242);
+    for (std::uint32_t step = 0; step < 100000; ++step) {
+        const std::uint32_t set = rng.below(256) != 0
+                                      ? std::uint32_t(rng.below(8))
+                                      : std::uint32_t(rng.below(sets));
+        const Addr line_no = rng.below(2 * cfg.dramCacheAssoc) * sets + set;
+        const Addr addr = line_no * kLineBytes + rng.below(kLineBytes);
+        ASSERT_EQ(dense.setOf(lineAlign(addr)), set);
+        Line data{};
+        const std::uint64_t word = rng.next();
+        std::memcpy(data.data(), &word, sizeof(word));
+
+        DramCache::Victim sv, dv;
+        switch (rng.below(8)) {
+          case 0: {
+            Line s_out{}, d_out{};
+            ASSERT_EQ(sparse.read(addr, s_out), dense.read(addr, d_out))
+                << "step " << step;
+            EXPECT_EQ(s_out, d_out) << "step " << step;
+            break;
+          }
+          case 1:
+            sv = sparse.fill(addr, data);
+            dv = dense.fill(addr, data);
+            break;
+          case 2:
+            sv = sparse.absorb(addr, data);
+            dv = dense.absorb(addr, data);
+            break;
+          case 3:
+            sparse.writeThrough(addr, data);
+            dense.writeThrough(addr, data);
+            break;
+          case 4:
+            sparse.markClean(addr);
+            dense.markClean(addr);
+            break;
+          case 5: {
+            const Line *s_line = sparse.peek(addr);
+            const Line *d_line = dense.peek(addr);
+            ASSERT_EQ(s_line == nullptr, d_line == nullptr)
+                << "step " << step;
+            if (s_line) {
+                EXPECT_EQ(*s_line, *d_line) << "step " << step;
+            }
+            break;
+          }
+          case 6:
+            EXPECT_EQ(sparse.isDirty(addr), dense.isDirty(addr))
+                << "step " << step;
+            break;
+          default:
+            EXPECT_EQ(sparse.contains(addr), dense.contains(addr))
+                << "step " << step;
+            break;
+        }
+        EXPECT_EQ(sv.dirty, dv.dirty) << "step " << step;
+        EXPECT_EQ(sv.addr, dv.addr) << "step " << step;
+        EXPECT_EQ(sv.data, dv.data) << "step " << step;
+        if (dense.contains(addr) && !filled[set]) {
+            filled[set] = true;
+            filled_sets.push_back(set);
+        }
+        EXPECT_EQ(sparse.setsAllocated(), filled_sets.size())
+            << "step " << step;
+        EXPECT_EQ(sparse.dirtyLines(), dense.dirtyLines(filled_sets))
+            << "step " << step;
+        if (::testing::Test::HasFailure())
+            FAIL() << "diverged at step " << step;
+    }
+
+    for (const char *name : {"dram_hits", "dram_misses",
+                             "dram_wr_absorbed", "wb_evictions"}) {
+        EXPECT_EQ(stats.value("sparse", name), stats.value("dense", name))
+            << name;
+    }
+    EXPECT_GT(stats.value("sparse", "wb_evictions"), 0u);
+    EXPECT_GT(filled_sets.size(), 8u);
+    EXPECT_LT(filled_sets.size(), sets);
 }
 
 TEST(HybridAddressMapTest, AppDirectWindowFollowsThePolicy)

@@ -618,6 +618,39 @@ TEST(ConfigDeathTest, RejectsZeroMshrs)
     EXPECT_DEATH({ cfg.validate(); }, "mshrs must be > 0");
 }
 
+// CacheArray masks line numbers into set indices: a geometry whose set
+// count is not a power of two used to pass validate() and panic in the
+// CacheArray constructor, and a zero-size level built a machine that
+// segfaulted on its first load.
+TEST(ConfigDeathTest, RejectsCacheSetsThatAreNotAPowerOfTwo)
+{
+    SystemConfig cfg;
+    cfg.l2TileBytes = 96 * 1024;  // 96 sets at 16 ways
+    EXPECT_DEATH({ cfg.validate(); }, "L2 tile set count \\(96\\)");
+    cfg = SystemConfig{};
+    cfg.l1SizeBytes = 48 * 1024;  // 192 sets at 4 ways
+    EXPECT_DEATH({ cfg.validate(); }, "L1 set count \\(192\\)");
+    cfg = SystemConfig{};
+    cfg.l1SizeBytes = 0;
+    EXPECT_DEATH({ cfg.validate(); }, "L1 set count \\(0\\)");
+    cfg = SystemConfig{};
+    cfg.l2TileBytes = 0;
+    EXPECT_DEATH({ cfg.validate(); }, "L2 tile set count \\(0\\)");
+
+    // The Table-I machine, both mesh presets and the crash campaign's
+    // L2 shapes (KB, ways) still validate.
+    SystemConfig{}.validate();
+    SystemConfig::makeMeshPreset(256).validate();
+    SystemConfig::makeMeshPreset(1024).validate();
+    const std::uint32_t shapes[][2] = {{4, 2}, {8, 2}, {16, 2}, {16, 4}};
+    for (const auto &shape : shapes) {
+        cfg = SystemConfig{};
+        cfg.l2TileBytes = shape[0] * 1024;
+        cfg.l2Assoc = shape[1];
+        cfg.validate();
+    }
+}
+
 // The ADR flush writes 16 + ausPerMc x (ceil(bucketsPerMc / 8) + 20)
 // bytes into each controller's one-page ADR region; a config that
 // overflows it must die in validate(), not at its first powerFail().
