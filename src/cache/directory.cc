@@ -31,7 +31,7 @@ Directory::releaseWaiter(Waiter *w)
 }
 
 void
-Directory::acquire(Addr line_addr, Txn txn)
+Directory::acquire(Addr line_addr, Txn &&txn)
 {
     line_addr = lineAlign(line_addr);
     auto [ctl, inserted] = _ctl.tryEmplace(line_addr);

@@ -176,7 +176,7 @@ class Directory
      * Run @p txn when the line's busy slot frees (immediately if free).
      * The transaction must call release() exactly once when done.
      */
-    void acquire(Addr line_addr, Txn txn);
+    void acquire(Addr line_addr, Txn &&txn);
 
     /** Finish the current transaction; starts the next queued one. */
     void release(Addr line_addr);

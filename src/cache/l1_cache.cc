@@ -35,14 +35,6 @@ L1Cache::L1Cache(CoreId core, EventQueue &eq, const SystemConfig &cfg,
 
 L1Cache::~L1Cache() = default;
 
-void
-L1Cache::after(Cycles delay, EventQueue::Callback fn)
-{
-    // Dynamic continuation (several can be in flight per cache): carried
-    // by a pooled one-shot event with inline (non-allocating) storage.
-    _eq.postIn(delay, std::move(fn));
-}
-
 std::uint32_t
 L1Cache::homeTileOf(Addr addr) const
 {
@@ -152,7 +144,7 @@ L1Cache::wbAcked(Addr line)
 
 void
 L1Cache::startMiss(Addr addr, bool exclusive,
-                   MshrTable::Continuation retry)
+                   MshrTable::Continuation &&retry)
 {
     const Addr line = lineAlign(addr);
     if (_mshrs.has(line)) {
@@ -349,10 +341,11 @@ L1Cache::fillArrived(Addr addr, const FillResult &result)
 }
 
 void
-L1Cache::load(Addr addr, Callback done)
+L1Cache::load(Addr addr, Callback &&done)
 {
     _statLoads.inc();
-    after(_cfg.l1Latency, [this, addr, done = std::move(done)]() mutable {
+    _eq.postIn(_cfg.l1Latency,
+               [this, addr, done = std::move(done)]() mutable {
         CacheLineState *frame = _array.touch(addr);
         if (frame && frame->valid) {
             done();
@@ -376,7 +369,7 @@ L1Cache::load(Addr addr, Callback done)
 
 void
 L1Cache::store(Addr addr, const std::uint8_t *bytes, std::uint32_t size,
-               Callback done)
+               Callback &&done)
 {
     panic_if(lineAlign(addr) != lineAlign(addr + size - 1),
              "store spans a line boundary (addr %llx size %u)",
@@ -388,7 +381,7 @@ L1Cache::store(Addr addr, const std::uint8_t *bytes, std::uint32_t size,
     ps->size = size;
     std::memcpy(ps->bytes.data(), bytes, size);
     ps->done = std::move(done);
-    after(_cfg.l1Latency, [this, ps] { finishStore(ps); });
+    _eq.postIn(_cfg.l1Latency, [this, ps] { finishStore(ps); });
 }
 
 void
@@ -480,10 +473,11 @@ L1Cache::applyStore(PendingStore *ps, bool set_log_bit)
 }
 
 void
-L1Cache::flush(Addr addr, Callback done)
+L1Cache::flush(Addr addr, Callback &&done)
 {
     const Addr line = lineAlign(addr);
-    after(_cfg.l1Latency, [this, line, done = std::move(done)]() mutable {
+    _eq.postIn(_cfg.l1Latency,
+               [this, line, done = std::move(done)]() mutable {
         CacheLineState *frame = _array.find(line);
         bool has_data = false;
         Line data{};

@@ -129,7 +129,7 @@ class L1Cache : public MeshSink
      * Load from the line of @p addr; @p done runs when data is
      * available to the core.
      */
-    void load(Addr addr, Callback done);
+    void load(Addr addr, Callback &&done);
 
     /**
      * Store @p size bytes (@p bytes) at @p addr (single line only).
@@ -137,14 +137,14 @@ class L1Cache : public MeshSink
      * store logger, apply, set dirty/log bits, then @p done.
      */
     void store(Addr addr, const std::uint8_t *bytes, std::uint32_t size,
-               Callback done);
+               Callback &&done);
 
     /**
      * Durable flush of the line of @p addr (clwb-like): pushes the
      * dirty copy toward NVM and acks when durable. Clears the log bit
      * and the dirty bit; the line stays valid.
      */
-    void flush(Addr addr, Callback done);
+    void flush(Addr addr, Callback &&done);
 
     // --- Mesh delivery (fills, acks, inbound protocol legs) -----------
 
@@ -196,8 +196,6 @@ class L1Cache : public MeshSink
         Line data{};
     };
 
-    void after(Cycles delay, EventQueue::Callback fn);
-
     // --- Inbound protocol legs (mesh-delivered) -----------------------
 
     /** Home invalidates our (shared) copy; ack back home. */
@@ -242,7 +240,7 @@ class L1Cache : public MeshSink
 
     /** Begin a miss (GetS/GetX/Upgrade); merges into an existing MSHR. */
     void startMiss(Addr addr, bool exclusive,
-                   MshrTable::Continuation retry);
+                   MshrTable::Continuation &&retry);
 
     /** Fill arrived: install (evicting as needed) and wake waiters. */
     void fillArrived(Addr addr, const FillResult &result);

@@ -34,12 +34,6 @@ L2Tile::L2Tile(std::uint32_t tile_id, EventQueue &eq,
 L2Tile::~L2Tile() = default;
 
 void
-L2Tile::after(Cycles delay, EventQueue::Callback fn)
-{
-    _eq.postIn(delay, std::move(fn));
-}
-
-void
 L2Tile::meshDeliver(Packet &pkt)
 {
     switch (pkt.type) {
@@ -109,7 +103,7 @@ L2Tile::sendFlushAck(CoreId core, Addr line)
 
 void
 L2Tile::writeThrough(Addr addr, const Line &data, WriteKind kind,
-                     AckCallback on_durable)
+                     AckCallback &&on_durable)
 {
     const McId mc = _amap.memCtrl(addr);
     Packet &p = _mesh.make(MsgType::MemWrite);
@@ -281,7 +275,7 @@ L2Tile::missToMemory(CoreId core, Addr addr, bool exclusive,
         if (const Line *v = _victims->find(addr)) {
             _statVictimHits.inc();
             const Line data = *v;
-            after(_cfg.l2Latency, [this, core, addr, exclusive, data] {
+            _eq.postIn(_cfg.l2Latency, [this, core, addr, exclusive, data] {
                 onMemFill(core, addr, data, false, exclusive);
             });
             return;
@@ -373,7 +367,7 @@ void
 L2Tile::handleGetS(CoreId core, Addr addr)
 {
     const Addr line = lineAlign(addr);
-    after(_cfg.l2Latency, [this, core, line] {
+    _eq.postIn(_cfg.l2Latency, [this, core, line] {
         _dir.acquire(line, Directory::Txn([this, core, line] {
             CacheLineState *frame = _array.touch(line);
             if (frame) {
@@ -444,7 +438,7 @@ void
 L2Tile::handleGetX(CoreId core, Addr addr, bool in_atomic)
 {
     const Addr line = lineAlign(addr);
-    after(_cfg.l2Latency, [this, core, line, in_atomic] {
+    _eq.postIn(_cfg.l2Latency, [this, core, line, in_atomic] {
         _dir.acquire(line, Directory::Txn([this, core, line, in_atomic] {
             CacheLineState *frame = _array.touch(line);
             if (frame) {
@@ -518,7 +512,7 @@ void
 L2Tile::handleUpgrade(CoreId core, Addr addr, bool in_atomic)
 {
     const Addr line = lineAlign(addr);
-    after(_cfg.l2Latency, [this, core, line, in_atomic] {
+    _eq.postIn(_cfg.l2Latency, [this, core, line, in_atomic] {
         _dir.acquire(line, Directory::Txn([this, core, line, in_atomic] {
             CacheLineState *frame = _array.touch(line);
             DirEntry *dir = _dir.find(line);
@@ -584,7 +578,7 @@ L2Tile::handleFlush(CoreId core, Addr addr, bool has_data,
                     const Line &data)
 {
     const Addr line = lineAlign(addr);
-    after(_cfg.l2Latency, [this, core, line, has_data, data] {
+    _eq.postIn(_cfg.l2Latency, [this, core, line, has_data, data] {
         _dir.acquire(line,
                      Directory::Txn([this, core, line, has_data, data] {
             DirEntry *dir = _dir.find(line);

@@ -228,8 +228,6 @@ class L2Tile : public MeshSink
         Line data{};
     };
 
-    void after(Cycles delay, EventQueue::Callback fn);
-
     /** Respond to a requester core through the mesh. */
     void respondFill(CoreId core, Addr line, MsgType type,
                      const FillResult &result);
@@ -295,7 +293,7 @@ class L2Tile : public MeshSink
 
     /** Issue a durable data write for @p addr to its MC. */
     void writeThrough(Addr addr, const Line &data, WriteKind kind,
-                      AckCallback on_durable);
+                      AckCallback &&on_durable);
 
 
     std::uint32_t _tileId;

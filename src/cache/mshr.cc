@@ -58,7 +58,7 @@ MshrTable::allocate(Addr line_addr)
 }
 
 void
-MshrTable::addWaiter(Addr line_addr, Continuation fn)
+MshrTable::addWaiter(Addr line_addr, Continuation &&fn)
 {
     Entry *e = find(line_addr);
     panic_if(!e, "no MSHR for line");
@@ -109,7 +109,7 @@ MshrTable::runAndPop(Waiter *w)
 }
 
 void
-MshrTable::queueForFree(Continuation fn)
+MshrTable::queueForFree(Continuation &&fn)
 {
     Waiter *w = _pool.acquire();
     w->fn = std::move(fn);

@@ -64,7 +64,7 @@ class MshrTable
     void allocate(Addr line_addr);
 
     /** Add a continuation to run when the line's fill completes. */
-    void addWaiter(Addr line_addr, Continuation w);
+    void addWaiter(Addr line_addr, Continuation &&w);
 
     /**
      * Complete the miss: deallocates the entry and returns its waiter
@@ -82,7 +82,7 @@ class MshrTable
     Waiter *runAndPop(Waiter *w);
 
     /** Queue a continuation to run when any entry frees up. */
-    void queueForFree(Continuation w);
+    void queueForFree(Continuation &&w);
 
     std::size_t active() const { return _active; }
     std::size_t overflowDepth() const { return _overflowCount; }

@@ -22,7 +22,7 @@ StoreQueue::StoreQueue(CoreId core, EventQueue &eq, std::uint32_t entries,
 }
 
 void
-StoreQueue::push(const MemOp &store, Callback accepted)
+StoreQueue::push(const MemOp &store, Callback &&accepted)
 {
     panic_if(store.kind != OpKind::Store, "SQ push of a %s op",
              opName(store.kind));

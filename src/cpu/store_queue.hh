@@ -49,7 +49,7 @@ class StoreQueue
      * producing core stalls until then. Retirement proceeds
      * asynchronously.
      */
-    void push(const MemOp &store, Callback accepted);
+    void push(const MemOp &store, Callback &&accepted);
 
     /** True when no stores are buffered or in flight. */
     bool empty() const { return _count == 0; }

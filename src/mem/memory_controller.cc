@@ -117,7 +117,7 @@ MemoryController::releaseReq(Request *r)
 }
 
 void
-MemoryController::addWcb(Request *r, WriteCallback cb)
+MemoryController::addWcb(Request *r, WriteCallback &&cb)
 {
     if (!r->wcb) {
         r->wcb = std::move(cb);
@@ -155,7 +155,7 @@ MemoryController::writeBackVictim(const DramCache::Victim &victim)
 }
 
 void
-MemoryController::readLine(Addr addr, ReadKind kind, ReadCallback cb)
+MemoryController::readLine(Addr addr, ReadKind kind, ReadCallback &&cb)
 {
     addr = lineAlign(addr);
     if (kind == ReadKind::Demand)
@@ -231,7 +231,7 @@ MemoryController::hasPendingWriteInPage(Addr page_base) const
 }
 
 void
-MemoryController::readNvm(Addr addr, ReadKind kind, ReadCallback cb)
+MemoryController::readNvm(Addr addr, ReadKind kind, ReadCallback &&cb)
 {
     // Flash tier: a read of a page whose authoritative bytes moved to
     // flash parks in the destage engine and stalls through the SSD
@@ -254,7 +254,7 @@ MemoryController::readNvm(Addr addr, ReadKind kind, ReadCallback cb)
 
 void
 MemoryController::writeLine(Addr addr, const Line &data, WriteKind kind,
-                            WriteCallback cb)
+                            WriteCallback &&cb)
 {
     addr = lineAlign(addr);
 
@@ -295,7 +295,7 @@ MemoryController::writeLine(Addr addr, const Line &data, WriteKind kind,
 
 void
 MemoryController::writeNvm(Addr addr, const Line &data, WriteKind kind,
-                           WriteCallback cb)
+                           WriteCallback &&cb)
 {
     // Flash tier: a write to a page mid-destage cancels the destage
     // (snapshot-phase) or parks until NVM is authoritative again.
@@ -319,21 +319,28 @@ MemoryController::writeNvm(Addr addr, const Line &data, WriteKind kind,
 
     // Write combining in the controller queue: a newer write to the same
     // line replaces the queued data; durability callbacks accumulate.
-    for (Request *queued = wq.head; queued; queued = queued->next) {
-        if (queued->addr == addr && queued->wkind == kind) {
-            queued->data = data;
-            queued->acceptSeq = ++_acceptSeq;
-            // The read-forwarding snapshot must track the newest
-            // accepted value too, or a read (and, in hybrid mode, the
-            // DRAM demand fill it feeds) observes the pre-combine
-            // bytes. The count stays put: still one queued request.
-            if (PendingWrite *pw = _inflightWrites.find(addr))
+    // Every queued write holds an _inflightWrites entry, so only a line
+    // that already had one can have a queued write to combine with.
+    auto [pw, fresh] = _inflightWrites.tryEmplace(addr);
+    if (!fresh) {
+        for (Request *queued = wq.head; queued; queued = queued->next) {
+            if (queued->addr == addr && queued->wkind == kind) {
+                queued->data = data;
+                queued->acceptSeq = ++_acceptSeq;
+                // The read-forwarding snapshot must track the newest
+                // accepted value too, or a read (and, in hybrid mode,
+                // the DRAM demand fill it feeds) observes the
+                // pre-combine bytes. The count stays put: still one
+                // queued request.
                 pw->data = data;
-            if (cb)
-                addWcb(queued, std::move(cb));
-            return;
+                if (cb)
+                    addWcb(queued, std::move(cb));
+                return;
+            }
         }
     }
+    ++pw->count;
+    pw->data = data;  // acceptance order: this is the newest value
 
     Request *req = acquireReq();
     req->isWrite = true;
@@ -346,14 +353,11 @@ MemoryController::writeNvm(Addr addr, const Line &data, WriteKind kind,
     req->acceptSeq = ++_acceptSeq;
     wq.push_back(req);
     ++_pendingWrites;
-    PendingWrite &pw = _inflightWrites[addr];
-    ++pw.count;
-    pw.data = data;  // acceptance order: this is the newest value
     scheduleKick(ch, _eq.now() + _cfg.mcFrontendLatency);
 }
 
 void
-MemoryController::whenLineDurable(Addr addr, WriteCallback cb)
+MemoryController::whenLineDurable(Addr addr, WriteCallback &&cb)
 {
     addr = lineAlign(addr);
     if (_dram && _dram->isDirty(addr)) {
@@ -370,12 +374,18 @@ MemoryController::whenLineDurable(Addr addr, WriteCallback cb)
         writeNvm(addr, data, WriteKind::Flush, std::move(cb));
         return;
     }
-    const PendingWrite *pw = _inflightWrites.find(addr);
-    if (!pw || pw->count == 0) {
+    if (!_inflightWrites.contains(addr)) {
         cb();
         return;
     }
-    _durWaiters[addr].push_back(std::move(cb));
+    WcbNode *n = _wcbPool.acquire();
+    n->cb = std::move(cb);
+    WcbFifo &waiters = _durWaiters[addr];
+    if (waiters.tail)
+        waiters.tail->next = n;
+    else
+        waiters.head = n;
+    waiters.tail = n;
 }
 
 void
@@ -458,14 +468,12 @@ MemoryController::issueRead(std::uint32_t ch, Request *req)
             _id, req->addr, _eq.now(), _cfg.mediaRetryLimit + 1,
             req->rkind});
     }
-    const Tick done = grant.ready;
-    ReadCallback cb = std::move(req->rcb);
+    _eq.post(grant.ready,
+             [this, cb = std::move(req->rcb), data]() mutable {
+                 --_pendingReads;
+                 cb(data);
+             });
     releaseReq(req);
-    _eq.post(done, [this, cb = std::move(cb),
-                    data = std::move(data)]() mutable {
-        --_pendingReads;
-        cb(data);
-    });
 }
 
 void
@@ -506,12 +514,14 @@ MemoryController::issueWrite(std::uint32_t ch, Request *req)
         --_pendingWrites;
         if (pw && --pw->count == 0) {
             _inflightWrites.erase(req->addr);
-            auto wit = _durWaiters.find(req->addr);
-            if (wit != _durWaiters.end()) {
-                auto waiters = std::move(wit->second);
-                _durWaiters.erase(wit);
-                for (auto &w : waiters)
-                    w();
+            // The line is durable: its whenLineDurable() waiters go
+            // first, in registration order.
+            if (!_durWaiters.empty()) {
+                if (const WcbFifo *waiters = _durWaiters.find(req->addr)) {
+                    WcbNode *chain = waiters->head;
+                    _durWaiters.erase(req->addr);
+                    fireWcbs(chain);
+                }
             }
         }
         // Detach the acks and release the node before firing them, so
@@ -522,17 +532,21 @@ MemoryController::issueWrite(std::uint32_t ch, Request *req)
         releaseReq(req);
         if (first)
             first();
-        while (chain) {
-            WcbNode *n = chain;
-            chain = n->next;
-            WriteCallback cb = std::move(n->cb);
-            n->next = nullptr;
-            n->cb = nullptr;
-            _wcbPool.release(n);
-            if (cb)
-                cb();
-        }
+        fireWcbs(chain);
     });
+}
+
+void
+MemoryController::fireWcbs(WcbNode *chain)
+{
+    while (chain) {
+        WcbNode *n = chain;
+        chain = n->next;
+        WriteCallback cb = std::move(n->cb);
+        _wcbPool.release(n);
+        if (cb)
+            cb();
+    }
 }
 
 void

@@ -35,7 +35,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/dram_cache.hh"
@@ -145,7 +144,7 @@ class MemoryController
      * Forwards from a pending queued write to the same line if present
      * (the controller observes its own write queue).
      */
-    void readLine(Addr addr, ReadKind kind, ReadCallback cb);
+    void readLine(Addr addr, ReadKind kind, ReadCallback &&cb);
 
     /**
      * Write one line durably. @p cb fires when the device write
@@ -155,13 +154,13 @@ class MemoryController
      * installed WriteGate; log writes never do.
      */
     void writeLine(Addr addr, const Line &data, WriteKind kind,
-                   WriteCallback cb);
+                   WriteCallback &&cb);
 
     /**
      * Flush-ordering helper: invoke @p cb once any pending write to
      * @p addr has persisted (immediately if none is pending).
      */
-    void whenLineDurable(Addr addr, WriteCallback cb);
+    void whenLineDurable(Addr addr, WriteCallback &&cb);
 
     /** Install the ATOM write gate (nullptr to remove). */
     void setWriteGate(WriteGate *gate) { _gate = gate; }
@@ -235,12 +234,20 @@ class MemoryController
      * through the public API would double-count it. */
     friend class DestageEngine;
 
-    /** Combine-overflow node: extra durability acks beyond the first
-     * accumulated on a queued write (pooled, rare). */
+    /** Pooled write-ack node: an extra durability ack beyond the
+     * first accumulated on a queued write by combining, or a
+     * whenLineDurable() waiter. Both chain FIFO. */
     struct WcbNode
     {
         WcbNode *next = nullptr;
         WriteCallback cb;
+    };
+
+    /** A line's whenLineDurable() waiters, in registration order. */
+    struct WcbFifo
+    {
+        WcbNode *head = nullptr;
+        WcbNode *tail = nullptr;
     };
 
     /**
@@ -359,7 +366,7 @@ class MemoryController
      * readLine body): forwarding from in-flight writes happens at
      * issue time.
      */
-    void readNvm(Addr addr, ReadKind kind, ReadCallback cb);
+    void readNvm(Addr addr, ReadKind kind, ReadCallback &&cb);
 
     /**
      * Enqueue a write on the NVM channel path (the pre-hybrid
@@ -367,12 +374,16 @@ class MemoryController
      * durable-image update and ack at device completion.
      */
     void writeNvm(Addr addr, const Line &data, WriteKind kind,
-                  WriteCallback cb);
+                  WriteCallback &&cb);
 
     Request *acquireReq();
     /** Scrub callbacks / overflow chain and return the node. */
     void releaseReq(Request *r);
-    void addWcb(Request *r, WriteCallback cb);
+    void addWcb(Request *r, WriteCallback &&cb);
+
+    /** Fire a detached WcbNode chain in order, returning each node to
+     * the pool before its ack runs (an ack may enqueue new work). */
+    void fireWcbs(WcbNode *chain);
 
     void kick(std::uint32_t ch);
     void scheduleKick(std::uint32_t ch, Tick when);
@@ -406,7 +417,9 @@ class MemoryController
      * outstanding count plus the *newest* accepted data, so reads can
      * forward even while a write is on the device (popped from the
      * queue but not yet persisted -- a ~360-cycle window a chasing
-     * demand read can land in).
+     * demand read can land in). Every queued write holds an entry, so
+     * the map doubles as writeNvm()'s combine filter: a line without
+     * one has nothing queued to combine with.
      *
      * committedSeq orders same-line commits into the durable image by
      * acceptance: a write gate park can re-queue a blocked write ahead
@@ -436,8 +449,9 @@ class MemoryController
     std::vector<Request *> _deviceWrites;
     /** Uncorrectable media read failures (hard-fail fault report). */
     std::vector<MediaFaultRecord> _mediaFaults;
-    /** Callbacks waiting on line durability. */
-    std::unordered_map<Addr, std::vector<WriteCallback>> _durWaiters;
+    /** whenLineDurable() waiters, by line; fired once the line's
+     * last outstanding write persists. */
+    LineMap<WcbFifo> _durWaiters;
 
     std::size_t _pendingWrites = 0;
     std::size_t _pendingReads = 0;

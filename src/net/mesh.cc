@@ -113,7 +113,7 @@ Mesh::make(MsgType type)
 
 void
 Mesh::send(std::uint32_t src, std::uint32_t dst, MsgType type,
-           MeshCallback cb)
+           MeshCallback &&cb)
 {
     Packet &p = make(type);
     p.cb = std::move(cb);

@@ -112,7 +112,7 @@ class Mesh
      * callback (control messages, acks carrying a continuation).
      */
     void send(std::uint32_t src, std::uint32_t dst, MsgType type,
-              MeshCallback cb);
+              MeshCallback &&cb);
 
     // --- introspection ------------------------------------------------
 

@@ -46,14 +46,7 @@ class InplaceFunction<R(Args...), N>
                   std::decay_t<F>, InplaceFunction>>>
     InplaceFunction(F &&f)
     {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= N,
-                      "capture too large for this InplaceFunction: "
-                      "shrink the capture or grow the alias capacity");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned capture");
-        new (_buf) Fn(std::forward<F>(f));
-        _ops = opsFor<Fn>();
+        construct(std::forward<F>(f));
     }
 
     InplaceFunction(InplaceFunction &&other) noexcept { moveFrom(other); }
@@ -73,6 +66,20 @@ class InplaceFunction<R(Args...), N>
     {
         reset();
         return *this;
+    }
+
+    /**
+     * Replace the held callable by @p f, constructed straight in the
+     * inline buffer, so a pooled holder (EventQueue's FuncEvent) takes
+     * a caller's lambda with one move rather than through a temporary
+     * InplaceFunction.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        construct(std::forward<F>(f));
     }
 
     InplaceFunction(const InplaceFunction &) = delete;
@@ -112,6 +119,20 @@ class InplaceFunction<R(Args...), N>
             [](void *p) { static_cast<Fn *>(p)->~Fn(); },
         };
         return &ops;
+    }
+
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= N,
+                      "capture too large for this InplaceFunction: "
+                      "shrink the capture or grow the alias capacity");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned capture");
+        new (_buf) Fn(std::forward<F>(f));
+        _ops = opsFor<Fn>();
     }
 
     void

@@ -7,25 +7,6 @@
 namespace atomsim
 {
 
-/**
- * Pooled one-shot event carrying a post()ed callback. The queue runs
- * pooled events inline (moving the callback out and releasing the node
- * *before* invoking it, so the callback may itself post), hence
- * process() only exists to satisfy the Event interface.
- */
-class FuncEvent final : public Event
-{
-  public:
-    FuncEvent() = default;
-
-    void process() override { _fn(); }
-
-  private:
-    friend class EventQueue;
-
-    EventQueue::Callback _fn;
-};
-
 Event::~Event()
 {
     if (scheduled() && _queue)
@@ -302,14 +283,6 @@ EventQueue::releasePooled(FuncEvent *ev)
     ++_poolFreeCount;
 }
 
-void
-EventQueue::post(Tick when, Callback cb)
-{
-    FuncEvent *fe = acquirePooled();
-    fe->_fn = std::move(cb);
-    schedule(*fe, when);
-}
-
 Tick
 EventQueue::nextWheelTick() const
 {
@@ -388,7 +361,6 @@ EventQueue::executeNext(Tick t)
         // may immediately reuse it via post().
         auto *fe = static_cast<FuncEvent *>(ev);
         Callback fn = std::move(fe->_fn);
-        fe->_fn = nullptr;
         releasePooled(fe);
         fn();
     } else {

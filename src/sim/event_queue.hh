@@ -25,10 +25,12 @@
  *
  * For one-shot continuations whose capture state is inherently dynamic
  * (cache-miss fills, mesh deliveries, NVM completions) the queue offers
- * post()/postIn(): the callback is moved into a FuncEvent drawn from an
- * internal free-list pool, so the steady-state hot loop performs zero
- * queue-node allocations on this path too (the pool grows to the
- * high-water mark of in-flight one-shots and is then reused forever).
+ * post()/postIn(): the callable is constructed straight into a
+ * FuncEvent drawn from an internal free-list pool, so the steady-state
+ * hot loop performs zero queue-node allocations on this path too (the
+ * pool grows to the high-water mark of in-flight one-shots and is then
+ * reused forever), and a posted lambda moves exactly twice: into the
+ * node, and out of it when the event runs.
  *
  * Calendar queue
  * --------------
@@ -69,6 +71,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -240,15 +243,20 @@ class EventQueue
     // --- pooled one-shot API (dynamic continuations) ------------------
 
     /**
-     * Run @p cb at absolute tick @p when. The callback is carried by a
-     * FuncEvent drawn from the internal free-list pool; the event
-     * object returns to the pool as it fires, so steady state allocates
-     * no queue nodes.
+     * Run @p fn at absolute tick @p when. The callable is constructed
+     * in place in a FuncEvent drawn from the internal free-list pool;
+     * the event object returns to the pool as it fires, so steady
+     * state allocates no queue nodes.
      */
-    void post(Tick when, Callback cb);
+    template <typename F> void post(Tick when, F &&fn);
 
-    /** Run @p cb @p delay ticks from now. */
-    void postIn(Cycles delay, Callback cb) { post(_now + delay, std::move(cb)); }
+    /** Run @p fn @p delay ticks from now. */
+    template <typename F>
+    void
+    postIn(Cycles delay, F &&fn)
+    {
+        post(_now + delay, std::forward<F>(fn));
+    }
 
     // --- execution ----------------------------------------------------
 
@@ -392,6 +400,34 @@ class EventQueue
     Event *_freeList = nullptr;
     std::size_t _poolFreeCount = 0;
 };
+
+/**
+ * Pooled one-shot event carrying a post()ed callback. The queue runs
+ * pooled events inline (moving the callback out and releasing the node
+ * *before* invoking it, so the callback may itself post), hence
+ * process() only exists to satisfy the Event interface.
+ */
+class FuncEvent final : public Event
+{
+  public:
+    FuncEvent() = default;
+
+    void process() override { _fn(); }
+
+  private:
+    friend class EventQueue;
+
+    EventQueue::Callback _fn;
+};
+
+template <typename F>
+inline void
+EventQueue::post(Tick when, F &&fn)
+{
+    FuncEvent *fe = acquirePooled();
+    fe->_fn.emplace(std::forward<F>(fn));
+    schedule(*fe, when);
+}
 
 } // namespace atomsim
 

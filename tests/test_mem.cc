@@ -262,6 +262,85 @@ TEST_F(MemCtrlTest, WhenLineDurableImmediateWhenIdle)
     EXPECT_TRUE(durable);
 }
 
+// whenLineDurable() waiters park per line: a line's waiters fire in
+// registration order when that line's write persists, before the
+// write's own ack, and independently of other lines.
+TEST_F(MemCtrlTest, DurabilityWaitersFirePerLineInRegistrationOrder)
+{
+    Line data{};
+    std::vector<int> order;
+    std::vector<Tick> at;
+    const auto record = [&](int id) {
+        order.push_back(id);
+        at.push_back(eq.now());
+    };
+    mc.writeLine(0xa000, data, WriteKind::Flush, [&] { record(10); });
+    mc.writeLine(0xb000, data, WriteKind::Flush, [&] { record(20); });
+    mc.whenLineDurable(0xa000, [&] { record(1); });
+    mc.whenLineDurable(0xb000, [&] { record(3); });
+    mc.whenLineDurable(0xa000, [&] { record(2); });
+    EXPECT_TRUE(order.empty());
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 10, 3, 20}));
+    ASSERT_EQ(at.size(), 5u);
+    EXPECT_EQ(at[0], at[2]);  // line A's waiters fire with its write
+    EXPECT_EQ(at[3], at[4]);  // line B's with B's, one transfer later
+    EXPECT_LT(at[2], at[3]);
+
+    // Both lines are idle again: a new waiter runs at once.
+    bool durable = false;
+    mc.whenLineDurable(0xa000, [&] { durable = true; });
+    EXPECT_TRUE(durable);
+}
+
+// Combining merges a write only into a queued request of the same line
+// and kind. Each device write occupies the channel for one transfer,
+// so channelBusyCycles() counts the writes that reached the device.
+TEST_F(MemCtrlTest, CombinesOnlyAQueuedWriteOfTheSameLineAndKind)
+{
+    const std::uint64_t transfer = cfg.lineTransferCycles();
+    Line a{};
+    a[0] = 1;
+    Line b{};
+    b[0] = 2;
+    int acks = 0;
+
+    // Same line, different kinds: two device writes, newest bytes last.
+    mc.writeLine(0xc000, a, WriteKind::Flush, [&] { ++acks; });
+    mc.writeLine(0xc000, b, WriteKind::DataWb, [&] { ++acks; });
+    eq.run();
+    EXPECT_EQ(acks, 2);
+    EXPECT_EQ(mc.channelBusyCycles(), 2 * transfer);
+    EXPECT_EQ(nvm.readLine(0xc000)[0], 2);
+
+    // Another line while one is queued: not combined.
+    mc.writeLine(0xd000, a, WriteKind::DataWb, [&] { ++acks; });
+    mc.writeLine(0xe000, b, WriteKind::DataWb, [&] { ++acks; });
+    eq.run();
+    EXPECT_EQ(acks, 4);
+    EXPECT_EQ(mc.channelBusyCycles(), 4 * transfer);
+    EXPECT_EQ(nvm.readLine(0xd000)[0], 1);
+    EXPECT_EQ(nvm.readLine(0xe000)[0], 2);
+
+    // The line still has a write outstanding, but it left the queue
+    // for the device: the second write is its own device write, and
+    // its bytes land after the first's.
+    std::vector<std::uint8_t> landed;  // the image at each ack
+    const auto land = [&] {
+        ++acks;
+        landed.push_back(nvm.readLine(0xf000)[0]);
+    };
+    mc.writeLine(0xf000, a, WriteKind::DataWb, land);
+    eq.run(eq.now() + cfg.mcFrontendLatency + 1);
+    ASSERT_EQ(mc.channelBusyCycles(), 5 * transfer);  // on the device
+    ASSERT_EQ(mc.pendingWrites(), 1u);                // not yet durable
+    mc.writeLine(0xf000, b, WriteKind::DataWb, land);
+    eq.run();
+    EXPECT_EQ(acks, 6);
+    EXPECT_EQ(mc.channelBusyCycles(), 6 * transfer);
+    EXPECT_EQ(landed, (std::vector<std::uint8_t>{1, 2}));
+}
+
 TEST_F(MemCtrlTest, LatencyIncludesDeviceWrite)
 {
     Line data{};

@@ -395,6 +395,42 @@ TEST(EventQueueTest, PoolReleasesBeforeCallbackRuns)
     EXPECT_EQ(eq.poolAllocated(), 1u);
 }
 
+// post()/postIn() build the callable in the pooled node itself: a
+// lambda moves once into the node and once out of it when the event
+// runs, however many layers forwarded it on the way in.
+TEST(EventQueueTest, PostConstructsTheCallbackInPlace)
+{
+    struct MoveCounter
+    {
+        int *moves;
+        int *calls;
+
+        MoveCounter(int *m, int *c) : moves(m), calls(c) {}
+        MoveCounter(MoveCounter &&o) noexcept
+            : moves(o.moves), calls(o.calls)
+        {
+            ++*moves;
+        }
+        MoveCounter(const MoveCounter &) = delete;
+
+        void operator()() { ++*calls; }
+    };
+
+    EventQueue eq;
+    int moves = 0;
+    int calls = 0;
+    eq.post(3, MoveCounter(&moves, &calls));
+    eq.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_LE(moves, 2);
+
+    moves = 0;
+    eq.postIn(3, MoveCounter(&moves, &calls));
+    eq.run();
+    EXPECT_EQ(calls, 2);
+    EXPECT_LE(moves, 2);
+}
+
 // clear() is how a power failure ends the run: every pending event is
 // dropped unrun, member events (wheel and spill alike) come back
 // unscheduled and reschedulable, pooled nodes destroy their callbacks
