@@ -15,9 +15,13 @@
  *   intrusive member TickEvents (zero allocation, calendar queue)
  *
  * Mesh section: typed intrusive packets ping-ponging through per-link
- * delivery queues. The binary links bench/alloc_counter.cc, which
- * counts every operator new, proving the packet path performs ZERO
- * steady-state heap allocations; messages/sec is reported.
+ * delivery queues, on the Table-I 4x8 mesh and on the 1024-tile
+ * preset's 32x32 mesh, where the pairs sit at opposite corners and
+ * edges so every route runs 32-62 hops and both legs walk in both
+ * directions. The binary links bench/alloc_counter.cc, which counts
+ * every operator new, proving the packet path performs ZERO
+ * steady-state heap allocations; messages/sec and mean hops per
+ * message are reported.
  *
  * Miss-path section: a real (small) System driven through L1
  * load/store miss churn -- ownership ping-pong between two cores, so
@@ -42,6 +46,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.hh"
@@ -136,7 +141,36 @@ runIntrusive(std::uint64_t budget, std::uint64_t &fired_out)
 
 // --- mesh delivery -----------------------------------------------------
 
-constexpr std::uint32_t kMeshPairs = 8;
+/** (node, node) pairs, each ping-ponging one packet stream. */
+using NodePairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/** Table-I 4x8 mesh: node i talks to node 31 - i. */
+NodePairs
+tableOnePairs()
+{
+    NodePairs pairs;
+    for (std::uint32_t i = 0; i < 8; ++i)
+        pairs.emplace_back(i, 31 - i);
+    return pairs;
+}
+
+/** 32x32 mesh: each node talks to its mirror image through the
+ * centre -- top edge to bottom edge, left edge to right edge, and the
+ * two diagonals corner to corner -- so routes run 32 to 62 hops. */
+NodePairs
+longRoutePairs()
+{
+    constexpr std::uint32_t kSide = 32;
+    const auto node = [](std::uint32_t row, std::uint32_t col) {
+        return row * kSide + col;
+    };
+    NodePairs pairs;
+    for (std::uint32_t k : {0u, 8u, 16u, 31u})  // top -> bottom
+        pairs.emplace_back(node(0, k), node(kSide - 1, kSide - 1 - k));
+    for (std::uint32_t k : {4u, 12u, 20u, 28u})  // left -> right
+        pairs.emplace_back(node(k, 0), node(kSide - 1 - k, kSide - 1));
+    return pairs;
+}
 
 /** Typed-packet bounce endpoint (one per mesh node in use). */
 struct BounceSink final : public atomsim::MeshSink
@@ -162,12 +196,18 @@ struct BounceSink final : public atomsim::MeshSink
     std::uint64_t *remaining = nullptr;
 };
 
+/**
+ * Ping-pong @p budget packets between @p pairs on @p cfg's mesh.
+ * Returns the run's seconds; @p steady_allocs gets the heap
+ * allocations observed after warmup (must be zero) and @p mean_hops
+ * the link hops per delivered message.
+ */
 double
-runPacketMesh(std::uint64_t budget, std::uint64_t &delivered_out,
-              std::uint64_t &steady_allocs)
+runPacketMesh(const atomsim::SystemConfig &cfg, const NodePairs &pairs,
+              std::uint64_t budget, std::uint64_t &delivered_out,
+              std::uint64_t &steady_allocs, double &mean_hops)
 {
     EventQueue eq;
-    atomsim::SystemConfig cfg;  // 4x8 mesh
     atomsim::StatSet stats;
     atomsim::Mesh mesh(eq, cfg, stats);
 
@@ -175,13 +215,13 @@ runPacketMesh(std::uint64_t budget, std::uint64_t &delivered_out,
     std::uint64_t remaining = budget;
     const std::uint64_t warmup = budget / 10;
 
-    std::vector<BounceSink> sinks(kMeshPairs * 2);
-    for (std::uint32_t i = 0; i < kMeshPairs; ++i) {
+    std::vector<BounceSink> sinks(pairs.size() * 2);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
         BounceSink &a = sinks[2 * i];
         BounceSink &b = sinks[2 * i + 1];
         a.mesh = b.mesh = &mesh;
-        a.self = b.peerNode = i;
-        b.self = a.peerNode = 31 - i;
+        a.self = b.peerNode = pairs[i].first;
+        b.self = a.peerNode = pairs[i].second;
         a.peer = &b;
         b.peer = &a;
         a.delivered = b.delivered = &delivered;
@@ -191,7 +231,7 @@ runPacketMesh(std::uint64_t budget, std::uint64_t &delivered_out,
     std::uint64_t allocs_at_steady = 0;
     bool counting = false;
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint32_t i = 0; i < kMeshPairs; ++i) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
         --remaining;
         atomsim::Packet &p = mesh.make(atomsim::MsgType::Data);
         p.receiver = &sinks[2 * i + 1];
@@ -206,7 +246,38 @@ runPacketMesh(std::uint64_t budget, std::uint64_t &delivered_out,
     const auto t1 = std::chrono::steady_clock::now();
     delivered_out = delivered;
     steady_allocs = counting ? allocCount() - allocs_at_steady : 0;
+    // flit_hops counts flits * (link hops + the source router hop).
+    const double flits = atomsim::msgFlits(atomsim::MsgType::Data);
+    mean_hops = delivered
+                    ? double(mesh.flitHops()) / (flits * double(delivered)) - 1
+                    : 0.0;
     return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/** Time one mesh line (after a warm-up pass) and print it; false when
+ * the packet path allocated in steady state. */
+bool
+reportPacketMesh(const char *label, const atomsim::SystemConfig &cfg,
+                 const NodePairs &pairs, std::uint64_t budget)
+{
+    std::uint64_t delivered = 0, allocs = 0;
+    double mean_hops = 0.0;
+    // Warm-up pass so the timed run starts against a hot allocator.
+    runPacketMesh(cfg, pairs, budget / 10, delivered, allocs, mean_hops);
+    const double t =
+        runPacketMesh(cfg, pairs, budget, delivered, allocs, mean_hops);
+
+    std::printf("  %-38s %8.2f M msgs/s   %5.1f hops/msg   "
+                "(%llu steady-state allocs)\n",
+                label, double(delivered) / t / 1e6, mean_hops,
+                (unsigned long long)allocs);
+    if (allocs != 0) {
+        std::fprintf(stderr, "\nFAIL: %s allocated %llu times in steady "
+                             "state (expected 0)\n",
+                     label, (unsigned long long)allocs);
+        return false;
+    }
+    return true;
 }
 
 // --- L1/L2 miss path ---------------------------------------------------
@@ -381,26 +452,21 @@ main(int argc, char **argv)
     // --- mesh delivery path -------------------------------------------
 
     const std::uint64_t mesh_budget = budget / 5;
-    std::printf("\nmesh delivery: %llu messages, %u ping-pong pairs "
-                "on the 4x8 mesh\n\n",
-                (unsigned long long)mesh_budget, kMeshPairs * 2);
+    const NodePairs table_one = tableOnePairs();
+    const NodePairs long_routes = longRoutePairs();
+    std::printf("\nmesh delivery: %llu messages per line, %zu "
+                "ping-pong sinks on the 4x8 mesh, %zu on the 32x32 "
+                "mesh\n\n",
+                (unsigned long long)mesh_budget, table_one.size() * 2,
+                long_routes.size() * 2);
 
-    std::uint64_t delivered = 0, mesh_allocs = 0;
-    // Warm-up pass so the timed run starts against a hot allocator.
-    runPacketMesh(mesh_budget / 10, delivered, mesh_allocs);
-    const double t_mesh = runPacketMesh(mesh_budget, delivered, mesh_allocs);
-
-    std::printf("  %-38s %8.2f M msgs/s   (%llu steady-state allocs)\n",
-                "intrusive packet mesh (typed sinks)",
-                double(delivered) / t_mesh / 1e6,
-                (unsigned long long)mesh_allocs);
-
-    if (mesh_allocs != 0) {
-        std::fprintf(stderr, "\nFAIL: packet mesh allocated %llu times "
-                             "in steady state (expected 0)\n",
-                     (unsigned long long)mesh_allocs);
+    if (!reportPacketMesh("packet mesh, 4x8 (Table I)",
+                          atomsim::SystemConfig{}, table_one,
+                          mesh_budget) ||
+        !reportPacketMesh("packet mesh, 32x32 (1024 tiles)",
+                          atomsim::SystemConfig::makeMeshPreset(1024),
+                          long_routes, mesh_budget))
         return 1;
-    }
 
     // --- L1/L2 miss path ----------------------------------------------
 

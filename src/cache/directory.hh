@@ -108,6 +108,24 @@ class SharerSet
         return n;
     }
 
+    /**
+     * Call @p fn(core) for every member, in ascending core order. The
+     * walk visits set bits only (ctz over each word), so its cost
+     * follows the member count, not the machine's core count.
+     */
+    template <typename F>
+    void
+    forEach(F &&fn) const
+    {
+        for (std::uint64_t w = _w0; w != 0; w &= w - 1)
+            fn(CoreId(__builtin_ctzll(w)));
+        for (std::size_t i = 0; i < _hi.size(); ++i) {
+            const CoreId base = CoreId((i + 1) * 64);
+            for (std::uint64_t w = _hi[i]; w != 0; w &= w - 1)
+                fn(base + CoreId(__builtin_ctzll(w)));
+        }
+    }
+
     /** True when the set minus @p core is nonempty. */
     bool
     anyBut(CoreId core) const

@@ -136,22 +136,25 @@ L2Tile::startRound(Addr line, CoreId owner, const SharerSet &sharers,
     round->next = _roundActive;
     _roundActive = round;
 
+    const std::uint32_t home = _mesh.tileNode(_tileId);
     if (owner != kNoCore) {
         Packet &p = _mesh.make(MsgType::Recall);
         p.receiver = _l1s[owner];
         p.core = owner;
         p.addr = line;
-        _mesh.send(_mesh.tileNode(_tileId), _mesh.coreNode(owner), p);
+        _mesh.send(home, _mesh.coreNode(owner), p);
     }
-    for (CoreId c = 0; c < _l1s.size(); ++c) {
-        if (!sharers.test(c))
-            continue;
+    // Ascending core order: the Invs draw their delivery seqs in the
+    // same order a scan over every core would.
+    sharers.forEach([&](CoreId c) {
+        panic_if(c >= _l1s.size(), "sharer %u of line %#llx is past the "
+                 "last core", c, (unsigned long long)line);
         Packet &p = _mesh.make(MsgType::Inv);
         p.receiver = _l1s[c];
         p.core = c;
         p.addr = line;
-        _mesh.send(_mesh.tileNode(_tileId), _mesh.coreNode(c), p);
-    }
+        _mesh.send(home, _mesh.coreNode(c), p);
+    });
 }
 
 void

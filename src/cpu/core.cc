@@ -7,12 +7,13 @@ namespace atomsim
 {
 
 Core::Core(CoreId id, EventQueue &eq, const SystemConfig &cfg, L1Cache &l1,
-           StatSet &stats)
+           StatSet &stats, RunTally &tally)
     : _id(id),
       _eq(eq),
       _cfg(cfg),
       _l1(l1),
       _sq(id, eq, cfg.sqEntries, cfg.sqDrainWidth, l1, stats),
+      _tally(tally),
       _nextTxnEvent([this] { nextTransaction(); }, "core.nextTxn"),
       _opDoneEvent([this] { opDone(_opDoneIdx); }, "core.opDone"),
       _execOpEvent([this] { execOp(_execIdx); }, "core.execOp"),
@@ -53,7 +54,10 @@ Core::fetchTransaction()
         if (_regionSer)
             _regionSer->release();
         // Drain outstanding stores, then go idle.
-        _sq.whenEmpty([this] { _done = true; });
+        _sq.whenEmpty([this] {
+            _done = true;
+            ++_tally.done;
+        });
         return;
     }
     _txnStart = _eq.now();
@@ -110,6 +114,7 @@ Core::execOp(std::size_t idx)
         _sq.whenEmpty([this, idx] {
             _hooks->atomicEnd(_id, _txn->modifiedLines, [this, idx] {
                 _statCommitted.inc();
+                ++_tally.committed;
                 opDone(idx);
             });
         });

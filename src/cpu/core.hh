@@ -124,12 +124,24 @@ class RegionSerializer
     std::deque<std::function<void()>> _waiters;
 };
 
+/**
+ * Machine-wide run progress, bumped by every core as it commits and as
+ * it finishes, so a run's stop predicates read it in O(1) instead of
+ * scanning the cores before every event.
+ */
+struct RunTally
+{
+    std::uint64_t committed = 0;  //!< transactions committed, all cores
+    std::uint32_t done = 0;       //!< cores for which done() holds
+};
+
 /** One simulated core. */
 class Core
 {
   public:
+    /** @param tally machine-wide progress this core adds to */
     Core(CoreId id, EventQueue &eq, const SystemConfig &cfg, L1Cache &l1,
-         StatSet &stats);
+         StatSet &stats, RunTally &tally);
 
     /**
      * Completion hook for latency measurement: fires once per
@@ -171,6 +183,7 @@ class Core
     const SystemConfig &_cfg;
     L1Cache &_l1;
     StoreQueue _sq;
+    RunTally &_tally;
 
     TransactionSource *_source = nullptr;
     DesignHooks *_hooks = nullptr;

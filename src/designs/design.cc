@@ -94,6 +94,7 @@ DesignContext::DesignContext(EventQueue &eq, const SystemConfig &cfg,
       _redo(redo),
       _commitInFlight(cfg.numCores, false),
       _pendingBegin(cfg.numCores),
+      _truncateJoin(cfg.numCores),
       _statFlushes(stats.counter("design", "commit_flushes")),
       _statCommits(stats.counter("design", "commits")),
       _statStagedAcks(stats.counter("design", "staged_acks"))
@@ -182,19 +183,27 @@ DesignContext::truncateAll(CoreId core, std::function<void()> done)
     const int slot = _pool.slotOf(core);
     panic_if(slot < 0, "truncate without an AUS (core %u)", core);
 
-    auto pending = std::make_shared<std::size_t>(_logms.size());
-    auto finish = std::make_shared<std::function<void()>>(
-        [this, core, done = std::move(done)]() mutable {
-            _pool.release(core);
-            countCommit(core);
-            done();
-        });
-    for (auto &logm : _logms) {
-        logm->truncate(std::uint32_t(slot), [pending, finish] {
-            if (--*pending == 0)
-                (*finish)();
-        });
-    }
+    TruncateJoin &join = _truncateJoin[core];
+    panic_if(join.pending != 0,
+             "core %u began a truncation with one in flight", core);
+    join.pending = _logms.size();
+    join.done = std::move(done);
+    // The per-controller callback captures only (this, core), so it
+    // fits std::function's small buffer: no allocation per commit.
+    for (auto &logm : _logms)
+        logm->truncate(std::uint32_t(slot), [this, core] { truncated(core); });
+}
+
+void
+DesignContext::truncated(CoreId core)
+{
+    TruncateJoin &join = _truncateJoin[core];
+    if (--join.pending != 0)
+        return;
+    std::function<void()> done = std::move(join.done);
+    _pool.release(core);
+    countCommit(core);
+    done();
 }
 
 void

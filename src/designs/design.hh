@@ -158,6 +158,18 @@ class DesignContext : public DesignHooks
     /** Truncate @p core's AUS at every controller, then release it. */
     void truncateAll(CoreId core, std::function<void()> done);
 
+    /** One controller finished truncating @p core's AUS; the last one
+     * releases the AUS, counts the commit and runs the continuation. */
+    void truncated(CoreId core);
+
+    /** Join of one commit's per-controller truncations. A core has at
+     * most one in flight: _commitInFlight parks its next begin. */
+    struct TruncateJoin
+    {
+        std::size_t pending = 0;  //!< controllers yet to finish
+        std::function<void()> done;
+    };
+
     EventQueue &_eq;
     const SystemConfig &_cfg;
     std::vector<std::unique_ptr<LogM>> &_logms;
@@ -174,6 +186,7 @@ class DesignContext : public DesignHooks
      * AUS slot is not yet released and a new begin must park. */
     std::vector<bool> _commitInFlight;
     std::vector<std::function<void()>> _pendingBegin;  //!< per core
+    std::vector<TruncateJoin> _truncateJoin;  //!< per core
 
     Counter &_statFlushes;
     Counter &_statCommits;

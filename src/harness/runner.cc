@@ -68,22 +68,13 @@ Runner::next(CoreId core)
 bool
 Runner::allDone() const
 {
-    const System &sys = *_system;
-    for (CoreId c = 0; c < sys.numCores(); ++c) {
-        if (!sys.core(c).done())
-            return false;
-    }
-    return true;
+    return _system->tally().done == _system->numCores();
 }
 
 std::uint64_t
 Runner::committed() const
 {
-    const System &sys = *_system;
-    std::uint64_t total = 0;
-    for (CoreId c = 0; c < sys.numCores(); ++c)
-        total += sys.core(c).committed();
-    return total;
+    return _system->tally().committed;
 }
 
 RunResult

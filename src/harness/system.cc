@@ -10,7 +10,7 @@ namespace
 
 /** @p cfg after validate(): runs before any member is built from it,
  * so a bad config dies with validate()'s message, not inside a
- * member's constructor (the event queue checks wheelBuckets too). */
+ * member's constructor. */
 const SystemConfig &
 validated(const SystemConfig &cfg)
 {
@@ -21,7 +21,7 @@ validated(const SystemConfig &cfg)
 } // namespace
 
 System::System(const SystemConfig &cfg, Addr data_bytes)
-    : _cfg(validated(cfg)), _eq(_cfg.wheelBuckets), _amap(_cfg, data_bytes)
+    : _cfg(validated(cfg)), _amap(_cfg, data_bytes)
 {
     _mesh = std::make_unique<Mesh>(_eq, _cfg, _stats);
 
@@ -139,7 +139,7 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
         _regionSer = std::make_unique<RegionSerializer>();
     for (CoreId c = 0; c < _cfg.numCores; ++c) {
         _cores.push_back(std::make_unique<Core>(
-            c, _eq, _cfg, *_l1s[c], _stats));
+            c, _eq, _cfg, *_l1s[c], _stats, _tally));
         _cores.back()->setHooks(_design.get());
         _cores.back()->setRegionSerializer(_regionSer.get());
     }

@@ -83,6 +83,9 @@ class System
 
     std::uint32_t numCores() const { return _cfg.numCores; }
 
+    /** Commits and finished cores so far, across the machine. */
+    const RunTally &tally() const { return _tally; }
+
     /** Seed the durable image from the architectural one (after
      * functional initialization: initial state is durable). */
     void makeDurableSnapshot() { _nvm = _arch.clone(); }
@@ -113,6 +116,7 @@ class System
      * components' member events deschedule from it as they die. */
     EventQueue _eq;
     StatSet _stats;
+    RunTally _tally;
     AddressMap _amap;
     DataImage _arch;
     DataImage _nvm;

@@ -18,10 +18,8 @@ DataImage::Page &
 DataImage::touchPage(Addr page_num)
 {
     auto &slot = _pages[page_num];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-    }
+    if (!slot)
+        slot = std::make_unique<Page>();  // value-initialized: zeroed
     return *slot;
 }
 

@@ -121,19 +121,29 @@ Mesh::send(std::uint32_t src, std::uint32_t dst, MsgType type,
 }
 
 Tick
+Mesh::reserveLeg(std::ptrdiff_t link, std::ptrdiff_t stride,
+                 std::uint32_t hops, std::uint32_t flits, Tick head)
+{
+    // Cut-through reservation: the head flit waits for each link in
+    // turn, then the body's flits occupy it behind the head.
+    Tick *busy = _linkBusy.data();
+    for (std::uint32_t i = 0; i < hops; ++i, link += stride) {
+        Tick &b = busy[link];
+        const Tick start = head > b ? head : b;
+        head = start + _hopLatency;
+        b = head + flits - 1;
+    }
+    return head;
+}
+
+Tick
 Mesh::routeReserve(std::uint32_t src, std::uint32_t dst,
                    std::uint32_t flits, Tick head,
                    std::uint32_t &hop_count, std::size_t &last_link)
 {
-    // XY routing: move along the row (X) first, then the column (Y).
-    // The loop tracks coordinates incrementally and reserves through
-    // the compact busy array: one Tick touched per hop.
-    MeshCoord cur = coordOf(src);
-    const MeshCoord target = coordOf(dst);
-
     hop_count = 0;
     last_link = SIZE_MAX;
-    if (cur == target) {
+    if (src == dst) {
         // Same-node message: serialize on the node's ejection port
         // exactly like a link, so point-to-point FIFO holds between
         // messages of different sizes (the split-phase coherence
@@ -144,27 +154,33 @@ Mesh::routeReserve(std::uint32_t src, std::uint32_t dst,
         busy = start + flits;
         return start + flits - 1;
     }
-    while (!(cur == target)) {
-        std::uint32_t dir;  // 0=E, 1=W, 2=S, 3=N
-        if (cur.col != target.col) {
-            dir = (target.col > cur.col) ? 0 : 1;
-        } else {
-            dir = (target.row > cur.row) ? 2 : 3;
-        }
-        last_link = std::size_t(nodeOf(cur)) * 4 + dir;
-        // Cut-through reservation: the head flit waits for the link,
-        // then the body's flits occupy it behind the head.
-        Tick &busy = _linkBusy[last_link];
-        const Tick start = head > busy ? head : busy;
-        head = start + _hopLatency;
-        busy = head + flits - 1;
-        switch (dir) {
-          case 0: ++cur.col; break;
-          case 1: --cur.col; break;
-          case 2: ++cur.row; break;
-          default: --cur.row; break;
-        }
-        ++hop_count;
+
+    // XY routing as two fixed-stride legs over the busy array. Link
+    // n*4 + dir leaves node n, so consecutive hops of the X leg (along
+    // the row) are 4 links apart and those of the Y leg (down the
+    // column) 4*cols apart; the sign is the direction of travel.
+    const MeshCoord a = coordOf(src);
+    const MeshCoord b = coordOf(dst);
+    const std::ptrdiff_t row_stride = std::ptrdiff_t(_cols) * 4;
+    if (a.col != b.col) {
+        const bool east = b.col > a.col;
+        const std::uint32_t n = east ? b.col - a.col : a.col - b.col;
+        const std::ptrdiff_t first = std::ptrdiff_t(src) * 4 + (east ? 0 : 1);
+        const std::ptrdiff_t stride = east ? 4 : -4;
+        head = reserveLeg(first, stride, n, flits, head);
+        last_link = std::size_t(first + stride * (n - 1));
+        hop_count = n;
+    }
+    if (a.row != b.row) {
+        const bool south = b.row > a.row;
+        const std::uint32_t n = south ? b.row - a.row : a.row - b.row;
+        const std::uint32_t turn = a.row * _cols + b.col;
+        const std::ptrdiff_t first =
+            std::ptrdiff_t(turn) * 4 + (south ? 2 : 3);
+        const std::ptrdiff_t stride = south ? row_stride : -row_stride;
+        head = reserveLeg(first, stride, n, flits, head);
+        last_link = std::size_t(first + stride * (n - 1));
+        hop_count += n;
     }
     return head + flits - 1;
 }

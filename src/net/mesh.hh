@@ -31,6 +31,7 @@
 #ifndef ATOMSIM_NET_MESH_HH
 #define ATOMSIM_NET_MESH_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -160,6 +161,14 @@ class Mesh
     Tick routeReserve(std::uint32_t src, std::uint32_t dst,
                       std::uint32_t flits, Tick head,
                       std::uint32_t &hop_count, std::size_t &last_link);
+
+    /**
+     * Reserve one straight leg of a route: @p hops links starting at
+     * index @p link, each @p stride indices past the last. Returns the
+     * head flit's tick after the leg's last hop.
+     */
+    Tick reserveLeg(std::ptrdiff_t link, std::ptrdiff_t stride,
+                    std::uint32_t hops, std::uint32_t flits, Tick head);
 
     MeshCoord coordOf(std::uint32_t node) const;
     std::uint32_t nodeOf(MeshCoord c) const;

@@ -177,9 +177,6 @@ SystemConfig::validate() const
              "mediaErrorPer64k is a rate out of 65536");
     fatal_if(mediaRetryLimit > 64,
              "mediaRetryLimit > 64 is a livelock, not a retry policy");
-    fatal_if(wheelBuckets < 64 ||
-                 (wheelBuckets & (wheelBuckets - 1)) != 0,
-             "wheelBuckets must be a power of two >= 64");
     if (hybrid()) {
         fatal_if(dramCacheMBPerMc == 0,
                  "hybrid memory needs dramCacheMBPerMc > 0");
@@ -236,11 +233,10 @@ SystemConfig::makeMeshPreset(std::uint32_t tiles)
         // Cache storage is allocated at first fill, so the host
         // footprint follows the sets a run touches, not the slice
         // size. The 64 KB slices stay because changing them would move
-        // kv-serving's modeled outputs. The narrow calendar wheel is
-        // kept as measured: widening it moves the preset's host time
-        // and needs its own measurement.
+        // kv-serving's modeled outputs. Every latency kv-serving
+        // schedules fits the event queue's 4096-tick wheel, so none of
+        // its events pays the spill heap.
         cfg.l2TileBytes = 64 * 1024;
-        cfg.wheelBuckets = 256;
         break;
       default:
         fatal("makeMeshPreset: unsupported tile count %u "

@@ -285,13 +285,7 @@ struct SystemConfig
     /** OS interrupt + page-mapping cost on log overflow. */
     Cycles osOverflowLatency = 5000;
 
-    // --- Simulation kernel -------------------------------------------
-    /**
-     * Calendar-wheel width of the machine's event queue, in one-tick
-     * buckets (power of two >= 64). Tune against
-     * EventQueue::spillRatio(); the kernel_events bench prints it.
-     */
-    std::uint32_t wheelBuckets = 4096;
+    // --- Isolation ---------------------------------------------------
     /**
      * Serialize transactions across cores through a global ticket
      * (cpu/core.hh, RegionSerializer): a core holds the ticket from
@@ -410,8 +404,7 @@ struct SystemConfig
      * Large-mesh preset: a scaled machine with @p tiles cores and L2
      * tiles on a square mesh. Supported sizes: 256 (16x16 mesh, 8 MCs)
      * and 1024 (32x32 mesh, 16 MCs). Per-tile L2 capacity shrinks with
-     * scale and the calendar wheel narrows at 1024 tiles; everything
-     * else keeps the Table I defaults.
+     * scale; everything else keeps the Table I defaults.
      */
     static SystemConfig makeMeshPreset(std::uint32_t tiles);
 };

@@ -275,14 +275,6 @@ EventQueue::acquirePooled()
     return fe;
 }
 
-void
-EventQueue::releasePooled(FuncEvent *ev)
-{
-    ev->_next = _freeList;
-    _freeList = ev;
-    ++_poolFreeCount;
-}
-
 Tick
 EventQueue::nextWheelTick() const
 {
@@ -313,16 +305,6 @@ EventQueue::nextWheelTick() const
           (unsigned long long)_wheelCount);
 }
 
-Tick
-EventQueue::nextEventTick() const
-{
-    // The wheel window invariant makes every wheel event earlier than
-    // every spill event, so the wheel wins whenever it is non-empty.
-    if (_wheelCount != 0)
-        return nextWheelTick();
-    return _spill.front()->_when;
-}
-
 void
 EventQueue::migrate()
 {
@@ -332,39 +314,6 @@ EventQueue::migrate()
         // Sorted: a bucket may hold scheduleAt() events whose stamped
         // seqs straddle the migrating event's.
         wheelInsertSorted(ev);
-    }
-}
-
-void
-EventQueue::executeNext(Tick t)
-{
-    if (t != _now) {
-        _now = t;
-        migrate();
-    }
-    const std::uint32_t bi = std::uint32_t(t) & _wheelMask;
-    Bucket &b = _wheel[bi];
-    Event *ev = b.head;
-    b.head = ev->_next;
-    if (!b.head) {
-        b.tail = nullptr;
-        _occupied[bi >> 6] &= ~(std::uint64_t(1) << (bi & 63));
-    }
-    --_wheelCount;
-    --_pending;
-    ev->_next = nullptr;
-    ev->_queue = nullptr;
-    ev->_flags &= std::uint16_t(~Event::kScheduled);
-    ++_executed;
-    if (ev->_flags & Event::kPooled) {
-        // Release the node before running the callback so the callback
-        // may immediately reuse it via post().
-        auto *fe = static_cast<FuncEvent *>(ev);
-        Callback fn = std::move(fe->_fn);
-        releasePooled(fe);
-        fn();
-    } else {
-        ev->process();
     }
 }
 
@@ -395,20 +344,6 @@ EventQueue::run(Tick limit)
         // invariant (wheel events always earliest) breaks.
         _now = limit;
         migrate();
-    }
-    return n;
-}
-
-std::uint64_t
-EventQueue::runUntil(const std::function<bool()> &pred, Tick limit)
-{
-    std::uint64_t n = 0;
-    while (!pred() && _pending != 0) {
-        const Tick t = nextEventTick();
-        if (t > limit)
-            break;
-        executeNext(t);
-        ++n;
     }
     return n;
 }

@@ -37,10 +37,9 @@
  * Pending events live in a two-level calendar queue:
  *
  *  - a *timing wheel* of wheelWidth() one-tick buckets covering the
- *    near horizon [now(), now() + wheelWidth()). The width is a
- *    construction-time knob (SystemConfig::wheelBuckets; default
- *    kWheelBuckets = 4096) -- tune it against spillRatio() for
- *    workloads whose latency mix overflows the horizon. Each bucket is
+ *    near horizon [now(), now() + wheelWidth()). Every System builds
+ *    its queue at kWheelBuckets = 4096; the constructor takes another
+ *    width only so tests can drive the spill path. Each bucket is
  *    an intrusive singly-linked FIFO list; because every schedule()
  *    call appends at the tail with a monotonically increasing global
  *    sequence number, a bucket is always sorted by insertion order. A
@@ -175,7 +174,8 @@ class EventQueue
     static constexpr std::size_t kCallbackBytes = 192;
     using Callback = InplaceCallback<kCallbackBytes>;
 
-    /** Default near-horizon width, in ticks (power of two). */
+    /** Near-horizon width of every System's queue, in ticks (power
+     * of two). */
     static constexpr std::uint32_t kWheelBuckets = 4096;
 
     /**
@@ -294,10 +294,11 @@ class EventQueue
 
     /**
      * Run until @p pred returns true (checked before every event), the
-     * queue drains, or @p limit is hit.
+     * queue drains, or @p limit is hit. Unlike run(), now() stays at
+     * the last event run; it never jumps to @p limit.
      */
-    std::uint64_t runUntil(const std::function<bool()> &pred,
-                           Tick limit = kTickNever);
+    template <typename Pred>
+    std::uint64_t runUntil(Pred &&pred, Tick limit = kTickNever);
 
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return _executed; }
@@ -320,9 +321,8 @@ class EventQueue
 
     /**
      * Fraction of schedules that missed the wheel horizon. A high
-     * ratio means the wheel width is too narrow (or bucket granularity
-     * too fine) for the workload's latency mix; widen it through
-     * SystemConfig::wheelBuckets.
+     * ratio means the workload's latency mix reaches past the horizon,
+     * and those schedules pay the spill heap's O(log n).
      */
     double
     spillRatio() const
@@ -427,6 +427,76 @@ EventQueue::post(Tick when, F &&fn)
     FuncEvent *fe = acquirePooled();
     fe->_fn.emplace(std::forward<F>(fn));
     schedule(*fe, when);
+}
+
+// The dispatch path is defined here, not in event_queue.cc, so that a
+// runUntil() instantiation inlines the next-tick lookup and the
+// dispatch into its caller's loop, beside the predicate.
+
+inline Tick
+EventQueue::nextEventTick() const
+{
+    // The wheel window invariant makes every wheel event earlier than
+    // every spill event, so the wheel wins whenever it is non-empty.
+    if (_wheelCount != 0)
+        return nextWheelTick();
+    return _spill.front()->_when;
+}
+
+inline void
+EventQueue::releasePooled(FuncEvent *ev)
+{
+    ev->_next = _freeList;
+    _freeList = ev;
+    ++_poolFreeCount;
+}
+
+inline void
+EventQueue::executeNext(Tick t)
+{
+    if (t != _now) {
+        _now = t;
+        migrate();
+    }
+    const std::uint32_t bi = std::uint32_t(t) & _wheelMask;
+    Bucket &b = _wheel[bi];
+    Event *ev = b.head;
+    b.head = ev->_next;
+    if (!b.head) {
+        b.tail = nullptr;
+        _occupied[bi >> 6] &= ~(std::uint64_t(1) << (bi & 63));
+    }
+    --_wheelCount;
+    --_pending;
+    ev->_next = nullptr;
+    ev->_queue = nullptr;
+    ev->_flags &= std::uint16_t(~Event::kScheduled);
+    ++_executed;
+    if (ev->_flags & Event::kPooled) {
+        // Release the node before running the callback so the callback
+        // may immediately reuse it via post().
+        auto *fe = static_cast<FuncEvent *>(ev);
+        Callback fn = std::move(fe->_fn);
+        releasePooled(fe);
+        fn();
+    } else {
+        ev->process();
+    }
+}
+
+template <typename Pred>
+inline std::uint64_t
+EventQueue::runUntil(Pred &&pred, Tick limit)
+{
+    std::uint64_t n = 0;
+    while (!pred() && _pending != 0) {
+        const Tick t = nextEventTick();
+        if (t > limit)
+            break;
+        executeNext(t);
+        ++n;
+    }
+    return n;
 }
 
 } // namespace atomsim

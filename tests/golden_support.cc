@@ -8,6 +8,7 @@
 
 #include "harness/runner.hh"
 #include "workloads/hash_workload.hh"
+#include "workloads/kv_workload.hh"
 #include "workloads/tpcc/tpcc_workload.hh"
 
 namespace atomsim
@@ -96,12 +97,33 @@ runGoldenTpccFull(bool record_stream)
     return collect(runner, tracer);
 }
 
+GoldenRun
+runGoldenServing1024(bool record_stream)
+{
+    SystemConfig cfg = SystemConfig::makeMeshPreset(1024);
+    cfg.numTenants = 4;
+
+    KvParams params;
+    params.numTenants = cfg.numTenants;
+    params.theta = 0.99;
+    params.keysPerTenant = 256;
+    params.insertsPerCore = 2;
+    params.txnsPerCore = 1;
+
+    KvWorkload workload(params);
+    Runner runner(cfg, workload, params.txnsPerCore);
+    TraceHasher tracer(record_stream);
+    runner.system().mesh().setTracer(&tracer);
+    return collect(runner, tracer);
+}
+
 std::string
 renderGoldens()
 {
     const GoldenRun quick = runGoldenQuickstart();
     const GoldenRun tpcc = runGoldenTpcc();
     const GoldenRun tpcc_full = runGoldenTpccFull();
+    const GoldenRun serving = runGoldenServing1024();
 
     char buf[2048];
     const int len = std::snprintf(
@@ -120,6 +142,11 @@ renderGoldens()
         "constexpr std::uint64_t kGoldenTpccFullHash = 0x%016llxull;\n"
         "constexpr std::uint64_t kGoldenTpccFullDeliveries = %lluull;\n"
         "constexpr std::uint64_t kGoldenTpccFullEvents = %lluull;\n"
+        "constexpr std::uint64_t kGoldenServing1024Hash = "
+        "0x%016llxull;\n"
+        "constexpr std::uint64_t kGoldenServing1024Deliveries = "
+        "%lluull;\n"
+        "constexpr std::uint64_t kGoldenServing1024Events = %lluull;\n"
         "// clang-format on\n",
         (unsigned long long)quick.hash,
         (unsigned long long)quick.deliveries,
@@ -127,7 +154,10 @@ renderGoldens()
         (unsigned long long)tpcc.deliveries,
         (unsigned long long)tpcc_full.hash,
         (unsigned long long)tpcc_full.deliveries,
-        (unsigned long long)tpcc_full.events);
+        (unsigned long long)tpcc_full.events,
+        (unsigned long long)serving.hash,
+        (unsigned long long)serving.deliveries,
+        (unsigned long long)serving.events);
     if (len < 0 || std::size_t(len) >= sizeof(buf)) {
         // A truncated render would silently regenerate a truncated
         // goldens.inc (and the idempotence test would then bless it).

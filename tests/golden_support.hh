@@ -117,6 +117,14 @@ GoldenRun runGoldenTpcc(bool record_stream = false);
 GoldenRun runGoldenTpccFull(bool record_stream = false);
 
 /**
+ * The 1024-tile golden workload: zipfian multi-tenant KV serving on
+ * the 32x32 serving preset (4 tenants, 1 transaction per core), the
+ * only golden whose routes run past 8 hops along a leg and whose
+ * invalidation rounds reach cores past 63.
+ */
+GoldenRun runGoldenServing1024(bool record_stream = false);
+
+/**
  * Recompute every golden constant and render the full goldens.inc
  * file contents. This is the single formatter `--dump-goldens` writes
  * through, so the idempotence test can assert that regenerating with

@@ -308,6 +308,43 @@ TEST(CacheArrayTest, MatchesDenseReferenceUnderRandomOps)
     EXPECT_LE(sparse.setsAllocated(), sets);
 }
 
+// forEach walks only the set bits, in ascending core order: the order
+// in which L2Tile::startRound's Invs draw their delivery seqs.
+TEST(SharerSetTest, ForEachVisitsMembersInAscendingOrder)
+{
+    const std::vector<CoreId> members = {0, 5, 63, 64, 127, 128, 700, 1023};
+    SharerSet set;
+    for (CoreId c : {700u, 64u, 1023u, 0u, 128u, 63u, 5u, 127u})
+        set.set(c);
+
+    std::vector<CoreId> visited;
+    set.forEach([&](CoreId c) { visited.push_back(c); });
+    EXPECT_EQ(visited, members);
+
+    std::vector<CoreId> scanned;
+    for (CoreId c = 0; c < 1024; ++c) {
+        if (set.test(c))
+            scanned.push_back(c);
+    }
+    EXPECT_EQ(visited, scanned);
+
+    std::size_t calls = 0;
+    SharerSet().forEach([&](CoreId) { ++calls; });
+    EXPECT_EQ(calls, 0u);
+
+    SharerSet cleared;
+    cleared.set(700);
+    cleared.clear(700);
+    cleared.forEach([&](CoreId) { ++calls; });
+    EXPECT_EQ(calls, 0u);
+
+    set.clear(0);
+    set.clear(700);
+    visited.clear();
+    set.forEach([&](CoreId c) { visited.push_back(c); });
+    EXPECT_EQ(visited, (std::vector<CoreId>{5, 63, 64, 127, 128, 1023}));
+}
+
 TEST(MshrTest, TracksOutstandingMisses)
 {
     MshrTable mshrs(2);

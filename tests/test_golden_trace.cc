@@ -2,9 +2,10 @@
  * @file
  * Golden-trace regression tests.
  *
- * Runs three fixed workloads -- a quickstart-sized hash
- * micro-benchmark, a tpcc-sized OLTP run and TPC-C on the full Table-I
- * machine -- with a tracer attached to the mesh, and
+ * Runs four fixed workloads -- a quickstart-sized hash
+ * micro-benchmark, a tpcc-sized OLTP run, TPC-C on the full Table-I
+ * machine and KV serving on the 1024-tile preset -- with a tracer
+ * attached to the mesh, and
  * hashes every packet delivery as a (tick, node, message-kind) triple
  * (golden_support.hh owns the hash and the workload configs; the
  * checked-in values live in the generated tests/goldens.inc). The hash
@@ -33,6 +34,7 @@ namespace
 
 using golden::GoldenRun;
 using golden::runGoldenQuickstart;
+using golden::runGoldenServing1024;
 using golden::runGoldenTpcc;
 using golden::runGoldenTpccFull;
 
@@ -73,6 +75,26 @@ TEST(GoldenTraceTest, TpccTableOneMachineIsTickForTickStable)
         << "actual deliveries: " << r.deliveries
         << " (rerun with --dump-goldens for intentional changes)";
     EXPECT_EQ(r.hash, golden::kGoldenTpccFullHash)
+        << "actual hash: 0x" << std::hex << r.hash
+        << " (rerun with --dump-goldens for intentional changes)";
+}
+
+// The 1024-tile serving preset (32x32 mesh, 16 MCs): routes of up to
+// 62 hops, Y legs that stride a whole 32-node row per hop, and
+// invalidation rounds over sharers past core 63.
+TEST(GoldenTraceTest, Serving1024MeshIsTickForTickStable)
+{
+    const GoldenRun r = runGoldenServing1024();
+    // One transaction per core; reads run no atomic region, so only
+    // the updates and inserts commit.
+    EXPECT_EQ(r.txns, 528u);
+    EXPECT_EQ(r.events, golden::kGoldenServing1024Events)
+        << "actual events: " << r.events
+        << " (rerun with --dump-goldens for intentional changes)";
+    EXPECT_EQ(r.deliveries, golden::kGoldenServing1024Deliveries)
+        << "actual deliveries: " << r.deliveries
+        << " (rerun with --dump-goldens for intentional changes)";
+    EXPECT_EQ(r.hash, golden::kGoldenServing1024Hash)
         << "actual hash: 0x" << std::hex << r.hash
         << " (rerun with --dump-goldens for intentional changes)";
 }

@@ -166,6 +166,65 @@ TEST(IntegrationTest, DurableStateMatchesArchitecturalAfterQuiesce)
     EXPECT_EQ(workload.checkConsistency(durable, 4), "");
 }
 
+// Runner's stop predicates read the tally the cores keep as they
+// commit and finish. A run driven by advanceTo must stop on exactly
+// the event after which a scan of every core finds them all done, and
+// the tally's commit count must match the cores' own at every slice.
+TEST(RunnerTest, StopsAtTheSameEventAsAPerCoreScan)
+{
+    const SystemConfig cfg;  // Table I: 32 cores, 4 MCs
+    MicroParams params;
+    params.initialItems = 16;
+    params.txnsPerCore = 4;
+
+    HashWorkload advanced_load(params);
+    Runner advanced(cfg, advanced_load, params.txnsPerCore);
+    advanced.setUp();
+    advanced.advanceTo(kTickNever);
+
+    HashWorkload stepped_load(params);
+    Runner stepped(cfg, stepped_load, params.txnsPerCore);
+    stepped.setUp();
+    System &sys = stepped.system();
+    const auto every_core_done = [&sys] {
+        for (CoreId c = 0; c < sys.numCores(); ++c) {
+            if (!sys.core(c).done())
+                return false;
+        }
+        return true;
+    };
+    while (!every_core_done() && sys.eventQueue().step()) {
+    }
+    ASSERT_TRUE(every_core_done());
+    EXPECT_EQ(advanced.system().eventQueue().executed(),
+              sys.eventQueue().executed());
+    EXPECT_EQ(advanced.system().eventQueue().now(), sys.eventQueue().now());
+    EXPECT_EQ(advanced.committed(), 32u * params.txnsPerCore);
+
+    HashWorkload sliced_load(params);
+    Runner sliced(cfg, sliced_load, params.txnsPerCore);
+    sliced.setUp();
+    const System &sliced_sys = sliced.system();
+    std::uint32_t slices = 0;
+    bool all_done = false;
+    for (Tick limit = 2000; !all_done && limit <= Tick(100) * 1000 * 1000;
+         limit += 2000) {
+        sliced.advanceTo(limit);
+        std::uint64_t per_core = 0;
+        all_done = true;
+        for (CoreId c = 0; c < sliced_sys.numCores(); ++c) {
+            per_core += sliced_sys.core(c).committed();
+            all_done = all_done && sliced_sys.core(c).done();
+        }
+        EXPECT_EQ(sliced.committed(), per_core)
+            << "after the slice up to tick " << limit;
+        ++slices;
+    }
+    EXPECT_TRUE(all_done);
+    EXPECT_GT(slices, 4u);
+    EXPECT_EQ(sliced.committed(), advanced.committed());
+}
+
 // Cache and DRAM-cache sets are allocated at their first fill, so a
 // fresh Table-I hybrid machine holds no set storage, and a run
 // allocates only sets it fills, never more than an array has.

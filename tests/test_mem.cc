@@ -32,6 +32,36 @@ TEST(DataImageTest, ZeroInitializedReads)
     EXPECT_EQ(img.pagesAllocated(), 0u);
 }
 
+// A page that a write materializes reads zero wherever the write did
+// not land, even when the allocator hands back memory that held other
+// bytes: touchPage value-initializes each new page.
+TEST(DataImageTest, FreshPageReadsZeroAroundTheWrite)
+{
+    constexpr Addr kPages = 8;
+    DataImage img;
+    const std::vector<std::uint8_t> ones(kPageBytes, 0xff);
+    for (Addr p = 0; p < kPages; ++p)
+        img.write(p * kPageBytes, kPageBytes, ones.data());
+    img.clear();
+    ASSERT_EQ(img.pagesAllocated(), 0u);
+
+    const std::uint8_t mark = 0x5a;
+    for (Addr p = 0; p < kPages; ++p)
+        img.write(p * kPageBytes + 100 + p, 1, &mark);
+
+    std::vector<std::uint8_t> page(kPageBytes);
+    for (Addr p = 0; p < kPages; ++p) {
+        img.read(p * kPageBytes, kPageBytes, page.data());
+        std::size_t nonzero = 0;
+        for (std::size_t i = 0; i < kPageBytes; ++i) {
+            if (i != 100 + p && page[i] != 0)
+                ++nonzero;
+        }
+        EXPECT_EQ(page[100 + p], mark) << "page " << p;
+        EXPECT_EQ(nonzero, 0u) << "page " << p;
+    }
+}
+
 TEST(DataImageTest, ScalarRoundTrip)
 {
     DataImage img;

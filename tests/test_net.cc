@@ -5,15 +5,183 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "net/mesh.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
 {
 namespace
 {
+
+/**
+ * The XY route restated one hop at a time: a direction branch and a
+ * link lookup per hop, the reservation the mesh's strided legs must
+ * reproduce tick for tick.
+ */
+class HopByHopMesh
+{
+  public:
+    explicit HopByHopMesh(const SystemConfig &cfg)
+        : _cols(cfg.meshCols()),
+          _hop(cfg.hopLatency),
+          _linkBusy(std::size_t(cfg.meshRows) * _cols * 4, 0),
+          _ejectBusy(std::size_t(cfg.meshRows) * _cols, 0)
+    {
+    }
+
+    /** Tail-flit arrival of a @p type message sent at @p now. */
+    Tick
+    send(std::uint32_t src, std::uint32_t dst, MsgType type, Tick now)
+    {
+        const std::uint32_t flits = msgFlits(type);
+        Tick head = now + _hop;
+        if (src == dst) {
+            Tick &busy = _ejectBusy[dst];
+            const Tick start = std::max(head, busy);
+            busy = start + flits;
+            flitHops += flits;
+            return start + flits - 1;
+        }
+        std::uint32_t row = src / _cols, col = src % _cols;
+        const std::uint32_t to_row = dst / _cols, to_col = dst % _cols;
+        std::uint32_t hops = 0;
+        while (row != to_row || col != to_col) {
+            std::uint32_t dir;  // 0=E, 1=W, 2=S, 3=N
+            if (col != to_col)
+                dir = to_col > col ? 0 : 1;
+            else
+                dir = to_row > row ? 2 : 3;
+            Tick &busy =
+                _linkBusy[(std::size_t(row) * _cols + col) * 4 + dir];
+            const Tick start = std::max(head, busy);
+            queuedHops += start > head;
+            head = start + _hop;
+            busy = head + flits - 1;
+            switch (dir) {
+              case 0: ++col; break;
+              case 1: --col; break;
+              case 2: ++row; break;
+              default: --row; break;
+            }
+            ++hops;
+        }
+        flitHops += std::uint64_t(flits) * (hops + 1);
+        return head + flits - 1;
+    }
+
+    std::uint64_t flitHops = 0;
+    std::uint64_t queuedHops = 0;  //!< hops whose head waited for a link
+
+  private:
+    std::uint32_t _cols;
+    Cycles _hop;
+    std::vector<Tick> _linkBusy;
+    std::vector<Tick> _ejectBusy;
+};
+
+/** Logs every delivery as (tick, node, kind). */
+class DeliveryLog final : public Mesh::Tracer
+{
+  public:
+    void
+    onDeliver(Tick tick, std::uint32_t node, MsgType type) override
+    {
+        log.emplace_back(tick, node, type);
+    }
+
+    std::vector<std::tuple<Tick, std::uint32_t, MsgType>> log;
+};
+
+/**
+ * Send a seeded stream of overlapping messages on @p cfg's mesh and
+ * check every delivery tick, and flitHops(), against HopByHopMesh.
+ * The stream mixes same-node, same-row, same-column and two-leg
+ * routes, plus corner-to-corner traffic that piles onto the edge
+ * links, in batches a few ticks apart so later routes queue behind
+ * earlier ones.
+ */
+void
+expectRouteLegsMatchHopByHop(const SystemConfig &cfg, std::uint64_t seed)
+{
+    EventQueue eq;
+    StatSet stats;
+    Mesh mesh(eq, cfg, stats);
+    DeliveryLog tracer;
+    mesh.setTracer(&tracer);
+    HopByHopMesh ref(cfg);
+    Random rng(seed);
+
+    const std::uint32_t rows = cfg.meshRows;
+    const std::uint32_t cols = cfg.meshCols();
+    const std::uint32_t nodes = rows * cols;
+
+    // (arrival, send order, destination, kind): sorted, the order in
+    // which the mesh must deliver.
+    std::vector<std::tuple<Tick, std::size_t, std::uint32_t, MsgType>>
+        expected;
+    std::uint32_t same_node = 0, east = 0, west = 0, south = 0,
+                  north = 0;
+    Tick now = 0;
+    for (int batch = 0; batch < 200; ++batch) {
+        now += rng.below(12);
+        eq.run(now);
+        for (int i = 0; i < 16; ++i) {
+            std::uint32_t src = std::uint32_t(rng.below(nodes));
+            std::uint32_t dst = src;
+            switch (rng.below(5)) {
+              case 0:  // same node
+                break;
+              case 1:  // same row
+                dst = src / cols * cols + std::uint32_t(rng.below(cols));
+                break;
+              case 2:  // same column
+                dst = std::uint32_t(rng.below(rows)) * cols + src % cols;
+                break;
+              case 3:  // any pair: an X leg, then a Y leg
+                dst = std::uint32_t(rng.below(nodes));
+                break;
+              default:  // corner to corner, sharing the edge links
+                src = mesh.mcNode(McId(rng.below(4)));
+                dst = mesh.mcNode(McId(rng.below(4)));
+                break;
+            }
+            const MsgType type = rng.below(2) ? MsgType::Data
+                                              : MsgType::Ctrl;
+            same_node += src == dst;
+            east += dst % cols > src % cols;
+            west += dst % cols < src % cols;
+            south += dst / cols > src / cols;
+            north += dst / cols < src / cols;
+
+            expected.emplace_back(ref.send(src, dst, type, eq.now()),
+                                  expected.size(), dst, type);
+            mesh.send(src, dst, mesh.make(type));
+        }
+    }
+    eq.run();
+
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(tracer.log.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const auto &[arrival, order, dst, type] = expected[i];
+        EXPECT_EQ(tracer.log[i], std::make_tuple(arrival, dst, type))
+            << "delivery " << i << " (message " << order << ")";
+    }
+    EXPECT_EQ(mesh.flitHops(), ref.flitHops);
+    EXPECT_GT(ref.queuedHops, 0u);
+    EXPECT_GT(same_node, 0u);
+    EXPECT_GT(east, 0u);
+    EXPECT_GT(west, 0u);
+    EXPECT_GT(south, 0u);
+    EXPECT_GT(north, 0u);
+}
 
 class MeshTest : public ::testing::Test
 {
@@ -289,6 +457,15 @@ TEST_F(MeshTest, BoundedDepthBackpressureStallsAndRecovers)
     ASSERT_EQ(free_arrivals.size(), 6u);
     EXPECT_EQ(arrivals.back(), free_arrivals.back());
     EXPECT_EQ(fstats.value("mesh", "link_stalls"), 0u);
+}
+
+// The strided X and Y legs reserve exactly the links, at exactly the
+// ticks, of a hop-by-hop walk: on the Table-I mesh and on the 1024-tile
+// preset's 32x32 mesh, whose Y legs stride 128 links per hop.
+TEST_F(MeshTest, RouteLegsMatchAHopByHopWalk)
+{
+    expectRouteLegsMatchHopByHop(cfg, 17);
+    expectRouteLegsMatchHopByHop(SystemConfig::makeMeshPreset(1024), 23);
 }
 
 } // namespace
