@@ -14,8 +14,8 @@
  *   pooled    one-shot post() path (pooled FuncEvents, calendar queue)
  *   intrusive member TickEvents (zero allocation, calendar queue)
  *
- * Mesh section: typed intrusive packets ping-ponging through per-link
- * delivery queues, on the Table-I 4x8 mesh and on the 1024-tile
+ * Mesh section: typed intrusive packets, each its own delivery event,
+ * ping-ponging across the Table-I 4x8 mesh and the 1024-tile
  * preset's 32x32 mesh, where the pairs sit at opposite corners and
  * edges so every route runs 32-62 hops and both legs walk in both
  * directions. The binary links bench/alloc_counter.cc, which counts

@@ -124,7 +124,7 @@ LogM::withOpenRecord(std::uint32_t aus, ReadyCallback ready)
 
     // Need a fresh record; possibly a fresh bucket.
     if (st.currentBucket == kNoBucket ||
-        st.currentRecord >= _amap.recordsPerBucket()) {
+        st.currentRecord >= AddressMap::kRecordsPerBucket) {
         auto bucket = _buckets.allocate(aus);
         if (!bucket) {
             // Log overflow: interrupt the OS for more mapped pages,

@@ -113,7 +113,7 @@ RecoveryManager::recoverMc(DataImage &nvm, McId mc,
         for (std::uint32_t b = 0; b < buckets; ++b) {
             if (!((vec[b / 8] >> (b % 8)) & 1))
                 continue;
-            for (std::uint32_t r = 0; r < _amap.recordsPerBucket();
+            for (std::uint32_t r = 0; r < AddressMap::kRecordsPerBucket;
                  ++r) {
                 const Addr base = _amap.recordBase(mc, b, r);
                 const auto parsed =

@@ -8,8 +8,7 @@ namespace atomsim
 AddressMap::AddressMap(const SystemConfig &cfg, Addr data_bytes)
     : _numMc(cfg.numMemCtrls),
       _l2Tiles(cfg.l2Tiles),
-      _bucketsPerMc(cfg.bucketsPerMc),
-      _recordsPerBucket(cfg.recordsPerBucket)
+      _bucketsPerMc(cfg.bucketsPerMc)
 {
     // Round the data region up to a whole number of interleave groups so
     // the log region starts on a page that maps to MC 0.
@@ -17,10 +16,6 @@ AddressMap::AddressMap(const SystemConfig &cfg, Addr data_bytes)
     _logBase = (data_bytes + group - 1) / group * group;
     _logEnd = _logBase +
               Addr(_bucketsPerMc) * _numMc * kPageBytes;
-
-    panic_if(_recordsPerBucket * kRecordBytes != kPageBytes,
-             "bucket must be exactly one page (%u records of 512 B)",
-             unsigned(kPageBytes / kRecordBytes));
 
     if (cfg.ssdTier) {
         _ssdMapPagesPerMc =
@@ -65,7 +60,7 @@ Addr
 AddressMap::recordBase(McId mc, std::uint32_t bucket,
                        std::uint32_t record) const
 {
-    panic_if(record >= _recordsPerBucket, "bad record index %u", record);
+    panic_if(record >= kRecordsPerBucket, "bad record index %u", record);
     return bucketBase(mc, bucket) + Addr(record) * kRecordBytes;
 }
 

@@ -143,15 +143,17 @@ class AddressMap
     /** Bytes in one log record (8 lines). */
     static constexpr Addr kRecordBytes = 8 * kLineBytes;
 
+    /** Records in one log bucket; a bucket is exactly one page. */
+    static constexpr std::uint32_t kRecordsPerBucket =
+        kPageBytes / kRecordBytes;
+
     std::uint32_t numMemCtrls() const { return _numMc; }
     std::uint32_t bucketsPerMc() const { return _bucketsPerMc; }
-    std::uint32_t recordsPerBucket() const { return _recordsPerBucket; }
 
   private:
     std::uint32_t _numMc;
     std::uint32_t _l2Tiles;
     std::uint32_t _bucketsPerMc;
-    std::uint32_t _recordsPerBucket;
     std::uint32_t _ssdMapPagesPerMc = 0;
     Addr _logBase;
     Addr _logEnd;

@@ -2,10 +2,10 @@
  * @file
  * Mesh packets: message kinds, payload, and the typed completion.
  *
- * A Packet is an intrusive, pool-owned node: the mesh chains packets
- * through the embedded `next` pointer into per-link delivery queues, so
- * sending a message performs no allocation in steady state. Delivery is
- * a *typed completion*: the packet names a receiver (a MeshSink) and an
+ * A Packet is a pool-owned node that is also its own delivery event:
+ * the mesh schedules it at its tail-flit arrival tick, so sending a
+ * message performs no allocation in steady state. Delivery is a
+ * *typed completion*: the packet names a receiver (a MeshSink) and an
  * opcode (MsgType); the receiver dispatches on the opcode and reads the
  * payload fields. Messages that genuinely need a dynamic continuation
  * (acks that resume a stored-away caller, RPC-style legs into the
@@ -25,6 +25,7 @@
 #include "cache/cache_line.hh"
 #include "mem/phys_mem.hh"
 #include "sim/callback.hh"
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -71,6 +72,7 @@ const char *msgName(MsgType type);
  */
 std::uint32_t msgFlits(MsgType type);
 
+class Mesh;
 struct Packet;
 
 /**
@@ -95,13 +97,19 @@ class MeshSink
 static constexpr std::size_t kMeshCallbackBytes = 64;
 using MeshCallback = InplaceCallback<kMeshCallbackBytes>;
 
-/** One in-flight mesh message (pool node; see net/mesh.hh). */
-struct Packet
+/**
+ * One in-flight mesh message (pool node; see net/mesh.hh). The packet
+ * is scheduled as an event at its tail-flit arrival tick and runs
+ * like any other event, in (tick, schedule order).
+ */
+struct Packet final : public Event
 {
-    // --- intrusive delivery-queue linkage (owned by the mesh) ---------
-    Packet *next = nullptr;
-    Tick arrival = 0;        //!< tail-flit arrival tick at dst
-    std::uint64_t seq = 0;   //!< FIFO slot stamped at send time
+    /** Deliver through the owning mesh (defined in net/mesh.cc). */
+    void process() override;
+
+    // --- pool linkage (owned by the mesh) -----------------------------
+    Packet *next = nullptr;  //!< free-list link while idle
+    Mesh *mesh = nullptr;    //!< owning mesh, set by Mesh::make
 
     // --- routing ------------------------------------------------------
     MsgType type = MsgType::Ctrl;

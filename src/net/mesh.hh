@@ -9,23 +9,14 @@
  * contention.
  *
  * Delivery is allocation-free: packets are pool-owned intrusive nodes
- * (mem/packet.hh) chained into a per-link delivery queue -- the queue
- * of the *last* link a route traverses, or the destination node's
- * ejection queue for same-node messages (which serializes on a
- * per-node port reservation, so same-pair messages deliver in send
- * order regardless of size -- a protocol invariant the split-phase
- * coherence paths rely on). Each queue owns one member
- * drain event that walks its packets at link rate. Every packet is
- * stamped with an EventQueue FIFO slot at send time and the drain event
- * is scheduled into exactly that slot (EventQueue::scheduleAt), so
- * deliveries execute in the same global order a per-message scheduled
- * closure would have -- refactoring the NoC never perturbs simulated
- * timing (the golden-trace test pins this down).
- *
- * Backpressure: with cfg.linkQueueDepth > 0, a link whose delivery
- * queue is full parks new packets in a stall list and re-admits them as
- * the queue drains, delaying their arrival; the mesh.link_stalls /
- * mesh.link_stall_cycles stats make link-level backpressure observable.
+ * (mem/packet.hh), and each packet is its own delivery event. send()
+ * reserves the route and schedules the packet at its tail-flit arrival
+ * tick, so deliveries run in the kernel's one (tick, schedule order)
+ * rule like every other event. The per-link reservations make each
+ * link's arrivals, and each node's ejection port's, strictly
+ * increasing, so messages that share a last link or a same-node port
+ * deliver in send order regardless of size -- a protocol invariant
+ * the split-phase coherence paths rely on.
  */
 
 #ifndef ATOMSIM_NET_MESH_HH
@@ -33,11 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mem/packet.hh"
-#include "net/router.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
@@ -68,8 +57,11 @@ class Mesh
         ~Tracer() = default;
     };
 
+    /**
+     * Packets still in flight when the mesh is destroyed deschedule
+     * themselves, so @p eq must outlive the mesh or be destroyed first.
+     */
     Mesh(EventQueue &eq, const SystemConfig &cfg, StatSet &stats);
-    ~Mesh();
 
     Mesh(const Mesh &) = delete;
     Mesh &operator=(const Mesh &) = delete;
@@ -123,22 +115,6 @@ class Mesh
     /** Hop count of the XY route between two nodes. */
     std::uint32_t hops(std::uint32_t src, std::uint32_t dst) const;
 
-    /** Packets parked by bounded-depth backpressure so far. */
-    std::uint64_t linkStalls() const { return _linkStalls.value(); }
-
-    /** Directed link for the hop @p from -> @p to (must be adjacent). */
-    const MeshLink &linkBetween(std::uint32_t from,
-                                std::uint32_t to) const
-    {
-        return _links[linkIndex(from, to)];
-    }
-
-    /** A node's ejection queue (same-node deliveries). */
-    const MeshLink &ejectionOf(std::uint32_t node) const
-    {
-        return _eject[node];
-    }
-
     /** Packet nodes ever allocated (pool high-water mark). */
     std::size_t packetPoolAllocated() const { return _pool.allocated(); }
 
@@ -149,18 +125,24 @@ class Mesh
     void setTracer(Tracer *tracer) { _tracer = tracer; }
 
   private:
-    friend struct MeshLink::DrainEvent;
+    friend struct Packet;
+
+    /** Integer coordinates of a node. */
+    struct Coord
+    {
+        std::uint32_t row;
+        std::uint32_t col;
+    };
 
     /**
      * XY route + cut-through reservation from @p src to @p dst:
      * advances the per-link busy state and returns the tail-flit
      * arrival tick for a head flit leaving the source router at
-     * @p head. @p last_link receives the final link index (SIZE_MAX
-     * for same-node traffic), @p hop_count the hops taken.
+     * @p head. @p hop_count receives the hops taken.
      */
     Tick routeReserve(std::uint32_t src, std::uint32_t dst,
                       std::uint32_t flits, Tick head,
-                      std::uint32_t &hop_count, std::size_t &last_link);
+                      std::uint32_t &hop_count);
 
     /**
      * Reserve one straight leg of a route: @p hops links starting at
@@ -170,36 +152,22 @@ class Mesh
     Tick reserveLeg(std::ptrdiff_t link, std::ptrdiff_t stride,
                     std::uint32_t hops, std::uint32_t flits, Tick head);
 
-    MeshCoord coordOf(std::uint32_t node) const;
-    std::uint32_t nodeOf(MeshCoord c) const;
+    Coord coordOf(std::uint32_t node) const;
+    std::uint32_t nodeOf(Coord c) const;
 
-    /** Link index for the hop from @p from toward @p to (adjacent). */
-    std::size_t linkIndex(std::uint32_t from, std::uint32_t to) const;
-
-    /** Queue @p pkt on @p lq, honoring the bounded depth. */
-    void enqueue(MeshLink &lq, Packet *pkt);
-
-    /** Insert into the delivery queue ((arrival, seq) order) and arm
-     * the drain event when @p pkt becomes the head. */
-    void admit(MeshLink &lq, Packet *pkt);
-
-    /** Drain event body: deliver the head packet, re-arm, re-admit
-     * stalled packets. */
-    void drainLink(MeshLink &lq);
+    /** A packet's event body: trace, complete, return it to the pool. */
+    void deliver(Packet &pkt);
 
     EventQueue &_eq;
     std::uint32_t _rows;
     std::uint32_t _cols;
     Cycles _hopLatency;
-    std::uint32_t _maxQueueDepth;  //!< 0 = unbounded
-    std::unique_ptr<MeshLink[]> _links;  //!< 4 directed links per node
-    std::unique_ptr<MeshLink[]> _eject;  //!< per-node ejection queues
     /**
-     * Per-link busy-until reservation (cut-through approximation: the
-     * head flit reserves the link until it passes; body flits extend
-     * occupancy at the destination only). Kept as a compact parallel
-     * array -- one Tick per link -- so the per-hop routing loop stays
-     * cache-tight instead of striding over the queue objects.
+     * Per-link busy-until reservation, 4 directed links per node
+     * (cut-through approximation: the head flit reserves the link
+     * until it passes; body flits extend occupancy at the destination
+     * only). One Tick per link, so the per-hop routing loop stays
+     * cache-tight.
      */
     std::vector<Tick> _linkBusy;
     /** Per-node ejection-port reservation: same-node messages
@@ -211,8 +179,6 @@ class Mesh
 
     Counter &_messages;
     Counter &_flitHops;
-    Counter &_linkStalls;
-    Counter &_linkStallCycles;
     Tracer *_tracer = nullptr;
 };
 

@@ -258,18 +258,10 @@ struct SystemConfig
     std::uint32_t meshRows = 4;
     /** Per-hop router + link traversal latency. */
     Cycles hopLatency = 2;
-    /**
-     * Bound on a link's delivery-queue depth (0 = unbounded). When a
-     * link's queue is full, new packets stall and re-enter as it
-     * drains (mesh.link_stalls / link_stall_cycles observe this).
-     */
-    std::uint32_t linkQueueDepth = 0;
 
     // --- ATOM log manager (Section IV) -------------------------------
     /** Log records are 8 lines: 7 data entries + 1 header. */
     std::uint32_t recordEntries = 7;
-    /** Records per log bucket. */
-    std::uint32_t recordsPerBucket = 8;
     /** Buckets per memory controller (bucket bit vector width). */
     std::uint32_t bucketsPerMc = 256;
     /** Concurrent atomic updates supported in hardware (AUS count). */

@@ -13,17 +13,8 @@ Event::~Event()
         _queue->deschedule(*this);
 }
 
-EventQueue::EventQueue(std::uint32_t wheel_buckets)
-    : _wheelBuckets(wheel_buckets),
-      _wheelMask(wheel_buckets - 1),
-      _bitmapWords(wheel_buckets / 64),
-      _wheel(wheel_buckets),
-      _occupied(wheel_buckets / 64, 0)
+EventQueue::EventQueue() : _wheel(kWheelBuckets), _occupied(kBitmapWords, 0)
 {
-    panic_if(wheel_buckets < 64 ||
-                 (wheel_buckets & (wheel_buckets - 1)) != 0,
-             "wheel width must be a power of two >= 64 (got %u)",
-             wheel_buckets);
 }
 
 EventQueue::~EventQueue()
@@ -66,41 +57,13 @@ EventQueue::clear()
 void
 EventQueue::wheelInsert(Event *ev)
 {
-    const std::uint32_t bi = std::uint32_t(ev->_when) & _wheelMask;
+    const std::uint32_t bi = std::uint32_t(ev->_when) & kWheelMask;
     Bucket &b = _wheel[bi];
     if (b.tail)
         b.tail->_next = ev;
     else
         b.head = ev;
     b.tail = ev;
-    _occupied[bi >> 6] |= std::uint64_t(1) << (bi & 63);
-    ++_wheelCount;
-}
-
-void
-EventQueue::wheelInsertSorted(Event *ev)
-{
-    const std::uint32_t bi = std::uint32_t(ev->_when) & _wheelMask;
-    Bucket &b = _wheel[bi];
-    if (!b.tail || b.tail->_seq <= ev->_seq) {
-        // Common case: the stamped seq is still the newest in the
-        // bucket (plain schedule() appends are always monotone).
-        wheelInsert(ev);
-        return;
-    }
-    Event *prev = nullptr;
-    Event *cur = b.head;
-    while (cur && cur->_seq <= ev->_seq) {
-        prev = cur;
-        cur = cur->_next;
-    }
-    ev->_next = cur;
-    if (prev)
-        prev->_next = ev;
-    else
-        b.head = ev;
-    if (!cur)
-        b.tail = ev;
     _occupied[bi >> 6] |= std::uint64_t(1) << (bi & 63);
     ++_wheelCount;
 }
@@ -190,40 +153,24 @@ EventQueue::spillRemove(Event *ev)
 }
 
 void
-EventQueue::enqueue(Event &ev, Tick when, bool sorted)
+EventQueue::schedule(Event &ev, Tick when)
 {
     panic_if(when < _now, "scheduling into the past: when=%llu now=%llu",
              (unsigned long long)when, (unsigned long long)_now);
     panic_if(ev.scheduled(), "scheduling an already-scheduled event");
     ev._when = when;
+    ev._seq = _seq++;
     ev._queue = this;
     ev._next = nullptr;
     ev._flags |= Event::kScheduled;
     ++_pending;
-    if (when - _now < _wheelBuckets) {
+    if (when - _now < kWheelBuckets) {
         ++_wheelInserts;
-        if (sorted)
-            wheelInsertSorted(&ev);
-        else
-            wheelInsert(&ev);
+        wheelInsert(&ev);
     } else {
         ++_spillInserts;
         spillPush(&ev);
     }
-}
-
-void
-EventQueue::schedule(Event &ev, Tick when)
-{
-    ev._seq = _seq++;
-    enqueue(ev, when, /*sorted=*/false);
-}
-
-void
-EventQueue::scheduleAt(Event &ev, Tick when, std::uint64_t seq)
-{
-    ev._seq = seq;
-    enqueue(ev, when, /*sorted=*/true);
 }
 
 void
@@ -234,7 +181,7 @@ EventQueue::deschedule(Event &ev)
     if (ev._flags & Event::kInSpill) {
         spillRemove(&ev);
     } else {
-        const std::uint32_t bi = std::uint32_t(ev._when) & _wheelMask;
+        const std::uint32_t bi = std::uint32_t(ev._when) & kWheelMask;
         Bucket &b = _wheel[bi];
         Event *prev = nullptr;
         Event *cur = b.head;
@@ -278,7 +225,7 @@ EventQueue::acquirePooled()
 Tick
 EventQueue::nextWheelTick() const
 {
-    const std::uint32_t s = std::uint32_t(_now) & _wheelMask;
+    const std::uint32_t s = std::uint32_t(_now) & kWheelMask;
     const std::uint32_t sw = s >> 6;
     const std::uint32_t sb = s & 63;
 
@@ -287,18 +234,18 @@ EventQueue::nextWheelTick() const
     if (word) {
         const std::uint32_t bit =
             sw * 64 + std::uint32_t(__builtin_ctzll(word));
-        return _now + ((bit - s) & _wheelMask);
+        return _now + ((bit - s) & kWheelMask);
     }
     // Remaining words, wrapping; the cursor word's low bits come last.
-    for (std::uint32_t i = 1; i <= _bitmapWords; ++i) {
-        const std::uint32_t wi = (sw + i) & (_bitmapWords - 1);
+    for (std::uint32_t i = 1; i <= kBitmapWords; ++i) {
+        const std::uint32_t wi = (sw + i) & (kBitmapWords - 1);
         word = _occupied[wi];
-        if (i == _bitmapWords)
+        if (i == kBitmapWords)
             word &= (std::uint64_t(1) << sb) - 1;
         if (word) {
             const std::uint32_t bit =
                 wi * 64 + std::uint32_t(__builtin_ctzll(word));
-            return _now + ((bit - s) & _wheelMask);
+            return _now + ((bit - s) & kWheelMask);
         }
     }
     panic("nextWheelTick: occupancy bitmap empty but wheelCount=%llu",
@@ -308,13 +255,11 @@ EventQueue::nextWheelTick() const
 void
 EventQueue::migrate()
 {
-    const Tick horizon = _now + _wheelBuckets;
-    while (!_spill.empty() && _spill.front()->_when < horizon) {
-        Event *ev = spillPopMin();
-        // Sorted: a bucket may hold scheduleAt() events whose stamped
-        // seqs straddle the migrating event's.
-        wheelInsertSorted(ev);
-    }
+    // Appending keeps each bucket FIFO (the window invariant; see the
+    // file comment).
+    const Tick horizon = _now + kWheelBuckets;
+    while (!_spill.empty() && _spill.front()->_when < horizon)
+        wheelInsert(spillPopMin());
 }
 
 bool

@@ -23,8 +23,11 @@
  *     };
  *     _eq.scheduleIn(_opDoneEvent, op.cycles);
  *
+ * A mesh Packet is such a member-style event too: it is its own
+ * delivery event, scheduled at its arrival tick when it is sent.
+ *
  * For one-shot continuations whose capture state is inherently dynamic
- * (cache-miss fills, mesh deliveries, NVM completions) the queue offers
+ * (cache-miss fills, NVM completions) the queue offers
  * post()/postIn(): the callable is constructed straight into a
  * FuncEvent drawn from an internal free-list pool, so the steady-state
  * hot loop performs zero queue-node allocations on this path too (the
@@ -36,28 +39,25 @@
  * --------------
  * Pending events live in a two-level calendar queue:
  *
- *  - a *timing wheel* of wheelWidth() one-tick buckets covering the
- *    near horizon [now(), now() + wheelWidth()). Every System builds
- *    its queue at kWheelBuckets = 4096; the constructor takes another
- *    width only so tests can drive the spill path. Each bucket is
- *    an intrusive singly-linked FIFO list; because every schedule()
- *    call appends at the tail with a monotonically increasing global
- *    sequence number, a bucket is always sorted by insertion order. A
- *    bitmap (one bit per bucket) makes "find the next non-empty
- *    bucket" a handful of word scans + ctz;
+ *  - a *timing wheel* of kWheelBuckets = 4096 one-tick buckets
+ *    covering the near horizon [now(), now() + kWheelBuckets). Each
+ *    bucket is an intrusive singly-linked FIFO list; because every
+ *    schedule() call appends at the tail with a monotonically
+ *    increasing global sequence number, a bucket is always sorted by
+ *    insertion order. A bitmap (one bit per bucket) makes "find the
+ *    next non-empty bucket" a handful of word scans + ctz;
  *
- *  - a *spill heap* for far-future events (when >= now() + width),
- *    ordered by (tick, seq). The heap is *indexed* (each spilled event
- *    carries its heap slot), so deschedule() on the spill is an
- *    O(log n) sift instead of an O(n) erase + re-heapify: a member
- *    event re-armed at an earlier tick (a mesh link's drain, the DRAM
- *    pick event) sits in the spill whenever its old tick lay beyond
- *    a narrow wheel's horizon. Whenever now() advances, events whose
- *    tick has come inside the horizon migrate from the heap into
- *    their wheel bucket. Migration pops the heap in (tick, seq) order
- *    and the wheel window invariant guarantees a migrating event can
- *    never land in a bucket that already holds same-tick events, so
- *    FIFO order within a tick is preserved across the two levels.
+ *  - a *spill heap* for far-future events (when >= now() +
+ *    kWheelBuckets), ordered by (tick, seq). The heap is *indexed*
+ *    (each spilled event carries its heap slot), so deschedule() on
+ *    the spill is an O(log n) sift instead of an O(n) erase +
+ *    re-heapify. Whenever now() advances, events whose tick has come
+ *    inside the horizon migrate from the heap into their wheel
+ *    bucket. Migration pops the heap in (tick, seq) order and the
+ *    wheel window invariant guarantees a migrating event can never
+ *    land in a bucket that already holds an event scheduled directly
+ *    into the wheel, so appending keeps FIFO order within a tick
+ *    across the two levels.
  *
  * Schedule/execute are therefore O(1) for the near horizon (the common
  * case: latencies in this machine are 1..~400 cycles) and O(log n) only
@@ -174,24 +174,19 @@ class EventQueue
     static constexpr std::size_t kCallbackBytes = 192;
     using Callback = InplaceCallback<kCallbackBytes>;
 
-    /** Near-horizon width of every System's queue, in ticks (power
-     * of two). */
+    /** Near-horizon width of the wheel, in one-tick buckets. */
     static constexpr std::uint32_t kWheelBuckets = 4096;
+    static_assert(kWheelBuckets >= 64 &&
+                      (kWheelBuckets & (kWheelBuckets - 1)) == 0,
+                  "the wheel width must be a power of two >= 64");
 
-    /**
-     * @param wheel_buckets near-horizon width in one-tick buckets;
-     *                      must be a power of two >= 64
-     */
-    explicit EventQueue(std::uint32_t wheel_buckets = kWheelBuckets);
+    EventQueue();
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
     Tick now() const { return _now; }
-
-    /** Configured near-horizon width, in ticks. */
-    std::uint32_t wheelWidth() const { return _wheelBuckets; }
 
     // --- intrusive API (component-owned events) -----------------------
 
@@ -216,29 +211,6 @@ class EventQueue
         deschedule(ev);
         schedule(ev, when);
     }
-
-    // --- order-preserving replay (expert API) -------------------------
-
-    /**
-     * Draw a sequence number from the queue's FIFO tie-break counter
-     * without scheduling anything. Pair with scheduleAt(): a component
-     * that batches work behind one member event (e.g. a mesh link's
-     * delivery queue) stamps each item at *submission* time and later
-     * schedules its event into the stamped slot, so the item executes
-     * in exactly the order a per-item event scheduled at submission
-     * time would have -- deterministic replay across refactors.
-     */
-    std::uint64_t allocSeq() { return _seq++; }
-
-    /**
-     * Schedule @p ev at tick @p when occupying the previously-drawn
-     * FIFO slot @p seq (see allocSeq()). Unlike schedule(), the event
-     * is inserted *sorted* into its bucket, so a stale seq lands in
-     * front of later-scheduled same-tick events.
-     *
-     * @pre when >= now(); seq was returned by allocSeq()
-     */
-    void scheduleAt(Event &ev, Tick when, std::uint64_t seq);
 
     // --- pooled one-shot API (dynamic continuations) ------------------
 
@@ -347,15 +319,11 @@ class EventQueue
         return a->_seq < b->_seq;
     }
 
+    static constexpr std::uint32_t kWheelMask = kWheelBuckets - 1;
+    static constexpr std::uint32_t kBitmapWords = kWheelBuckets / 64;
+
     /** Append to the wheel bucket of ev->_when (must be in-horizon). */
     void wheelInsert(Event *ev);
-
-    /** Insert sorted by seq into the bucket of ev->_when (scheduleAt /
-     * spill migration, where seqs may be stale). */
-    void wheelInsertSorted(Event *ev);
-
-    /** Common bookkeeping for schedule()/scheduleAt(). */
-    void enqueue(Event &ev, Tick when, bool sorted);
 
     /** Tick of the earliest pending event (wheel beats spill). */
     Tick nextEventTick() const;
@@ -379,10 +347,6 @@ class EventQueue
 
     FuncEvent *acquirePooled();
     void releasePooled(FuncEvent *ev);
-
-    const std::uint32_t _wheelBuckets;
-    const std::uint32_t _wheelMask;
-    const std::uint32_t _bitmapWords;
 
     std::vector<Bucket> _wheel;
     std::vector<std::uint64_t> _occupied;
@@ -458,7 +422,7 @@ EventQueue::executeNext(Tick t)
         _now = t;
         migrate();
     }
-    const std::uint32_t bi = std::uint32_t(t) & _wheelMask;
+    const std::uint32_t bi = std::uint32_t(t) & kWheelMask;
     Bucket &b = _wheel[bi];
     Event *ev = b.head;
     b.head = ev->_next;

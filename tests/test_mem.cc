@@ -141,7 +141,7 @@ TEST_F(AddressMapTest, BucketIsOnePageOnOwningMc)
 TEST_F(AddressMapTest, RecordsTileTheBucket)
 {
     const Addr b0 = amap.bucketBase(2, 5);
-    for (std::uint32_t r = 0; r < amap.recordsPerBucket(); ++r) {
+    for (std::uint32_t r = 0; r < AddressMap::kRecordsPerBucket; ++r) {
         EXPECT_EQ(amap.recordBase(2, 5, r), b0 + r * 512);
     }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -319,7 +320,7 @@ TEST_F(MeshTest, PerLinkFifoOrdering)
     mesh.send(0, 2, MsgType::Data, [&] { order.push_back(0); });
     mesh.send(0, 2, MsgType::Ctrl, [&] { order.push_back(1); });
     mesh.send(0, 2, MsgType::Data, [&] { order.push_back(2); });
-    EXPECT_EQ(mesh.linkBetween(1, 2).queueDepth(), 3u);
+    EXPECT_EQ(eq.pending(), 3u);  // one pending event per message
     eq.run();
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[0], 0);
@@ -411,52 +412,76 @@ TEST_F(MeshTest, PacketPoolReusedAcrossMessages)
     EXPECT_EQ(mesh.packetPoolFree(), mesh.packetPoolAllocated());
 }
 
-TEST_F(MeshTest, BoundedDepthBackpressureStallsAndRecovers)
+// A message takes its FIFO slot among its arrival tick's events when
+// it is sent, like any other scheduled event: after what was scheduled
+// for that tick before the send, before what was scheduled after it.
+TEST_F(MeshTest, DeliveryKeepsItsSendTimeSlotAmongSameTickEvents)
 {
-    // A same-node burst is enqueued at send time faster than the
-    // ejection port delivers, so a bounded queue must park the excess
-    // in the stall list and re-admit it as slots free -- without
-    // losing or reordering anything. (Since the ejection port
-    // serializes arrivals, re-admission preserves the original
-    // pacing; the depth bound limits *occupancy*, which is what the
-    // stall counter observes.)
-    SystemConfig bounded = cfg;
-    bounded.linkQueueDepth = 2;
-    EventQueue beq;
-    StatSet bstats;
-    Mesh bmesh(beq, bounded, bstats);
+    std::vector<char> order;
+    Tick delivered_at = 0;
+    eq.post(4, [&] { order.push_back('A'); });
+    mesh.send(0, 1, MsgType::Ctrl, [&] {
+        order.push_back('D');
+        delivered_at = eq.now();
+    });
+    eq.post(4, [&] { order.push_back('B'); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<char>{'A', 'D', 'B'}));
+    EXPECT_EQ(delivered_at, 4u);
+}
 
-    std::vector<Tick> arrivals;
-    for (int i = 0; i < 6; ++i)
-        bmesh.send(5, 5, MsgType::Ctrl,
-                   [&] { arrivals.push_back(beq.now()); });
+// Packets in flight are ordinary events: destroying the mesh
+// deschedules them, and after EventQueue::clear() drops them the mesh
+// still delivers new messages, on the same links, and may outlive the
+// queue. The burst's 5-flit messages share one link, so its later
+// arrivals lie past the wheel horizon and wait in the spill.
+TEST_F(MeshTest, InFlightPacketsSurviveClearAndTeardown)
+{
+    constexpr int kBurst = 1000;  // 5 ticks each: ~5000 ticks of link
 
-    // Only the bounded depth is queued; the rest stalled.
-    EXPECT_EQ(bmesh.ejectionOf(5).queueDepth(), 2u);
-    EXPECT_EQ(bmesh.ejectionOf(5).stalledDepth(), 4u);
-    EXPECT_EQ(bstats.value("mesh", "link_stalls"), 4u);
+    // (a) The mesh goes first, with packets in the wheel and the spill.
+    {
+        EventQueue q;
+        StatSet st;
+        int delivered = 0;
+        {
+            Mesh m(q, cfg, st);
+            for (int i = 0; i < kBurst; ++i)
+                m.send(0, 1, MsgType::Data, [&] { ++delivered; });
+            q.run(100);
+            EXPECT_GT(delivered, 0);
+            EXPECT_EQ(q.pending(), std::size_t(kBurst - delivered));
+            EXPECT_GT(q.spillInserts(), 0u);
+        }
+        EXPECT_EQ(q.pending(), 0u);
+        EXPECT_EQ(q.run(), 0u);
+    }
 
-    beq.run();
-    // Every message still delivers, in strict FIFO order, and the
-    // stall list fully drained.
-    ASSERT_EQ(arrivals.size(), 6u);
-    for (std::size_t i = 1; i < arrivals.size(); ++i)
-        EXPECT_GT(arrivals[i], arrivals[i - 1]);
-    EXPECT_EQ(bmesh.ejectionOf(5).stalledDepth(), 0u);
+    // (b) clear() drops the burst; new messages on the same link still
+    // deliver, and then the queue goes first.
+    {
+        auto q = std::make_unique<EventQueue>();
+        StatSet st;
+        Mesh m(*q, cfg, st);
+        int first = 0;
+        int second = 0;
+        for (int i = 0; i < kBurst; ++i)
+            m.send(0, 1, MsgType::Data, [&] { ++first; });
+        q->run(100);
+        const int before_clear = first;
+        q->clear();
+        EXPECT_EQ(q->pending(), 0u);
 
-    // An unconstrained mesh delivers the same burst with identical
-    // pacing (port-serialized) and no stalls.
-    std::vector<Tick> free_arrivals;
-    EventQueue feq;
-    StatSet fstats;
-    Mesh fmesh(feq, cfg, fstats);
-    for (int i = 0; i < 6; ++i)
-        fmesh.send(5, 5, MsgType::Ctrl,
-                   [&] { free_arrivals.push_back(feq.now()); });
-    feq.run();
-    ASSERT_EQ(free_arrivals.size(), 6u);
-    EXPECT_EQ(arrivals.back(), free_arrivals.back());
-    EXPECT_EQ(fstats.value("mesh", "link_stalls"), 0u);
+        for (int i = 0; i < 8; ++i)
+            m.send(0, 1, MsgType::Data, [&] { ++second; });
+        q->run();
+        EXPECT_EQ(second, 8);
+        EXPECT_EQ(first, before_clear);
+        EXPECT_GT(first, 0);
+
+        m.send(0, 1, MsgType::Ctrl, [] {});
+        q.reset();  // destroy the queue before the mesh
+    }
 }
 
 // The strided X and Y legs reserve exactly the links, at exactly the

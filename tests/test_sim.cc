@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/config.hh"
@@ -288,25 +291,6 @@ TEST(EventQueueTest, SpillRatioStatCountsInserts)
     eq.run();
     EXPECT_EQ(eq.wheelInserts(), 2u);
     EXPECT_EQ(eq.spillInserts(), 1u);
-}
-
-// scheduleAt() places an event into a previously-drawn FIFO slot: it
-// must run *before* same-tick events whose seqs were drawn later, even
-// though it was scheduled after them (the mesh drain-event pattern).
-TEST(EventQueueTest, ScheduleAtReplaysStampedFifoSlot)
-{
-    EventQueue eq;
-    std::vector<int> order;
-
-    const std::uint64_t early_slot = eq.allocSeq();
-    eq.post(50, [&] { order.push_back(1); });
-    eq.post(50, [&] { order.push_back(2); });
-
-    TickEvent stamped([&] { order.push_back(0); }, "stamped");
-    eq.scheduleAt(stamped, 50, early_slot);
-
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 // --- determinism --------------------------------------------------------
@@ -772,34 +756,87 @@ TEST(EventQueueTest, SpillHeapSurvivesDescheduleAndDestroy)
     EXPECT_EQ(eq.now(), base + 3);
 }
 
-// --- configurable wheel width ------------------------------------------
+// --- wheel and spill together -----------------------------------------
 
-// A narrow wheel pushes more schedules through the spill heap; the
-// execution order must not change, only the spill ratio.
-TEST(EventQueueTest, NarrowWheelKeepsOrderRaisesSpillRatio)
+// Posts and member events over more than three wheel widths, many per
+// tick, with follow-ups posted from inside events and member events
+// moved across the horizon before they fire. Whichever level an event
+// waited in, execution follows (tick, schedule order); in particular,
+// events migrating from the spill are appended to their bucket ahead
+// of everything scheduled straight into it later.
+TEST(EventQueueTest, WheelAndSpillRunInTickThenScheduleOrder)
 {
-    EventQueue wide(4096);
-    EventQueue narrow(64);
-    EXPECT_EQ(wide.wheelWidth(), 4096u);
-    EXPECT_EQ(narrow.wheelWidth(), 64u);
+    constexpr Tick kGrid = 256;  // every tick is a multiple: collisions
+    constexpr int kMembers = 64;
+    constexpr int kPosts = 256;
+    EventQueue eq;
+    Random rng(2024);
 
-    std::vector<int> wide_order, narrow_order;
-    for (auto *p : {&wide, &narrow}) {
-        auto &order = p == &wide ? wide_order : narrow_order;
-        for (int i = 0; i < 200; ++i)
-            p->post(Tick((i * 37) % 500), [&order, i] {
-                order.push_back(i);
-            });
-        p->run();
+    // Per event id: (tick, schedule order) of its last schedule.
+    std::map<int, std::pair<Tick, std::uint64_t>> key;
+    std::uint64_t schedules = 0;
+    std::vector<int> order;
+    const auto note = [&](int id, Tick when) {
+        key[id] = {when, schedules++};
+    };
+
+    std::vector<std::unique_ptr<TickEvent>> members;
+    for (int id = 0; id < kMembers; ++id) {
+        members.push_back(std::make_unique<TickEvent>(
+            [&order, id] { order.push_back(id); }, "member"));
+        const Tick when = Tick(rng.below(56)) * kGrid;  // 3.5 widths
+        eq.schedule(*members.back(), when);
+        note(id, when);
     }
-    EXPECT_EQ(wide_order, narrow_order);
-    EXPECT_EQ(wide.spillRatio(), 0.0);
-    EXPECT_GT(narrow.spillRatio(), 0.5);
-}
 
-TEST(EventQueueDeathTest, RejectsNonPowerOfTwoWheel)
-{
-    EXPECT_DEATH({ EventQueue eq(100); }, "power of two");
+    int next_id = kMembers + kPosts;
+    for (int id = kMembers; id < kMembers + kPosts; ++id) {
+        const Tick when = Tick(rng.below(56)) * kGrid;
+        eq.post(when, [&, id] {
+            order.push_back(id);
+            if (id % 4 != 0)
+                return;
+            // A follow-up up to ~1.2 widths out: into the wheel or
+            // the spill, often onto a tick that already holds events.
+            const int child = next_id++;
+            const Tick at = eq.now() + Tick(rng.below(20)) * kGrid;
+            eq.post(at, [&order, child] { order.push_back(child); });
+            note(child, at);
+        });
+        note(id, when);
+    }
+
+    // Mid-run, move every third member event that has yet to fire to
+    // a tick up to ~2.4 widths out, across the horizon either way.
+    const Tick move_at = EventQueue::kWheelBuckets + 2 * kGrid;
+    int moved = 0;
+    eq.post(move_at, [&] {
+        for (int id = 0; id < kMembers; id += 3) {
+            TickEvent &ev = *members[std::size_t(id)];
+            if (!ev.scheduled())
+                continue;
+            eq.deschedule(ev);
+            const Tick when = eq.now() + Tick(rng.below(40)) * kGrid;
+            eq.schedule(ev, when);
+            note(id, when);
+            ++moved;
+        }
+    });
+
+    eq.run();
+
+    std::vector<std::tuple<Tick, std::uint64_t, int>> ref;
+    for (const auto &[id, k] : key)
+        ref.emplace_back(k.first, k.second, id);
+    std::sort(ref.begin(), ref.end());
+    std::vector<int> expect;
+    for (const auto &r : ref)
+        expect.push_back(std::get<2>(r));
+
+    EXPECT_EQ(order, expect);
+    EXPECT_GT(moved, 0);
+    EXPECT_GT(next_id, kMembers + kPosts);
+    EXPECT_GT(eq.spillRatio(), 0.0);
 }
 
 // --- LineMap -----------------------------------------------------------
