@@ -118,7 +118,7 @@ runIntrusive(std::uint64_t budget, std::uint64_t &fired_out)
     continuations.reserve(kActors);
     for (std::uint32_t a = 0; a < kActors; ++a) {
         continuations.push_back(std::make_unique<TickEvent>(
-            [&fired] { ++fired; }, "bench.cont"));
+            [&fired] { ++fired; }));
         actors.push_back(std::make_unique<TickEvent>(
             [&, a] {
                 ++fired;
@@ -127,8 +127,7 @@ runIntrusive(std::uint64_t budget, std::uint64_t &fired_out)
                     q.scheduleIn(cont, 1);
                 if (fired < budget)
                     q.scheduleIn(*actors[a], actorDelay(a, n[a]++));
-            },
-            "bench.actor"));
+            }));
     }
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint32_t a = 0; a < kActors; ++a)

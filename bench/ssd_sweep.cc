@@ -174,7 +174,6 @@ hotPathAllocGate()
     SystemConfig cfg;
     cfg.ssdTier = true;
     cfg.ssdChannels = 2;
-    cfg.ssdDiesPerChannel = 2;
     cfg.ssdQueueDepth = 8;
     cfg.ssdFlashPagesPerMc = 64;
     cfg.ssdReadLatency = 2000;

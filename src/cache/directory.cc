@@ -39,11 +39,7 @@ Directory::acquire(Addr line_addr, Txn &&txn)
         // Busy: queue behind the running transaction.
         Waiter *w = _pool.acquire();
         w->fn = std::move(txn);
-        if (ctl->tail)
-            ctl->tail->next = w;
-        else
-            ctl->head = w;
-        ctl->tail = w;
+        ctl->push_back(w);
         return;
     }
     if (_liveHw && _ctl.size() > _liveHwSeen) {
@@ -59,14 +55,11 @@ Directory::release(Addr line_addr)
     line_addr = lineAlign(line_addr);
     LineCtl *ctl = _ctl.find(line_addr);
     panic_if(!ctl, "release of a line that is not busy");
-    Waiter *w = ctl->head;
-    if (!w) {
+    if (ctl->empty()) {
         _ctl.erase(line_addr);
         return;
     }
-    ctl->head = w->next;
-    if (!ctl->head)
-        ctl->tail = nullptr;
+    Waiter *w = ctl->pop_front();
     Txn next = std::move(w->fn);
     releaseWaiter(w);
     next();  // stays busy; next transaction owns the line now

@@ -126,13 +126,6 @@ class SharerSet
         }
     }
 
-    /** True when the set minus @p core is nonempty. */
-    bool
-    anyBut(CoreId core) const
-    {
-        return count() > (test(core) ? 1u : 0u);
-    }
-
   private:
     std::uint64_t _w0 = 0;
     std::vector<std::uint64_t> _hi;  //!< words for cores >= 64
@@ -146,12 +139,6 @@ struct DirEntry
     /** Cores that may hold the line Shared (may be stale:
      * clean lines drop silently; spurious invalidations are no-ops). */
     SharerSet sharers;
-
-    bool
-    anySharerBut(CoreId core) const
-    {
-        return sharers.anyBut(core);
-    }
 };
 
 /**
@@ -209,12 +196,8 @@ class Directory
         Txn fn;
     };
 
-    /** A busy line's queue of waiting transactions (FIFO). */
-    struct LineCtl
-    {
-        Waiter *head = nullptr;
-        Waiter *tail = nullptr;
-    };
+    /** A busy line's queue of waiting transactions. */
+    using LineCtl = IntrusiveFifo<Waiter>;
 
     void releaseWaiter(Waiter *w);
 

@@ -54,12 +54,6 @@ L1Cache::releaseStore(PendingStore *ps)
     _storePool.release(ps);
 }
 
-L1Cache::PendingFlush *
-L1Cache::acquireFlush()
-{
-    return _flushPool.acquire();
-}
-
 void
 L1Cache::releaseFlush(PendingFlush *pf)
 {
@@ -84,12 +78,7 @@ L1Cache::evictFrame(CacheLineState *frame)
         PendingPutM *wb = _wbPool.acquire();
         wb->line = vaddr;
         wb->data = frame->data;
-        wb->next = nullptr;
-        if (_wbTail)
-            _wbTail->next = wb;
-        else
-            _wbHead = wb;
-        _wbTail = wb;
+        _wbs.push_back(wb);
         ++_wbCount;
 
         const std::uint32_t home = homeTileOf(vaddr);
@@ -112,7 +101,7 @@ L1Cache::findWb(Addr line)
     // Newest entry wins: with two writebacks of the same line in
     // flight, only the younger one carries current data.
     PendingPutM *hit = nullptr;
-    for (PendingPutM *wb = _wbHead; wb; wb = wb->next) {
+    for (PendingPutM *wb = _wbs.front(); wb; wb = _wbs.next(wb)) {
         if (wb->line == line)
             hit = wb;
     }
@@ -124,21 +113,11 @@ L1Cache::wbAcked(Addr line)
 {
     // Free the *oldest* matching entry: WbAcks return in PutM order
     // (per-line FIFO through the home tile).
-    PendingPutM *prev = nullptr;
-    PendingPutM *wb = _wbHead;
-    while (wb && wb->line != line) {
-        prev = wb;
-        wb = wb->next;
-    }
+    PendingPutM *wb =
+        _wbs.find([line](const PendingPutM &w) { return w.line == line; });
     panic_if(!wb, "WbAck for a line with no writeback in flight");
-    if (prev)
-        prev->next = wb->next;
-    else
-        _wbHead = wb->next;
-    if (_wbTail == wb)
-        _wbTail = prev;
+    _wbs.remove(wb);
     --_wbCount;
-    wb->next = nullptr;
     _wbPool.release(wb);
 }
 
@@ -490,15 +469,10 @@ L1Cache::flush(Addr addr, Callback &&done)
             frame->logBit = false;
         }
         // Park the completion; the home tile's FlushAck resumes it.
-        PendingFlush *pf = acquireFlush();
+        PendingFlush *pf = _flushPool.acquire();
         pf->line = line;
         pf->done = std::move(done);
-        pf->next = nullptr;
-        if (_flushTail)
-            _flushTail->next = pf;
-        else
-            _flushHead = pf;
-        _flushTail = pf;
+        _flushes.push_back(pf);
 
         const std::uint32_t home = homeTileOf(line);
         Packet &p = _mesh.make(has_data ? MsgType::FlushReq
@@ -515,19 +489,10 @@ L1Cache::flush(Addr addr, Callback &&done)
 void
 L1Cache::flushAcked(Addr line)
 {
-    PendingFlush *prev = nullptr;
-    PendingFlush *pf = _flushHead;
-    while (pf && pf->line != line) {
-        prev = pf;
-        pf = pf->next;
-    }
+    PendingFlush *pf = _flushes.find(
+        [line](const PendingFlush &f) { return f.line == line; });
     panic_if(!pf, "FlushAck for a line with no outstanding flush");
-    if (prev)
-        prev->next = pf->next;
-    else
-        _flushHead = pf->next;
-    if (_flushTail == pf)
-        _flushTail = prev;
+    _flushes.remove(pf);
     Callback done = std::move(pf->done);
     releaseFlush(pf);
     done();

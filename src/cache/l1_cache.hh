@@ -118,8 +118,6 @@ class L1Cache : public MeshSink
             std::vector<std::unique_ptr<L2Tile>> &tiles, StatSet &stats);
     ~L1Cache();
 
-    CoreId coreId() const { return _core; }
-
     /** Install the design's store logger (nullptr for NON-ATOMIC). */
     void setStoreLogger(StoreLogger *logger) { _logger = logger; }
 
@@ -263,7 +261,6 @@ class L1Cache : public MeshSink
     void applyStore(PendingStore *ps, bool set_log_bit);
 
     void releaseStore(PendingStore *ps);
-    PendingFlush *acquireFlush();
     void releaseFlush(PendingFlush *pf);
 
     /** Newest in-flight writeback of @p line (nullptr if none). */
@@ -284,11 +281,9 @@ class L1Cache : public MeshSink
 
     FreeListPool<PendingStore> _storePool;
     FreeListPool<PendingFlush> _flushPool;
-    PendingFlush *_flushHead = nullptr;  //!< outstanding flushes (FIFO)
-    PendingFlush *_flushTail = nullptr;
+    IntrusiveFifo<PendingFlush> _flushes;  //!< outstanding flushes
     FreeListPool<PendingPutM> _wbPool;
-    PendingPutM *_wbHead = nullptr;  //!< in-flight writebacks (FIFO)
-    PendingPutM *_wbTail = nullptr;
+    IntrusiveFifo<PendingPutM> _wbs;  //!< in-flight writebacks
     std::size_t _wbCount = 0;
 
     Counter &_statLoads;

@@ -133,8 +133,7 @@ L2Tile::startRound(Addr line, CoreId owner, const SharerSet &sharers,
     round->gotData = false;
     round->gotDirty = false;
     round->done = std::move(done);
-    round->next = _roundActive;
-    _roundActive = round;
+    _rounds.push_front(round);
 
     const std::uint32_t home = _mesh.tileNode(_tileId);
     if (owner != kNoCore) {
@@ -160,12 +159,8 @@ L2Tile::startRound(Addr line, CoreId owner, const SharerSet &sharers,
 void
 L2Tile::roundAck(Addr line, bool has_data, bool dirty, const Line &data)
 {
-    Round *prev = nullptr;
-    Round *round = _roundActive;
-    while (round && round->line != line) {
-        prev = round;
-        round = round->next;
-    }
+    Round *round =
+        _rounds.find([line](const Round &r) { return r.line == line; });
     panic_if(!round, "protocol ack for a line with no round in flight");
     if (has_data) {
         round->gotData = true;
@@ -176,17 +171,13 @@ L2Tile::roundAck(Addr line, bool has_data, bool dirty, const Line &data)
     }
     if (--round->remaining != 0)
         return;
-    if (prev)
-        prev->next = round->next;
-    else
-        _roundActive = round->next;
+    _rounds.remove(round);
     // Run the continuation with the round detached but alive (it may
     // start new rounds; the pool will not hand this node out until
     // the release below).
     RoundCallback done = std::move(round->done);
     done(*round);
     round->done = nullptr;
-    round->next = nullptr;
     _roundPool.release(round);
 }
 
@@ -250,14 +241,8 @@ L2Tile::evictThen(CacheLineState *frame, PendingFill *pf)
 void
 L2Tile::retryStalledFills()
 {
-    if (!_stallHead)
-        return;
-    PendingFill *head = _stallHead;
-    _stallHead = _stallTail = nullptr;
-    while (head) {
-        PendingFill *pf = head;
-        head = pf->next;
-        pf->next = nullptr;
+    for (auto fills = _stalledFills.take(); !fills.empty();) {
+        PendingFill *pf = fills.pop_front();
         const CoreId core = pf->core;
         const Addr line = pf->line;
         const Line data = pf->data;
@@ -316,12 +301,7 @@ L2Tile::onMemFill(CoreId core, Addr addr, const Line &data, bool logged,
     if (frame->pinned) {
         // Every unpinned way of the set is mid-eviction; park until
         // one completes (bounded: rounds always finish).
-        pf->next = nullptr;
-        if (_stallTail)
-            _stallTail->next = pf;
-        else
-            _stallHead = pf;
-        _stallTail = pf;
+        _stalledFills.push_back(pf);
         return;
     }
     evictThen(frame, pf);

@@ -310,10 +310,9 @@ class L2Tile : public MeshSink
     VictimCache *_victims = nullptr;
 
     FreeListPool<Round> _roundPool;
-    Round *_roundActive = nullptr;
+    IntrusiveFifo<Round> _rounds;  //!< rounds in flight, newest first
     FreeListPool<PendingFill> _fillPool;
-    PendingFill *_stallHead = nullptr;   //!< fills waiting for a frame
-    PendingFill *_stallTail = nullptr;
+    IntrusiveFifo<PendingFill> _stalledFills;  //!< waiting for a frame
 
     Counter &_statHits;
     Counter &_statMisses;

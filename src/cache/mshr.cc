@@ -49,7 +49,6 @@ MshrTable::allocate(Addr line_addr)
         if (!e.used) {
             e.used = true;
             e.line = line_addr;
-            e.head = e.tail = nullptr;
             ++_active;
             return;
         }
@@ -64,11 +63,7 @@ MshrTable::addWaiter(Addr line_addr, Continuation &&fn)
     panic_if(!e, "no MSHR for line");
     Waiter *w = _pool.acquire();
     w->fn = std::move(fn);
-    if (e->tail)
-        e->tail->next = w;
-    else
-        e->head = w;
-    e->tail = w;
+    e->waiters.push_back(w);
 }
 
 MshrTable::Waiter *
@@ -76,33 +71,23 @@ MshrTable::complete(Addr line_addr)
 {
     Entry *e = find(line_addr);
     panic_if(!e, "completing a miss with no MSHR");
-    Waiter *chain = e->head;
-    Waiter *chain_tail = e->tail;
+    WaiterFifo chain = e->waiters.take();
     e->used = false;
-    e->head = e->tail = nullptr;
     --_active;
 
     // An entry freed: admit one queued overflow request, after the
     // line's own waiters.
-    if (_overflowHead) {
-        Waiter *w = _overflowHead;
-        _overflowHead = w->next;
-        if (!_overflowHead)
-            _overflowTail = nullptr;
+    if (!_overflow.empty()) {
+        chain.push_back(_overflow.pop_front());
         --_overflowCount;
-        w->next = nullptr;
-        if (chain_tail)
-            chain_tail->next = w;
-        else
-            chain = w;
     }
-    return chain;
+    return chain.front();
 }
 
 MshrTable::Waiter *
 MshrTable::runAndPop(Waiter *w)
 {
-    Waiter *next = w->next;
+    Waiter *next = WaiterFifo::next(w);
     w->fn();
     releaseWaiter(w);
     return next;
@@ -113,11 +98,7 @@ MshrTable::queueForFree(Continuation &&fn)
 {
     Waiter *w = _pool.acquire();
     w->fn = std::move(fn);
-    if (_overflowTail)
-        _overflowTail->next = w;
-    else
-        _overflowHead = w;
-    _overflowTail = w;
+    _overflow.push_back(w);
     ++_overflowCount;
 }
 

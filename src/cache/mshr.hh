@@ -96,14 +96,15 @@ class MshrTable
     std::size_t waiterPoolFree() const { return _pool.idle(); }
 
   private:
+    using WaiterFifo = IntrusiveFifo<Waiter>;
+
     /** One MSHR entry, pooled in the fixed table array. The waiter
      * chain (the miss's continuations) is owned by the entry. */
     struct Entry
     {
         Addr line = 0;
         bool used = false;
-        Waiter *head = nullptr;
-        Waiter *tail = nullptr;
+        WaiterFifo waiters;
     };
 
     Entry *find(Addr line_addr);
@@ -114,8 +115,7 @@ class MshrTable
     std::vector<Entry> _entries;  //!< fixed-size table (Table I: 32)
     std::size_t _active = 0;
 
-    Waiter *_overflowHead = nullptr;  //!< structural-stall queue (FIFO)
-    Waiter *_overflowTail = nullptr;
+    WaiterFifo _overflow;  //!< structural-stall queue
     std::size_t _overflowCount = 0;
 
     FreeListPool<Waiter> _pool;

@@ -14,9 +14,9 @@ Core::Core(CoreId id, EventQueue &eq, const SystemConfig &cfg, L1Cache &l1,
       _l1(l1),
       _sq(id, eq, cfg.sqEntries, cfg.sqDrainWidth, l1, stats),
       _tally(tally),
-      _nextTxnEvent([this] { nextTransaction(); }, "core.nextTxn"),
-      _opDoneEvent([this] { opDone(_opDoneIdx); }, "core.opDone"),
-      _execOpEvent([this] { execOp(_execIdx); }, "core.execOp"),
+      _nextTxnEvent([this] { nextTransaction(); }),
+      _opDoneEvent([this] { opDone(_opDoneIdx); }),
+      _execOpEvent([this] { execOp(_execIdx); }),
       _statCommitted(
           stats.counter("core" + std::to_string(id), "txn_committed")),
       _statOps(stats.counter("core" + std::to_string(id), "ops")),

@@ -32,7 +32,7 @@ StoreQueue::push(const MemOp &store, Callback &&accepted)
         p->since = _eq.now();
         p->store = store;
         p->cb = std::move(accepted);
-        _full.push(p);
+        _full.push_back(p);
         return;
     }
     Entry &e = _ring[slotOf(_count)];
@@ -86,7 +86,8 @@ StoreQueue::retireCompleted()
         _head = slotOf(1);
         --_count;
         _statRetired.inc();
-        if (Parked *p = _full.pop()) {
+        if (!_full.empty()) {
+            Parked *p = _full.pop_front();
             _statFullCycles.inc(_eq.now() - p->since);
             const MemOp store = p->store;
             Callback accepted = std::move(p->cb);
@@ -98,14 +99,11 @@ StoreQueue::retireCompleted()
     if (empty()) {
         // Fire in registration order; a waiter registered meanwhile
         // waits for the next drain.
-        Parked *p = _drain.head;
-        _drain = ParkedFifo{};
-        while (p) {
-            Parked *next = p->next;
+        for (auto waiters = _drain.take(); !waiters.empty();) {
+            Parked *p = waiters.pop_front();
             Callback cb = std::move(p->cb);
             _parkedPool.release(p);
             cb();
-            p = next;
         }
     }
 }
@@ -119,7 +117,7 @@ StoreQueue::whenEmpty(Callback cb)
     }
     Parked *p = _parkedPool.acquire();
     p->cb = std::move(cb);
-    _drain.push(p);
+    _drain.push_back(p);
 }
 
 bool

@@ -84,37 +84,6 @@ class StoreQueue
         Callback cb;
     };
 
-    /** Intrusive FIFO of pooled Parked nodes. */
-    struct ParkedFifo
-    {
-        Parked *head = nullptr;
-        Parked *tail = nullptr;
-
-        void
-        push(Parked *p)
-        {
-            p->next = nullptr;
-            if (tail)
-                tail->next = p;
-            else
-                head = p;
-            tail = p;
-        }
-
-        Parked *
-        pop()
-        {
-            Parked *p = head;
-            if (p) {
-                head = p->next;
-                if (!head)
-                    tail = nullptr;
-                p->next = nullptr;
-            }
-            return p;
-        }
-    };
-
     /** Ring slot of the @p i-th oldest entry (i <= _count). */
     std::size_t
     slotOf(std::size_t i) const
@@ -137,8 +106,8 @@ class StoreQueue
     std::uint32_t _issued = 0;
 
     FreeListPool<Parked> _parkedPool;
-    ParkedFifo _full;   //!< SQ-full stalls, oldest first
-    ParkedFifo _drain;  //!< whenEmpty waiters, oldest first
+    IntrusiveFifo<Parked> _full;   //!< SQ-full stalls, oldest first
+    IntrusiveFifo<Parked> _drain;  //!< whenEmpty waiters, oldest first
 
     Counter &_statFullCycles;
     Counter &_statRetired;

@@ -75,11 +75,10 @@ RedoEngine::RedoEngine(EventQueue &eq, const SystemConfig &cfg,
 {
     // The redo log reuses the OS-reserved log region of each MC; the
     // cursor starts at the MC's first bucket page.
-    (void)amap;
     _drainEvents.reserve(cfg.numCores);
     for (CoreId c = 0; c < cfg.numCores; ++c) {
-        _drainEvents.push_back(std::make_unique<TickEvent>(
-            [this, c] { drainWcb(c); }, "redo.drainWcb"));
+        _drainEvents.push_back(
+            std::make_unique<TickEvent>([this, c] { drainWcb(c); }));
     }
 }
 
@@ -328,10 +327,8 @@ RedoEngine::commitTxn(CoreId core, std::function<void()> done)
                 // Commit record durable: release the update's staged
                 // in-place applies to the backend controllers.
                 CoreState &s2 = _cores[core];
-                for (auto &[m, entry, log_addr] : s2.stagedApplies) {
-                    _mcState[m].applyQueue.push_back(entry);
-                    _mcState[m].applyLogAddr.push_back(log_addr);
-                }
+                for (auto &[m, entry, log_addr] : s2.stagedApplies)
+                    _mcState[m].applyQueue.emplace_back(entry, log_addr);
                 s2.stagedApplies.clear();
                 for (McId m = 0; m < _cfg.numMemCtrls; ++m)
                     backendPump(m);
@@ -367,10 +364,9 @@ RedoEngine::backendPump(McId mc)
         return;
     ms.backendBusy = true;
 
-    WcbEntry entry = std::move(ms.applyQueue.front());
+    const WcbEntry entry = ms.applyQueue.front().first;
+    const Addr log_addr = ms.applyQueue.front().second;
     ms.applyQueue.pop_front();
-    const Addr log_addr = ms.applyLogAddr.front();
-    ms.applyLogAddr.pop_front();
 
     // The backend reads the log entry from NVM, then updates data in
     // place -- the read+write bandwidth cost Section VI-D measures.

@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/l1_cache.hh"
@@ -130,10 +131,9 @@ class RedoEngine : public StoreLogger
         std::uint32_t frameFill = 0;
         std::uint32_t framePendingData = 0;
         Line metaLine{};
-        /** In-place applies queued for the backend. */
-        std::deque<WcbEntry> applyQueue;
-        /** Log-area address each queued entry was written at. */
-        std::deque<Addr> applyLogAddr;
+        /** In-place applies queued for the backend, each with the
+         * log-area address its entry was written at. */
+        std::deque<std::pair<WcbEntry, Addr>> applyQueue;
         bool backendBusy = false;
         /** Times the circular log cursor wrapped. */
         std::uint64_t wraps = 0;

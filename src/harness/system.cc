@@ -172,30 +172,29 @@ System::powerFail()
     _eq.clear();
 }
 
-RecoveryReport
-System::recover(const RecoveryOptions &opts)
+RecoveryOptions
+System::withFlashImages(RecoveryOptions opts) const
 {
-    RecoveryOptions o = opts;
-    if (!o.flashImage && !_ssds.empty()) {
-        o.flashImage = [this](McId m) -> const DataImage * {
+    if (!opts.flashImage && !_ssds.empty()) {
+        opts.flashImage = [this](McId m) -> const DataImage * {
             return m < _ssds.size() ? &_ssds[m]->flash() : nullptr;
         };
     }
+    return opts;
+}
+
+RecoveryReport
+System::recover(const RecoveryOptions &opts)
+{
     RecoveryManager mgr(_cfg, _amap);
-    return mgr.recover(_nvm, o, &_stats);
+    return mgr.recover(_nvm, withFlashImages(opts), &_stats);
 }
 
 RecoveryReport
 System::recoverRedo(const RecoveryOptions &opts)
 {
-    RecoveryOptions o = opts;
-    if (!o.flashImage && !_ssds.empty()) {
-        o.flashImage = [this](McId m) -> const DataImage * {
-            return m < _ssds.size() ? &_ssds[m]->flash() : nullptr;
-        };
-    }
     RedoRecovery mgr(_cfg, _amap);
-    return mgr.recover(_nvm, o);
+    return mgr.recover(_nvm, withFlashImages(opts));
 }
 
 std::vector<MediaFaultRecord>

@@ -111,6 +111,10 @@ class System
     std::vector<MediaFaultRecord> mediaFaults() const;
 
   private:
+    /** @p opts, reading each controller's flash image when the caller
+     * set no hook and the machine has a flash tier. */
+    RecoveryOptions withFlashImages(RecoveryOptions opts) const;
+
     SystemConfig _cfg;
     /** Declared before every component so that it outlives them: the
      * components' member events deschedule from it as they die. */

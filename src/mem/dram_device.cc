@@ -14,8 +14,7 @@ DramDevice::DramDevice(EventQueue &eq, const SystemConfig &cfg,
       _statRowHits(row_hits),
       _statRowMisses(row_misses)
 {
-    _pickEvent = std::make_unique<TickEvent>([this] { pick(); },
-                                             "dram.pick");
+    _pickEvent = std::make_unique<TickEvent>([this] { pick(); });
 }
 
 std::uint32_t
@@ -41,13 +40,7 @@ DramDevice::access(Addr addr, bool is_write, Tick ready, Callback done)
     req->isWrite = is_write;
     req->readyAt = std::max(ready, _eq.now());
     req->done = std::move(done);
-    req->next = nullptr;
-    if (_tail)
-        _tail->next = req;
-    else
-        _head = req;
-    _tail = req;
-    ++_queuedCount;
+    _queue.push_back(req);
 
     if (!_pickEvent->scheduled())
         _eq.schedule(*_pickEvent, req->readyAt);
@@ -56,16 +49,9 @@ DramDevice::access(Addr addr, bool is_write, Tick ready, Callback done)
 }
 
 void
-DramDevice::issue(Req *prev, Req *req)
+DramDevice::issue(Req *req)
 {
-    if (prev)
-        prev->next = req->next;
-    else
-        _head = req->next;
-    if (_tail == req)
-        _tail = prev;
-    req->next = nullptr;
-    --_queuedCount;
+    _queue.remove(req);
 
     Bank &bank = _banks[bankOf(req->addr)];
     const Addr row = rowOf(req->addr);
@@ -108,39 +94,32 @@ DramDevice::pick()
     // bus/bank state, and the list is short (bounded by the MC's
     // outstanding DRAM ops).
     for (;;) {
-        Req *hit_prev = nullptr;
         Req *hit = nullptr;
-        Req *any_prev = nullptr;
         Req *any = nullptr;
-        Req *prev = nullptr;
-        for (Req *r = _head; r; prev = r, r = r->next) {
+        for (Req *r = _queue.front(); r; r = _queue.next(r)) {
             if (r->readyAt > now)
                 continue;
             const Bank &bank = _banks[bankOf(r->addr)];
             if (bank.busyUntil > now)
                 continue;
-            if (!any) {
+            if (!any)
                 any = r;
-                any_prev = prev;
-            }
-            if (!hit && bank.openRow == rowOf(r->addr)) {
+            if (!hit && bank.openRow == rowOf(r->addr))
                 hit = r;
-                hit_prev = prev;
-            }
         }
         Req *chosen = hit ? hit : any;
         if (!chosen)
             break;
-        issue(hit ? hit_prev : any_prev, chosen);
+        issue(chosen);
     }
 
-    if (!_head)
+    if (_queue.empty())
         return;
 
     // Nothing issuable now: wake at the earliest readiness or bank
     // release among the still-queued requests.
     Tick wake = kTickNever;
-    for (Req *r = _head; r; r = r->next) {
+    for (Req *r = _queue.front(); r; r = _queue.next(r)) {
         const Tick bank_free = _banks[bankOf(r->addr)].busyUntil;
         wake = std::min(wake, std::max(r->readyAt, bank_free));
     }

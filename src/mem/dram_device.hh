@@ -62,9 +62,6 @@ class DramDevice
      */
     void access(Addr addr, bool is_write, Tick ready, Callback done);
 
-    /** Queued (not yet issued) accesses. */
-    std::size_t queued() const { return _queuedCount; }
-
     /** Pooled request nodes ever allocated (high-water mark). */
     std::size_t poolAllocated() const { return _pool.allocated(); }
 
@@ -101,17 +98,15 @@ class DramDevice
      * pick event for the earliest future readiness otherwise. */
     void pick();
 
-    /** Unlink @p req (with predecessor @p prev) and issue it. */
-    void issue(Req *prev, Req *req);
+    /** Unlink @p req and issue it. */
+    void issue(Req *req);
 
     EventQueue &_eq;
     const SystemConfig &_cfg;
     const Cycles _transferCycles;
 
     std::vector<Bank> _banks;
-    Req *_head = nullptr;  //!< FIFO order = arrival order
-    Req *_tail = nullptr;
-    std::size_t _queuedCount = 0;
+    IntrusiveFifo<Req> _queue;  //!< arrival order
     FreeListPool<Req> _pool;
     std::unique_ptr<TickEvent> _pickEvent;
 

@@ -30,7 +30,6 @@ MemoryController::MemoryController(McId id, EventQueue &eq,
       _eq(eq),
       _cfg(cfg),
       _nvm(nvm),
-      _stats(stats),
       _statName("mc" + std::to_string(id)),
       _statReads(stats.counter(_statName, "demand_reads")),
       _statLogReads(stats.counter(_statName, "log_reads")),
@@ -47,8 +46,8 @@ MemoryController::MemoryController(McId id, EventQueue &eq,
     }
     _chState.resize(cfg.channelsPerMc);
     for (std::uint32_t c = 0; c < cfg.channelsPerMc; ++c) {
-        _chState[c].kickEvent = std::make_unique<TickEvent>(
-            [this, c] { kick(c); }, "mc.kick");
+        _chState[c].kickEvent =
+            std::make_unique<TickEvent>([this, c] { kick(c); });
     }
     if (cfg.hybrid()) {
         _dram = std::make_unique<DramCache>(cfg, stats, _statName);
@@ -106,10 +105,8 @@ MemoryController::releaseReq(Request *r)
 {
     r->rcb = nullptr;
     r->wcb = nullptr;
-    while (r->extra) {
-        WcbNode *n = r->extra;
-        r->extra = n->next;
-        n->next = nullptr;
+    while (!r->extra.empty()) {
+        WcbNode *n = r->extra.pop_front();
         n->cb = nullptr;
         _wcbPool.release(n);
     }
@@ -125,12 +122,7 @@ MemoryController::addWcb(Request *r, WriteCallback &&cb)
     }
     WcbNode *n = _wcbPool.acquire();
     n->cb = std::move(cb);
-    // Append so acks fire in registration order.
-    n->next = nullptr;
-    WcbNode **tail = &r->extra;
-    while (*tail)
-        tail = &(*tail)->next;
-    *tail = n;
+    r->extra.push_back(n);
 }
 
 void
@@ -170,11 +162,9 @@ MemoryController::readLine(Addr addr, ReadKind kind, ReadCallback &&cb)
         if (_dram->read(addr, op->data)) {
             // DRAM hit: the data snapshot rides the op; completion at
             // device timing, never touching the NVM channel.
-            ++_pendingReads;
             _dramDev->access(
                 addr, false, _eq.now() + _cfg.mcFrontendLatency,
                 [this, op] {
-                    --_pendingReads;
                     ReadCallback done = std::move(op->rcb);
                     const Line data = op->data;
                     releaseDramOp(op);
@@ -246,9 +236,7 @@ MemoryController::readNvm(Addr addr, ReadKind kind, ReadCallback &&cb)
     req->addr = addr;
     req->rkind = kind;
     req->rcb = std::move(cb);
-    req->enqueueTick = _eq.now();
     _chState[ch].readQ.push_back(req);
-    ++_pendingReads;
     scheduleKick(ch, _eq.now() + _cfg.mcFrontendLatency);
 }
 
@@ -315,7 +303,7 @@ MemoryController::writeNvm(Addr addr, const Line &data, WriteKind kind,
         _statWrites.inc();
 
     const std::uint32_t ch = channelFor(isLogTraffic(kind));
-    auto &wq = _chState[ch].writeQ;
+    ChannelState &st = _chState[ch];
 
     // Write combining in the controller queue: a newer write to the same
     // line replaces the queued data; durability callbacks accumulate.
@@ -323,20 +311,19 @@ MemoryController::writeNvm(Addr addr, const Line &data, WriteKind kind,
     // that already had one can have a queued write to combine with.
     auto [pw, fresh] = _inflightWrites.tryEmplace(addr);
     if (!fresh) {
-        for (Request *queued = wq.head; queued; queued = queued->next) {
-            if (queued->addr == addr && queued->wkind == kind) {
-                queued->data = data;
-                queued->acceptSeq = ++_acceptSeq;
-                // The read-forwarding snapshot must track the newest
-                // accepted value too, or a read (and, in hybrid mode,
-                // the DRAM demand fill it feeds) observes the
-                // pre-combine bytes. The count stays put: still one
-                // queued request.
-                pw->data = data;
-                if (cb)
-                    addWcb(queued, std::move(cb));
-                return;
-            }
+        if (Request *queued = st.writeQ.find([&](const Request &r) {
+                return r.addr == addr && r.wkind == kind;
+            })) {
+            queued->data = data;
+            queued->acceptSeq = ++_acceptSeq;
+            // The read-forwarding snapshot must track the newest
+            // accepted value too, or a read (and, in hybrid mode, the
+            // DRAM demand fill it feeds) observes the pre-combine
+            // bytes. The count stays put: still one queued request.
+            pw->data = data;
+            if (cb)
+                addWcb(queued, std::move(cb));
+            return;
         }
     }
     ++pw->count;
@@ -349,9 +336,9 @@ MemoryController::writeNvm(Addr addr, const Line &data, WriteKind kind,
     req->wkind = kind;
     if (cb)
         req->wcb = std::move(cb);
-    req->enqueueTick = _eq.now();
     req->acceptSeq = ++_acceptSeq;
-    wq.push_back(req);
+    st.writeQ.push_back(req);
+    ++st.writeCount;
     ++_pendingWrites;
     scheduleKick(ch, _eq.now() + _cfg.mcFrontendLatency);
 }
@@ -380,12 +367,7 @@ MemoryController::whenLineDurable(Addr addr, WriteCallback &&cb)
     }
     WcbNode *n = _wcbPool.acquire();
     n->cb = std::move(cb);
-    WcbFifo &waiters = _durWaiters[addr];
-    if (waiters.tail)
-        waiters.tail->next = n;
-    else
-        waiters.head = n;
-    waiters.tail = n;
+    _durWaiters[addr].push_back(n);
 }
 
 void
@@ -411,7 +393,7 @@ MemoryController::kick(std::uint32_t ch)
 
         // Read-priority arbitration with a write-drain high-water mark.
         const bool drain_writes =
-            st.writeQ.count >= (3 * std::size_t(_cfg.mcWriteQueue)) / 4;
+            st.writeCount >= (3 * std::size_t(_cfg.mcWriteQueue)) / 4;
         const bool pick_read =
             !st.readQ.empty() && (!drain_writes || st.writeQ.empty());
 
@@ -419,6 +401,7 @@ MemoryController::kick(std::uint32_t ch)
             issueRead(ch, st.readQ.pop_front());
         } else {
             Request *req = st.writeQ.pop_front();
+            --st.writeCount;
 
             if (_gate && isGated(req->wkind)) {
                 // Section III-C: consult the log manager when a data
@@ -427,7 +410,9 @@ MemoryController::kick(std::uint32_t ch)
                 // pooled node itself parks in the unlock continuation.
                 const bool free = _gate->tryAcquire(
                     req->addr, [this, ch, req] {
-                        _chState[ch].writeQ.push_front(req);
+                        ChannelState &replay = _chState[ch];
+                        replay.writeQ.push_front(req);
+                        ++replay.writeCount;
                         scheduleKick(ch, _eq.now());
                     });
                 if (!free) {
@@ -469,10 +454,7 @@ MemoryController::issueRead(std::uint32_t ch, Request *req)
             req->rkind});
     }
     _eq.post(grant.ready,
-             [this, cb = std::move(req->rcb), data]() mutable {
-                 --_pendingReads;
-                 cb(data);
-             });
+             [cb = std::move(req->rcb), data]() mutable { cb(data); });
     releaseReq(req);
 }
 
@@ -517,8 +499,8 @@ MemoryController::issueWrite(std::uint32_t ch, Request *req)
             // The line is durable: its whenLineDurable() waiters go
             // first, in registration order.
             if (!_durWaiters.empty()) {
-                if (const WcbFifo *waiters = _durWaiters.find(req->addr)) {
-                    WcbNode *chain = waiters->head;
+                if (WcbFifo *waiters = _durWaiters.find(req->addr)) {
+                    const WcbFifo chain = waiters->take();
                     _durWaiters.erase(req->addr);
                     fireWcbs(chain);
                 }
@@ -527,8 +509,7 @@ MemoryController::issueWrite(std::uint32_t ch, Request *req)
         // Detach the acks and release the node before firing them, so
         // an ack may immediately enqueue new controller work.
         WriteCallback first = std::move(req->wcb);
-        WcbNode *chain = req->extra;
-        req->extra = nullptr;
+        const WcbFifo chain = req->extra.take();
         releaseReq(req);
         if (first)
             first();
@@ -537,11 +518,10 @@ MemoryController::issueWrite(std::uint32_t ch, Request *req)
 }
 
 void
-MemoryController::fireWcbs(WcbNode *chain)
+MemoryController::fireWcbs(WcbFifo chain)
 {
-    while (chain) {
-        WcbNode *n = chain;
-        chain = n->next;
+    while (!chain.empty()) {
+        WcbNode *n = chain.pop_front();
         WriteCallback cb = std::move(n->cb);
         _wcbPool.release(n);
         if (cb)

@@ -218,9 +218,9 @@ class MemoryController
         return _mediaFaults;
     }
 
-    /** Pending write count (tests + REDO backend pacing). */
+    /** Writes accepted and not yet completed (a combined write
+     * counts once). */
     std::size_t pendingWrites() const { return _pendingWrites; }
-    std::size_t pendingReads() const { return _pendingReads; }
 
     /** Aggregate channel-busy cycles (bandwidth utilization). */
     std::uint64_t channelBusyCycles() const;
@@ -236,27 +236,20 @@ class MemoryController
 
     /** Pooled write-ack node: an extra durability ack beyond the
      * first accumulated on a queued write by combining, or a
-     * whenLineDurable() waiter. Both chain FIFO. */
+     * whenLineDurable() waiter. Both queue in registration order. */
     struct WcbNode
     {
         WcbNode *next = nullptr;
         WriteCallback cb;
     };
 
-    /** A line's whenLineDurable() waiters, in registration order. */
-    struct WcbFifo
-    {
-        WcbNode *head = nullptr;
-        WcbNode *tail = nullptr;
-    };
+    using WcbFifo = IntrusiveFifo<WcbNode>;
 
     /**
      * One queued request: a pooled intrusive node. The queues chain
      * requests through the embedded `next` pointer and the gate /
      * device-completion paths carry the raw node, so the controller's
-     * steady state performs no queue-churn allocations (the old
-     * std::deque chunks, per-request wcbs vector and the write gate's
-     * shared_ptr park are all gone).
+     * steady state performs no queue-churn allocations.
      */
     struct Request
     {
@@ -267,61 +260,18 @@ class MemoryController
         ReadKind rkind = ReadKind::Demand;
         WriteKind wkind = WriteKind::DataWb;
         ReadCallback rcb;
-        WriteCallback wcb;          //!< first durability ack (inline)
-        WcbNode *extra = nullptr;   //!< combine overflow chain
-        std::uint64_t enqueueTick = 0;
+        WriteCallback wcb;  //!< first durability ack (inline)
+        WcbFifo extra;      //!< acks combined in after the first
         /** Acceptance order of the carried data (see PendingWrite). */
         std::uint64_t acceptSeq = 0;
     };
 
-    /** Intrusive FIFO of pooled Requests. */
-    struct ReqQueue
-    {
-        Request *head = nullptr;
-        Request *tail = nullptr;
-        std::size_t count = 0;
-
-        bool empty() const { return head == nullptr; }
-
-        void
-        push_back(Request *r)
-        {
-            r->next = nullptr;
-            if (tail)
-                tail->next = r;
-            else
-                head = r;
-            tail = r;
-            ++count;
-        }
-
-        void
-        push_front(Request *r)
-        {
-            r->next = head;
-            head = r;
-            if (!tail)
-                tail = r;
-            ++count;
-        }
-
-        Request *
-        pop_front()
-        {
-            Request *r = head;
-            head = r->next;
-            if (!head)
-                tail = nullptr;
-            r->next = nullptr;
-            --count;
-            return r;
-        }
-    };
-
     struct ChannelState
     {
-        ReqQueue readQ;
-        ReqQueue writeQ;
+        IntrusiveFifo<Request> readQ;
+        IntrusiveFifo<Request> writeQ;
+        /** Requests on writeQ (the drain high-water mark reads it). */
+        std::size_t writeCount = 0;
         /** Recurring scheduler event; at most one kick pending per
          * channel (kickEvent->scheduled() is the guard). */
         std::unique_ptr<TickEvent> kickEvent;
@@ -381,22 +331,19 @@ class MemoryController
     void releaseReq(Request *r);
     void addWcb(Request *r, WriteCallback &&cb);
 
-    /** Fire a detached WcbNode chain in order, returning each node to
+    /** Fire a detached ack chain in order, returning each node to
      * the pool before its ack runs (an ack may enqueue new work). */
-    void fireWcbs(WcbNode *chain);
+    void fireWcbs(WcbFifo chain);
 
     void kick(std::uint32_t ch);
     void scheduleKick(std::uint32_t ch, Tick when);
     void issueRead(std::uint32_t ch, Request *req);
     void issueWrite(std::uint32_t ch, Request *req);
 
-    const char *statName() const { return _statName.c_str(); }
-
     McId _id;
     EventQueue &_eq;
     const SystemConfig &_cfg;
     DataImage &_nvm;
-    StatSet &_stats;
     std::string _statName;
 
     std::vector<NvmChannel> _channels;
@@ -454,7 +401,6 @@ class MemoryController
     LineMap<WcbFifo> _durWaiters;
 
     std::size_t _pendingWrites = 0;
-    std::size_t _pendingReads = 0;
 
     Counter &_statReads;
     Counter &_statLogReads;

@@ -53,17 +53,13 @@ SsdDevice::SsdDevice(McId id, EventQueue &eq, const SystemConfig &cfg,
       _qps(cfg.ssdChannels),
       _chanFree(cfg.ssdChannels, 0),
       _dieFree(std::size_t(cfg.ssdChannels) * cfg.ssdDiesPerChannel, 0),
-      _pollEvent([this] { poll(); }, "ssd_poll"),
+      _pollEvent([this] { poll(); }),
       _statReads(stats.counter("ssd" + std::to_string(id), "reads")),
       _statPrograms(
           stats.counter("ssd" + std::to_string(id), "programs")),
       _statSqStalls(
           stats.counter("ssd" + std::to_string(id), "sq_stalls"))
 {
-    for (auto &qp : _qps) {
-        qp.sq.assign(cfg.ssdQueueDepth, nullptr);
-        qp.cq.assign(cfg.ssdQueueDepth, nullptr);
-    }
 }
 
 SsdDevice::Cmd *
@@ -90,8 +86,7 @@ SsdDevice::submit(std::uint32_t qp_idx, Cmd *cmd)
         _statSqStalls.inc();
         return false;
     }
-    qp.sq[qp.sqTail] = cmd;
-    qp.sqTail = (qp.sqTail + 1) % _cfg.ssdQueueDepth;
+    qp.sq.push_back(cmd);
     ++qp.sqCount;
     ++qp.outstanding;
     return true;
@@ -119,11 +114,8 @@ SsdDevice::poll()
     // Reap completions first: callbacks fire at poll ticks (the host
     // observes completion only when it looks), then release the nodes.
     for (auto &qp : _qps) {
-        while (qp.cqCount > 0) {
-            Cmd *cmd = qp.cq[qp.cqHead];
-            qp.cq[qp.cqHead] = nullptr;
-            qp.cqHead = (qp.cqHead + 1) % _cfg.ssdQueueDepth;
-            --qp.cqCount;
+        while (!qp.cq.empty()) {
+            Cmd *cmd = qp.cq.pop_front();
             --qp.outstanding;
             auto done = std::move(cmd->done);
             cmd->done = {};
@@ -136,12 +128,9 @@ SsdDevice::poll()
     // timing model.
     for (std::uint32_t q = 0; q < _qps.size(); ++q) {
         Qp &qp = _qps[q];
-        while (qp.sqCount > 0) {
-            Cmd *cmd = qp.sq[qp.sqHead];
-            qp.sq[qp.sqHead] = nullptr;
-            qp.sqHead = (qp.sqHead + 1) % _cfg.ssdQueueDepth;
+        while (!qp.sq.empty()) {
             --qp.sqCount;
-            dispatch(q, cmd);
+            dispatch(q, qp.sq.pop_front());
         }
     }
     if (totalOutstanding() > 0 && !_pollEvent.scheduled())
@@ -192,10 +181,7 @@ SsdDevice::onDeviceDone(std::uint32_t q, Cmd *cmd)
         ++_reads;
         _statReads.inc();
     }
-    Qp &qp = _qps[q];
-    qp.cq[qp.cqTail] = cmd;
-    qp.cqTail = (qp.cqTail + 1) % _cfg.ssdQueueDepth;
-    ++qp.cqCount;
+    _qps[q].cq.push_back(cmd);
     // The poll loop keeps itself scheduled while commands are
     // outstanding, so this completion will be reaped without help.
 }
@@ -217,7 +203,7 @@ DestageEngine::DestageEngine(McId id, EventQueue &eq,
       _ssd(ssd),
       _nvm(nvm),
       _slots(amap.ssdMapEntriesPerMc()),
-      _pumpEvent([this] { pump(); }, "destage_pump"),
+      _pumpEvent([this] { pump(); }),
       _statPages(stats.counter("mc" + std::to_string(id),
                                "destage_pages")),
       _statLogPages(stats.counter("mc" + std::to_string(id),

@@ -5,9 +5,10 @@
  * NVM to flash at ATOM log truncation.
  *
  * One SsdDevice per memory controller (SystemConfig::ssdTier), fronted
- * by per-channel submission/completion queue pairs — fixed-capacity
- * rings of pooled intrusive command nodes, the same FreeListPool /
- * InplaceFunction idiom as the controllers and the DRAM device. The
+ * by per-channel submission/completion queue pairs — FIFOs of pooled
+ * intrusive command nodes, each pair bounded by the queue depth, the
+ * same FreeListPool / IntrusiveFifo idiom as the controllers and the
+ * DRAM device. The
  * host side (the destage engine) submits page commands and rings a
  * doorbell; a poll-mode loop on the owning controller's EventQueue
  * fetches submissions, dispatches them to the channel/die timing model
@@ -126,7 +127,7 @@ std::uint32_t rehydrate(DataImage &nvm, const AddressMap &amap, McId mc,
 
 /**
  * One controller's SSD slice: queue pairs + channel/die timing + a
- * non-volatile flash DataImage (survives a power failure; the rings
+ * non-volatile flash DataImage (survives a power failure; the queues
  * and in-flight commands do not).
  */
 class SsdDevice
@@ -160,11 +161,10 @@ class SsdDevice
     void releaseCmd(Cmd *cmd);
 
     /**
-     * Push @p cmd onto queue pair @p qp's submission ring. Fails (and
+     * Push @p cmd onto queue pair @p qp's submission queue. Fails (and
      * does NOT take ownership) when the pair's outstanding commands
-     * would exceed the queue depth — the bound that keeps the
-     * completion ring from ever overflowing. Nothing executes until
-     * the doorbell rings.
+     * would exceed the queue depth, the bound on both of the pair's
+     * queues. Nothing executes until the doorbell rings.
      */
     bool submit(std::uint32_t qp, Cmd *cmd);
 
@@ -180,7 +180,6 @@ class SsdDevice
         return _qps[qp].outstanding;
     }
     std::size_t sqDepth(std::uint32_t qp) const { return _qps[qp].sqCount; }
-    std::size_t cqDepth(std::uint32_t qp) const { return _qps[qp].cqCount; }
     std::uint32_t totalOutstanding() const;
     std::size_t poolAllocated() const { return _pool.allocated(); }
     std::size_t poolFree() const { return _pool.idle(); }
@@ -188,13 +187,12 @@ class SsdDevice
     std::uint64_t programs() const { return _programs; }
 
   private:
-    /** Fixed-capacity SQ/CQ ring pair; capacity = ssdQueueDepth. */
+    /** One SQ/CQ pair; outstanding <= ssdQueueDepth bounds both. */
     struct Qp
     {
-        std::vector<Cmd *> sq;
-        std::vector<Cmd *> cq;
-        std::size_t sqHead = 0, sqTail = 0, sqCount = 0;
-        std::size_t cqHead = 0, cqTail = 0, cqCount = 0;
+        IntrusiveFifo<Cmd> sq;
+        IntrusiveFifo<Cmd> cq;
+        std::size_t sqCount = 0;
         /** Commands submitted and not yet reaped (SQ + device + CQ). */
         std::uint32_t outstanding = 0;
     };

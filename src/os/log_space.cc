@@ -13,8 +13,8 @@ LogSpace::LogSpace(EventQueue &eq, const SystemConfig &cfg, StatSet &stats)
 {
     _grantEvents.reserve(cfg.numMemCtrls);
     for (McId mc = 0; mc < cfg.numMemCtrls; ++mc) {
-        _grantEvents.push_back(std::make_unique<TickEvent>(
-            [this, mc] { grant(mc); }, "os.grant"));
+        _grantEvents.push_back(
+            std::make_unique<TickEvent>([this, mc] { grant(mc); }));
     }
 }
 

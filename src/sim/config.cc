@@ -162,8 +162,6 @@ SystemConfig::validate() const
     fatal_if(l2Tiles == 0, "need at least one L2 tile");
     fatal_if(channelsPerMc == 0 || channelsPerMc > 2,
              "channelsPerMc must be 1 or 2");
-    fatal_if(recordEntries == 0 || recordEntries > 7,
-             "recordEntries must be in [1,7] (512-byte record)");
     fatal_if(bucketsPerMc == 0, "bucketsPerMc must be > 0");
     fatal_if(ausPerMc == 0, "ausPerMc must be > 0");
     // 4096 = kPageBytes (mem/phys_mem.hh), the size of each
@@ -173,6 +171,18 @@ SystemConfig::validate() const
              "bucketsPerMc=%u) exceeds the 4096-byte ADR page",
              (unsigned long long)adrStateBytes(), ausPerMc, bucketsPerMc);
     fatal_if(meshRows == 0, "meshRows must be > 0");
+    // REDO's log slots (designs/redo_engine.hh, redo_format) hold the
+    // core in 6 bits and a commit's controller mask in 8 bits; past
+    // that, cores alias and commits lose controllers, and recovery
+    // misreads a log it cannot tell apart.
+    if (design == DesignKind::Redo) {
+        fatal_if(numCores > 64,
+                 "REDO's log format encodes at most 64 cores "
+                 "(numCores=%u)", numCores);
+        fatal_if(numMemCtrls > 8,
+                 "REDO's log format encodes at most 8 memory "
+                 "controllers (numMemCtrls=%u)", numMemCtrls);
+    }
     fatal_if(mediaErrorPer64k > 65536,
              "mediaErrorPer64k is a rate out of 65536");
     fatal_if(mediaRetryLimit > 64,
@@ -187,29 +197,18 @@ SystemConfig::validate() const
                      0,
                  "DRAM cache size must be a multiple of assoc * line "
                  "size");
-        fatal_if(dramBanksPerMc == 0, "dramBanksPerMc must be > 0");
-        fatal_if(dramRowBytes < kLineBytes ||
-                     (dramRowBytes & (dramRowBytes - 1)) != 0,
-                 "dramRowBytes must be a power of two >= the line "
-                 "size");
     }
     fatal_if(!ssdTier && durabilityPolicy != DurabilityPolicy::Strict,
              "relaxed durability policies need the flash tier "
              "(ssdTier = true); without a destage pipeline there is "
              "nothing to relax");
     if (ssdTier) {
-        fatal_if(ssdChannels == 0 || ssdDiesPerChannel == 0,
-                 "ssdTier needs ssdChannels > 0 and ssdDiesPerChannel "
-                 "> 0");
+        fatal_if(ssdChannels == 0, "ssdTier needs ssdChannels > 0");
         fatal_if(ssdQueueDepth < 2,
-                 "ssdQueueDepth must be >= 2 (SQ/CQ ring capacity)");
-        fatal_if(ssdPollInterval == 0,
-                 "ssdPollInterval must be > 0 (poll-mode reaping)");
+                 "ssdQueueDepth must be >= 2 (outstanding commands per "
+                 "queue pair)");
         fatal_if(ssdFlashPagesPerMc == 0,
                  "ssdFlashPagesPerMc must be > 0");
-        fatal_if(durabilityPolicy == DurabilityPolicy::Eventual &&
-                     ssdStagingWindow == 0,
-                 "eventual durability needs ssdStagingWindow > 0");
     }
 }
 

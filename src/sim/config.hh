@@ -125,13 +125,20 @@ enum class AppDirectRegion : std::uint8_t
     DataRegion,
 };
 
-/** Full machine + design configuration. */
+/**
+ * Full machine + design configuration.
+ *
+ * The static constexpr members are parameters no run sets to anything
+ * but the value given here; they read like the settable fields
+ * (cfg.l1Latency) but are not part of the configuration space that
+ * validate() and the tests have to cover.
+ */
 struct SystemConfig
 {
     // --- Cores (Table I) -------------------------------------------------
     std::uint32_t numCores = 32;
     /** Core clock in Hz; used only to convert cycles to seconds. */
-    double clockHz = 2.0e9;
+    static constexpr double clockHz = 2.0e9;
     std::uint32_t sqEntries = 32;
     /**
      * Stores the SQ may retire concurrently (entries dequeue in
@@ -139,7 +146,7 @@ struct SystemConfig
      * stores overlap (Section IV-B) instead of serializing each
      * log persist at the SQ head.
      */
-    std::uint32_t sqDrainWidth = 2;
+    static constexpr std::uint32_t sqDrainWidth = 2;
     /**
      * Average non-memory work between two memory micro-ops, in cycles.
      * Stands in for the OoO core's compute (instruction fetch/decode,
@@ -148,19 +155,19 @@ struct SystemConfig
      * reported range. The in-order core model (cpu/core.hh) has no
      * other source of non-memory time.
      */
-    Cycles computeGap = 80;
+    static constexpr Cycles computeGap = 80;
 
     // --- L1 (Table I) ----------------------------------------------------
     std::uint32_t l1SizeBytes = 32 * 1024;
     std::uint32_t l1Assoc = 4;
-    Cycles l1Latency = 3;
+    static constexpr Cycles l1Latency = 3;
     std::uint32_t mshrs = 32;
 
     // --- L2 (Table I) ----------------------------------------------------
     std::uint32_t l2Tiles = 32;
     std::uint32_t l2TileBytes = 1024 * 1024;
     std::uint32_t l2Assoc = 16;
-    Cycles l2Latency = 30;
+    static constexpr Cycles l2Latency = 30;
 
     // --- Memory (Table I) ------------------------------------------------
     std::uint32_t numMemCtrls = 4;
@@ -172,13 +179,13 @@ struct SystemConfig
      * Peak bandwidth per channel in bytes/second (5.3 GB/s). Converted
      * to a per-64B-transfer channel occupancy internally.
      */
-    double channelBandwidthBytesPerSec = 5.3e9;
+    static constexpr double channelBandwidthBytesPerSec = 5.3e9;
     /** Latency of the record-header address match in the MC (1 cycle). */
-    Cycles mcAddrMatchLatency = 1;
+    static constexpr Cycles mcAddrMatchLatency = 1;
     /** MC scheduling / queueing overhead per request. */
-    Cycles mcFrontendLatency = 8;
+    static constexpr Cycles mcFrontendLatency = 8;
     /** Write queue entries per controller. */
-    std::uint32_t mcWriteQueue = 64;
+    static constexpr std::uint32_t mcWriteQueue = 64;
 
     // --- Hybrid DRAM/NVM memory (src/mem/dram_{device,cache}) --------
     /**
@@ -196,18 +203,22 @@ struct SystemConfig
     /** DRAM-cache associativity. */
     std::uint32_t dramCacheAssoc = 8;
     /** DRAM banks per controller (row buffers / busy reservations). */
-    std::uint32_t dramBanksPerMc = 8;
+    static constexpr std::uint32_t dramBanksPerMc = 8;
+    static_assert(dramBanksPerMc > 0, "dramBanksPerMc must be > 0");
     /** DRAM row-buffer size in bytes (power of two >= line size). */
-    std::uint32_t dramRowBytes = 2048;
+    static constexpr std::uint32_t dramRowBytes = 2048;
+    static_assert(dramRowBytes >= kLineBytes &&
+                      (dramRowBytes & (dramRowBytes - 1)) == 0,
+                  "dramRowBytes must be a power of two >= the line size");
     /** Device latency when the access hits the open row. */
-    Cycles dramRowHitLatency = 18;
+    static constexpr Cycles dramRowHitLatency = 18;
     /** Device latency on a row-buffer miss (precharge + activate). */
-    Cycles dramRowMissLatency = 36;
+    static constexpr Cycles dramRowMissLatency = 36;
     /**
      * Peak DRAM bandwidth per controller in bytes/second (12.8 GB/s,
      * one DDR channel); converted to a per-64B-transfer occupancy.
      */
-    double dramBandwidthBytesPerSec = 12.8e9;
+    static constexpr double dramBandwidthBytesPerSec = 12.8e9;
 
     // --- Flash/SSD third tier (src/mem/ssd_device) -------------------
     /**
@@ -226,20 +237,22 @@ struct SystemConfig
     /** Flash channels per controller (one SQ/CQ pair each). */
     std::uint32_t ssdChannels = 4;
     /** Independent dies per channel (tR/tPROG occupancy units). */
-    std::uint32_t ssdDiesPerChannel = 2;
-    /** Submission/completion ring capacity per queue pair; also the
-     * per-pair outstanding-command bound, so the CQ can never
-     * overflow. */
+    static constexpr std::uint32_t ssdDiesPerChannel = 2;
+    static_assert(ssdDiesPerChannel > 0, "ssdDiesPerChannel must be > 0");
+    /** Per-queue-pair bound on outstanding commands (submitted and
+     * not yet reaped), so it bounds both the SQ and the CQ. */
     std::uint32_t ssdQueueDepth = 32;
     /** Poll cadence of the controller's doorbell/reap loop, in cycles. */
-    Cycles ssdPollInterval = 200;
+    static constexpr Cycles ssdPollInterval = 200;
+    static_assert(ssdPollInterval > 0,
+                  "ssdPollInterval must be > 0 (poll-mode reaping)");
     /** Die read (tR) latency in core cycles (~8 us at 2 GHz). */
     Cycles ssdReadLatency = 16000;
     /** Die program (tPROG) latency in core cycles (~20 us at 2 GHz). */
     Cycles ssdProgramLatency = 40000;
     /** Channel bus bandwidth in bytes/second (1.2 GB/s ONFI-ish);
      * converted to a per-4KB-page transfer occupancy. */
-    double ssdChannelBandwidthBytesPerSec = 1.2e9;
+    static constexpr double ssdChannelBandwidthBytesPerSec = 1.2e9;
     /** Flash pages addressable per controller slice (also sizes the
      * NVM-resident forwarding map: 16 bytes per flash page). */
     std::uint32_t ssdFlashPagesPerMc = 4096;
@@ -252,16 +265,20 @@ struct SystemConfig
     std::uint32_t ssdMaxDestageBacklog = 16;
     /** Eventual: commits acknowledged early from the volatile staging
      * window; at most this many acked commits are lost on powerFail. */
-    std::uint32_t ssdStagingWindow = 8;
+    static constexpr std::uint32_t ssdStagingWindow = 8;
+    static_assert(ssdStagingWindow > 0,
+                  "eventual durability needs ssdStagingWindow > 0");
 
     // --- Network (Table I) -----------------------------------------------
     std::uint32_t meshRows = 4;
     /** Per-hop router + link traversal latency. */
-    Cycles hopLatency = 2;
+    static constexpr Cycles hopLatency = 2;
 
     // --- ATOM log manager (Section IV) -------------------------------
     /** Log records are 8 lines: 7 data entries + 1 header. */
-    std::uint32_t recordEntries = 7;
+    static constexpr std::uint32_t recordEntries = 7;
+    static_assert(recordEntries >= 1 && recordEntries <= 7,
+                  "recordEntries must be in [1,7] (512-byte record)");
     /** Buckets per memory controller (bucket bit vector width). */
     std::uint32_t bucketsPerMc = 256;
     /** Concurrent atomic updates supported in hardware (AUS count). */
@@ -275,7 +292,7 @@ struct SystemConfig
      */
     std::uint32_t osInitialBucketsPerMc = 0;
     /** OS interrupt + page-mapping cost on log overflow. */
-    Cycles osOverflowLatency = 5000;
+    static constexpr Cycles osOverflowLatency = 5000;
 
     // --- Isolation ---------------------------------------------------
     /**
@@ -321,7 +338,7 @@ struct SystemConfig
     /** Bounded retries after a failed read attempt. */
     std::uint32_t mediaRetryLimit = 3;
     /** Extra device backoff per media-error retry, in cycles. */
-    Cycles mediaRetryBackoff = 100;
+    static constexpr Cycles mediaRetryBackoff = 100;
     /**
      * Seed of the fault-injection streams (torn-write boundaries,
      * media errors, recovery-crash tears). Deliberately separate from
@@ -336,7 +353,7 @@ struct SystemConfig
     /**
      * REDO: entries the write-combining buffer holds before draining.
      */
-    std::uint32_t redoCombineEntries = 8;
+    static constexpr std::uint32_t redoCombineEntries = 8;
 
     /** Workload RNG seed. */
     std::uint64_t seed = 42;

@@ -29,7 +29,6 @@ void
 EventQueue::clear()
 {
     const auto drop = [this](Event *e) {
-        e->_next = nullptr;
         e->_queue = nullptr;
         e->_flags &= std::uint16_t(~(Event::kScheduled | Event::kInSpill));
         if (e->_flags & Event::kPooled) {
@@ -38,13 +37,9 @@ EventQueue::clear()
             releasePooled(fe);
         }
     };
-    for (auto &b : _wheel) {
-        for (Event *e = b.head; e != nullptr;) {
-            Event *next = e->_next;
-            drop(e);
-            e = next;
-        }
-        b.head = b.tail = nullptr;
+    for (Bucket &b : _wheel) {
+        while (!b.empty())
+            drop(b.pop_front());
     }
     for (Event *e : _spill)
         drop(e);
@@ -58,12 +53,7 @@ void
 EventQueue::wheelInsert(Event *ev)
 {
     const std::uint32_t bi = std::uint32_t(ev->_when) & kWheelMask;
-    Bucket &b = _wheel[bi];
-    if (b.tail)
-        b.tail->_next = ev;
-    else
-        b.head = ev;
-    b.tail = ev;
+    _wheel[bi].push_back(ev);
     _occupied[bi >> 6] |= std::uint64_t(1) << (bi & 63);
     ++_wheelCount;
 }
@@ -161,7 +151,6 @@ EventQueue::schedule(Event &ev, Tick when)
     ev._when = when;
     ev._seq = _seq++;
     ev._queue = this;
-    ev._next = nullptr;
     ev._flags |= Event::kScheduled;
     ++_pending;
     if (when - _now < kWheelBuckets) {
@@ -183,24 +172,12 @@ EventQueue::deschedule(Event &ev)
     } else {
         const std::uint32_t bi = std::uint32_t(ev._when) & kWheelMask;
         Bucket &b = _wheel[bi];
-        Event *prev = nullptr;
-        Event *cur = b.head;
-        while (cur && cur != &ev) {
-            prev = cur;
-            cur = cur->_next;
-        }
-        panic_if(!cur, "descheduling an event missing from its bucket");
-        if (prev)
-            prev->_next = ev._next;
-        else
-            b.head = ev._next;
-        if (b.tail == &ev)
-            b.tail = prev;
-        if (!b.head)
+        if (!b.remove(&ev))
+            panic("descheduling an event missing from its bucket");
+        if (b.empty())
             _occupied[bi >> 6] &= ~(std::uint64_t(1) << (bi & 63));
         --_wheelCount;
     }
-    ev._next = nullptr;
     ev._flags &= std::uint16_t(~Event::kScheduled);
     ev._queue = nullptr;
     --_pending;

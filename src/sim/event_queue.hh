@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "sim/callback.hh"
+#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -134,19 +135,15 @@ class Event
 class EventFunctionWrapper : public Event
 {
   public:
-    explicit EventFunctionWrapper(std::function<void()> fn,
-                                  const char *name = "anon")
-        : _fn(std::move(fn)), _name(name)
+    explicit EventFunctionWrapper(std::function<void()> fn)
+        : _fn(std::move(fn))
     {
     }
 
     void process() override { _fn(); }
 
-    const char *name() const { return _name; }
-
   private:
     std::function<void()> _fn;
-    const char *_name;
 };
 
 /** Conventional name for a component's recurring member event. */
@@ -304,11 +301,8 @@ class EventQueue
     }
 
   private:
-    struct Bucket
-    {
-        Event *head = nullptr;
-        Event *tail = nullptr;
-    };
+    /** One wheel slot: its tick's events in schedule() order. */
+    using Bucket = IntrusiveFifo<Event, &Event::_next>;
 
     /** True when @p a fires strictly before @p b ((tick, seq) order). */
     static bool
@@ -424,15 +418,11 @@ EventQueue::executeNext(Tick t)
     }
     const std::uint32_t bi = std::uint32_t(t) & kWheelMask;
     Bucket &b = _wheel[bi];
-    Event *ev = b.head;
-    b.head = ev->_next;
-    if (!b.head) {
-        b.tail = nullptr;
+    Event *ev = b.pop_front();
+    if (b.empty())
         _occupied[bi >> 6] &= ~(std::uint64_t(1) << (bi & 63));
-    }
     --_wheelCount;
     --_pending;
-    ev->_next = nullptr;
     ev->_queue = nullptr;
     ev->_flags &= std::uint16_t(~Event::kScheduled);
     ++_executed;

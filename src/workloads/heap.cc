@@ -51,7 +51,6 @@ PersistentHeap::alloc(std::uint32_t core, std::size_t bytes,
         const Addr aligned = (arena.cursor + align - 1) & ~(align - 1);
         if (aligned + bytes <= arena.end && arena.end != 0) {
             arena.cursor = aligned + bytes;
-            _bytesUsed += bytes;
             if (arena.cursor > _highWater)
                 _highWater = arena.cursor;
             return aligned;

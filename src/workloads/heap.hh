@@ -48,9 +48,6 @@ class PersistentHeap
     /** Return a block to @p core's free list for its size class. */
     void free(std::uint32_t core, Addr addr, std::size_t bytes);
 
-    /** Total bytes handed out (before reuse). */
-    Addr bytesUsed() const { return _bytesUsed; }
-
     /** One past the highest address ever allocated. */
     Addr highWater() const { return _highWater; }
 
@@ -67,7 +64,6 @@ class PersistentHeap
 
     Addr _next;
     Addr _limit;
-    Addr _bytesUsed = 0;
     Addr _highWater = 0;
     std::vector<Arena> _arenas;
 

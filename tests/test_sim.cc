@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -18,6 +19,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/line_map.hh"
+#include "sim/pool.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -143,7 +145,7 @@ TEST(EventQueueTest, MemberEventSchedulesAndReschedules)
 {
     EventQueue eq;
     int fired = 0;
-    TickEvent ev([&] { ++fired; }, "test.tick");
+    TickEvent ev([&] { ++fired; });
 
     EXPECT_FALSE(ev.scheduled());
     eq.schedule(ev, 10);
@@ -164,8 +166,8 @@ TEST(EventQueueTest, DescheduleRemovesFromWheelAndSpill)
 {
     EventQueue eq;
     int fired = 0;
-    TickEvent near([&] { ++fired; }, "near");
-    TickEvent far([&] { ++fired; }, "far");
+    TickEvent near([&] { ++fired; });
+    TickEvent far([&] { ++fired; });
 
     eq.schedule(near, 10);  // wheel
     eq.schedule(far, Tick(EventQueue::kWheelBuckets) + 100);  // spill
@@ -194,8 +196,7 @@ TEST(EventQueueTest, SelfReschedulingMemberEvent)
         [&] {
             if (++ticks < 10)
                 eq.scheduleIn(*self, 100);
-        },
-        "test.selftick");
+        });
     self = &ev;
     eq.schedule(ev, 100);
     eq.run();
@@ -275,9 +276,9 @@ TEST(EventQueueTest, SpillRatioStatCountsInserts)
     EventQueue eq;
     EXPECT_EQ(eq.spillRatio(), 0.0);
 
-    TickEvent near1([] {}, "near1");
-    TickEvent near2([] {}, "near2");
-    TickEvent far1([] {}, "far1");
+    TickEvent near1([] {});
+    TickEvent near2([] {});
+    TickEvent far1([] {});
     eq.schedule(near1, 10);
     eq.schedule(near2, EventQueue::kWheelBuckets - 1);
     eq.schedule(far1, Tick(EventQueue::kWheelBuckets) + 10);
@@ -429,8 +430,8 @@ TEST(EventQueueTest, ClearDropsPendingEventsAndKeepsCounters)
     eq.run();
     ASSERT_EQ(ran, 1);
 
-    TickEvent near_ev([&ran] { ++ran; }, "near");
-    TickEvent far_ev([&ran] { ++ran; }, "far");
+    TickEvent near_ev([&ran] { ++ran; });
+    TickEvent far_ev([&ran] { ++ran; });
     eq.scheduleIn(near_ev, 10);
     eq.scheduleIn(far_ev, far);
     auto token = std::make_shared<int>(0);
@@ -607,13 +608,6 @@ TEST(ConfigDeathTest, RejectsNonPowerOfTwoMcs)
     EXPECT_DEATH({ cfg.validate(); }, "power of two");
 }
 
-TEST(ConfigDeathTest, RejectsOversizedRecord)
-{
-    SystemConfig cfg;
-    cfg.recordEntries = 8;
-    EXPECT_DEATH({ cfg.validate(); }, "recordEntries");
-}
-
 // validate() must reject each zero before using it: the size checks
 // divide by the associativities, and a cache without MSHRs deadlocks
 // on its first miss.
@@ -692,6 +686,27 @@ TEST(ConfigDeathTest, RejectsAdrStateLargerThanAPage)
     cfg.validate();
 }
 
+// REDO's log slots keep the core in 6 bits and a commit's controller
+// mask in 8 bits, so validate() must refuse a REDO machine wider than
+// that (a 128-core run otherwise recovers an inconsistent queue, and a
+// 16-MC run re-applies only part of its committed log). The widest
+// encodable machine still validates.
+TEST(ConfigDeathTest, RejectsRedoBeyondItsLogFormat)
+{
+    SystemConfig cfg;
+    cfg.design = DesignKind::Redo;
+    cfg.numCores = 64;
+    cfg.numMemCtrls = 8;
+    cfg.validate();
+
+    cfg.numCores = 65;
+    EXPECT_DEATH({ cfg.validate(); }, "at most 64 cores");
+
+    cfg.numCores = 32;
+    cfg.numMemCtrls = 16;
+    EXPECT_DEATH({ cfg.validate(); }, "at most 8 memory controllers");
+}
+
 // --- spill-heap deschedule (indexed heap) ------------------------------
 
 // Descheduling from the middle of the spill heap (member events parked
@@ -707,7 +722,7 @@ TEST(EventQueueTest, DescheduleFromSpillHeapMiddle)
     std::vector<std::unique_ptr<TickEvent>> evs;
     for (int i = 0; i < 32; ++i) {
         evs.push_back(std::make_unique<TickEvent>(
-            [&order, i] { order.push_back(i); }, "spill"));
+            [&order, i] { order.push_back(i); }));
         // Interleaved ticks so heap order != insertion order.
         eq.schedule(*evs.back(), base + Tick((i * 7) % 32));
     }
@@ -742,14 +757,14 @@ TEST(EventQueueTest, SpillHeapSurvivesDescheduleAndDestroy)
     int fired = 0;
     const Tick base = Tick(EventQueue::kWheelBuckets) + 50;
     {
-        TickEvent doomed([&] { ++fired; }, "doomed");
+        TickEvent doomed([&] { ++fired; });
         eq.schedule(doomed, base + 7);
-        TickEvent other([&] { ++fired; }, "other");
+        TickEvent other([&] { ++fired; });
         eq.schedule(other, base + 9);
         eq.deschedule(doomed);
         eq.deschedule(other);
     }  // both destroyed while unscheduled
-    TickEvent keeper([&] { ++fired; }, "keeper");
+    TickEvent keeper([&] { ++fired; });
     eq.schedule(keeper, base + 3);
     eq.run();
     EXPECT_EQ(fired, 1);
@@ -783,7 +798,7 @@ TEST(EventQueueTest, WheelAndSpillRunInTickThenScheduleOrder)
     std::vector<std::unique_ptr<TickEvent>> members;
     for (int id = 0; id < kMembers; ++id) {
         members.push_back(std::make_unique<TickEvent>(
-            [&order, id] { order.push_back(id); }, "member"));
+            [&order, id] { order.push_back(id); }));
         const Tick when = Tick(rng.below(56)) * kGrid;  // 3.5 widths
         eq.schedule(*members.back(), when);
         note(id, when);
@@ -837,6 +852,194 @@ TEST(EventQueueTest, WheelAndSpillRunInTickThenScheduleOrder)
     EXPECT_GT(moved, 0);
     EXPECT_GT(next_id, kMembers + kPosts);
     EXPECT_GT(eq.spillRatio(), 0.0);
+}
+
+// --- IntrusiveFifo ----------------------------------------------------
+
+struct FifoNode
+{
+    FifoNode *next = nullptr;
+    int id = 0;
+};
+
+using NodeFifo = IntrusiveFifo<FifoNode>;
+
+/** The ids on @p fifo, front to back. */
+std::vector<int>
+fifoIds(const NodeFifo &fifo)
+{
+    std::vector<int> ids;
+    for (FifoNode *n = fifo.front(); n; n = NodeFifo::next(n))
+        ids.push_back(n->id);
+    return ids;
+}
+
+/** @p n nodes with ids 0 .. n-1. */
+std::vector<FifoNode>
+fifoNodes(int n)
+{
+    std::vector<FifoNode> nodes(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+        nodes[std::size_t(i)].id = i;
+    return nodes;
+}
+
+TEST(IntrusiveFifoTest, PushBackPushFrontAndPopFrontOrder)
+{
+    auto nodes = fifoNodes(4);
+    NodeFifo fifo;
+    EXPECT_TRUE(fifo.empty());
+    EXPECT_EQ(fifo.front(), nullptr);
+    fifo.push_back(&nodes[1]);
+    fifo.push_back(&nodes[2]);
+    fifo.push_front(&nodes[0]);
+    fifo.push_back(&nodes[3]);
+    EXPECT_EQ(fifoIds(fifo), (std::vector<int>{0, 1, 2, 3}));
+    for (int i = 0; i < 4; ++i) {
+        FifoNode *n = fifo.pop_front();
+        EXPECT_EQ(n->id, i);
+        EXPECT_EQ(n->next, nullptr);
+    }
+    EXPECT_TRUE(fifo.empty());
+    // push_front onto an empty FIFO sets the back too.
+    fifo.push_front(&nodes[2]);
+    fifo.push_back(&nodes[3]);
+    EXPECT_EQ(fifoIds(fifo), (std::vector<int>{2, 3}));
+}
+
+TEST(IntrusiveFifoTest, RemoveHeadMiddleAndTailThenAppend)
+{
+    auto nodes = fifoNodes(7);
+    NodeFifo fifo;
+    for (int i = 0; i < 5; ++i)
+        fifo.push_back(&nodes[std::size_t(i)]);
+    EXPECT_TRUE(fifo.remove(&nodes[0]));  // head
+    EXPECT_TRUE(fifo.remove(&nodes[2]));  // middle
+    EXPECT_TRUE(fifo.remove(&nodes[4]));  // tail
+    EXPECT_EQ(nodes[4].next, nullptr);
+    EXPECT_FALSE(fifo.remove(&nodes[4]));  // no longer queued
+    EXPECT_EQ(fifoIds(fifo), (std::vector<int>{1, 3}));
+    // The back moved to node 3: an append must follow it.
+    fifo.push_back(&nodes[5]);
+    EXPECT_EQ(fifoIds(fifo), (std::vector<int>{1, 3, 5}));
+
+    // Removing the only node empties the FIFO, front and back.
+    NodeFifo one;
+    one.push_back(&nodes[6]);
+    EXPECT_TRUE(one.remove(&nodes[6]));
+    EXPECT_TRUE(one.empty());
+    one.push_back(&nodes[6]);
+    EXPECT_EQ(fifoIds(one), (std::vector<int>{6}));
+}
+
+TEST(IntrusiveFifoTest, FindReturnsTheOldestMatch)
+{
+    auto nodes = fifoNodes(6);
+    NodeFifo fifo;
+    for (auto &n : nodes)
+        fifo.push_back(&n);
+    const auto odd = [](const FifoNode &n) { return n.id % 2 == 1; };
+    EXPECT_EQ(fifo.find(odd), &nodes[1]);
+    EXPECT_EQ(fifo.find([](const FifoNode &n) { return n.id > 9; }),
+              nullptr);
+    fifo.remove(&nodes[1]);
+    EXPECT_EQ(fifo.find(odd), &nodes[3]);
+}
+
+TEST(IntrusiveFifoTest, TakeDetachesEverythingAndLaterPushesStay)
+{
+    auto nodes = fifoNodes(6);
+    NodeFifo fifo;
+    for (int i = 0; i < 3; ++i)
+        fifo.push_back(&nodes[std::size_t(i)]);
+    NodeFifo taken = fifo.take();
+    EXPECT_TRUE(fifo.empty());
+    EXPECT_EQ(fifo.front(), nullptr);
+
+    // Walk the taken list the way a wake-up does; each visit queues a
+    // new node on the source, which must wait there.
+    std::vector<int> walked;
+    int fresh = 3;
+    while (!taken.empty()) {
+        walked.push_back(taken.pop_front()->id);
+        fifo.push_back(&nodes[std::size_t(fresh++)]);
+    }
+    EXPECT_EQ(walked, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(fifoIds(fifo), (std::vector<int>{3, 4, 5}));
+}
+
+// Seeded differential run against std::deque: every operation the
+// queues use, on a small node population so removes, finds and
+// re-pushes keep hitting the front, the back and the middle.
+TEST(IntrusiveFifoTest, MatchesDequeUnderRandomOps)
+{
+    constexpr int kNodes = 48;
+    auto nodes = fifoNodes(kNodes);
+    std::vector<bool> queued(kNodes, false);
+    NodeFifo fifo;
+    std::deque<FifoNode *> ref;
+    Random rng(20261018);
+    for (int op = 0; op < 100000; ++op) {
+        FifoNode *n = &nodes[std::size_t(rng.below(kNodes))];
+        switch (rng.below(6)) {
+          case 0:
+          case 1:
+            if (!queued[std::size_t(n->id)]) {
+                fifo.push_back(n);
+                ref.push_back(n);
+                queued[std::size_t(n->id)] = true;
+            }
+            break;
+          case 2:
+            if (!queued[std::size_t(n->id)]) {
+                fifo.push_front(n);
+                ref.push_front(n);
+                queued[std::size_t(n->id)] = true;
+            }
+            break;
+          case 3:
+            if (!ref.empty()) {
+                ASSERT_EQ(fifo.pop_front(), ref.front()) << "op " << op;
+                queued[std::size_t(ref.front()->id)] = false;
+                ref.pop_front();
+            }
+            break;
+          case 4: {
+            const auto it = std::find(ref.begin(), ref.end(), n);
+            ASSERT_EQ(fifo.remove(n), it != ref.end()) << "op " << op;
+            if (it != ref.end()) {
+                ref.erase(it);
+                queued[std::size_t(n->id)] = false;
+            }
+            break;
+          }
+          default: {
+            const int id = n->id;
+            const auto match = [id](const FifoNode &x) {
+                return x.id >= id;
+            };
+            const auto it = std::find_if(
+                ref.begin(), ref.end(),
+                [&match](const FifoNode *x) { return match(*x); });
+            ASSERT_EQ(fifo.find(match), it == ref.end() ? nullptr : *it)
+                << "op " << op;
+            if (rng.below(64) == 0) {
+                // Detach and re-queue everything, order kept.
+                NodeFifo taken = fifo.take();
+                ASSERT_TRUE(fifo.empty());
+                while (!taken.empty())
+                    fifo.push_back(taken.pop_front());
+            }
+          }
+        }
+        ASSERT_EQ(fifo.empty(), ref.empty()) << "op " << op;
+        ASSERT_EQ(fifo.front(), ref.empty() ? nullptr : ref.front())
+            << "op " << op;
+        std::vector<int> expect;
+        for (const FifoNode *x : ref)
+            expect.push_back(x->id);
+        ASSERT_EQ(fifoIds(fifo), expect) << "op " << op;
+    }
 }
 
 // --- LineMap -----------------------------------------------------------

@@ -112,7 +112,6 @@ deviceCfg()
     SystemConfig cfg;
     cfg.ssdTier = true;
     cfg.ssdChannels = 2;
-    cfg.ssdDiesPerChannel = 2;
     cfg.ssdQueueDepth = 4;
     cfg.ssdFlashPagesPerMc = 64;
     return cfg;
@@ -284,7 +283,6 @@ pipelineCfg()
     SystemConfig cfg;
     cfg.ssdTier = true;
     cfg.ssdChannels = 2;
-    cfg.ssdDiesPerChannel = 2;
     cfg.ssdQueueDepth = 8;
     cfg.ssdFlashPagesPerMc = 64;
     cfg.ssdColdPageWatermark = 2;
