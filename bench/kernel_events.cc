@@ -116,18 +116,21 @@ runIntrusive(std::uint64_t budget, std::uint64_t &fired_out)
     std::vector<std::unique_ptr<TickEvent>> continuations;
     actors.reserve(kActors);
     continuations.reserve(kActors);
+    // A member event's callback holds its owner plus an index, so each
+    // actor calls one shared body through a reference.
+    const auto fire = [&](std::uint32_t a) {
+        ++fired;
+        TickEvent &cont = *continuations[a];
+        if (!cont.scheduled())
+            q.scheduleIn(cont, 1);
+        if (fired < budget)
+            q.scheduleIn(*actors[a], actorDelay(a, n[a]++));
+    };
     for (std::uint32_t a = 0; a < kActors; ++a) {
         continuations.push_back(std::make_unique<TickEvent>(
             [&fired] { ++fired; }));
-        actors.push_back(std::make_unique<TickEvent>(
-            [&, a] {
-                ++fired;
-                TickEvent &cont = *continuations[a];
-                if (!cont.scheduled())
-                    q.scheduleIn(cont, 1);
-                if (fired < budget)
-                    q.scheduleIn(*actors[a], actorDelay(a, n[a]++));
-            }));
+        actors.push_back(
+            std::make_unique<TickEvent>([&fire, a] { fire(a); }));
     }
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint32_t a = 0; a < kActors; ++a)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Atomic Update Structures (AUS) -- Section IV-C, Figure 4(b).
+ * Atomic Update Structures (AUS) -- Section IV-C, Figure 4(b) -- and
+ * the pool of AUS slots the cores share.
  *
  * Per memory controller, each in-flight atomic update owns: its bucket
  * bit vector (in BucketTable), a current-bucket register, a
@@ -13,13 +14,15 @@
 #define ATOMSIM_ATOM_AUS_HH
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "atom/log_record.hh"
 #include "sim/callback.hh"
+#include "sim/event_queue.hh"
 #include "sim/line_map.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -83,8 +86,72 @@ struct AusState
     LineMap<bool> loggedLines;
     /** Outstanding log (data or header) writes for this AUS. */
     std::uint32_t outstandingWrites = 0;
-    /** Callbacks waiting for outstandingWrites to hit zero. */
-    std::vector<std::function<void()>> quiesceWaiters;
+    /** A truncation waits for outstandingWrites to hit zero. An AUS
+     * truncates once at a time, so one slot holds its completion. */
+    bool truncating = false;
+    InplaceCallback<16> truncateDone;
+};
+
+/**
+ * Pool of AUS slots shared by the cores.
+ *
+ * The paper supports one atomic update per core (32 AUS); when fewer
+ * slots than cores are configured, Atomic_Begin stalls until a slot
+ * frees -- a structural overflow, which cannot deadlock because the
+ * waiting update holds no resources (Section IV-E).
+ */
+class AusPool
+{
+  public:
+    /** Runs with the granted slot id. */
+    using Granted = InplaceFunction<void(std::uint32_t), 32>;
+
+    AusPool(EventQueue &eq, std::uint32_t slots, std::uint32_t cores,
+            StatSet &stats);
+
+    /** Acquire a slot for @p core; @p granted runs with the slot id. */
+    void acquire(CoreId core, Granted granted);
+
+    /** Release @p core's slot (after truncation completes). */
+    void release(CoreId core);
+
+    /** Slot of @p core, or -1 when it has no active atomic update. */
+    int slotOf(CoreId core) const { return _slotOf[core]; }
+
+    std::uint64_t
+    structuralStallCycles() const
+    {
+        return _statStallCycles.value();
+    }
+
+    /** Per-core tenant acquire counters ("tenantN.aus_acquires");
+     * empty (the default) disables per-tenant accounting. */
+    void
+    setTenantCounters(std::vector<Counter *> per_core)
+    {
+        _tenantAcquires = std::move(per_core);
+    }
+
+  private:
+    /** Hand @p slot to @p core and count the acquire. */
+    void grant(CoreId core, std::uint32_t slot, Granted &granted);
+
+    /** A core stalled on a structural overflow since @p since. */
+    struct Waiter
+    {
+        Tick since;
+        CoreId core;
+        Granted granted;
+    };
+
+    EventQueue &_eq;
+    std::vector<int> _slotOf;        //!< per core; -1 = none
+    std::vector<bool> _slotBusy;
+    std::deque<Waiter> _waiters;
+
+    Counter &_statStallCycles;
+    Counter &_statAcquires;
+    std::vector<Counter *> _tenantAcquires;  //!< per core; may be empty
 };
 
 } // namespace atomsim

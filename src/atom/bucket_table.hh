@@ -96,7 +96,6 @@ class BucketTable
     const BucketBitVector &vectorOf(std::uint32_t aus) const;
 
     std::uint32_t mappedBuckets() const { return _mapped; }
-    std::uint32_t totalBuckets() const { return _total; }
 
   private:
     std::uint32_t _total;

@@ -8,14 +8,14 @@ namespace atomsim
 LogI::LogI(EventQueue &eq, const SystemConfig &cfg, Mesh &mesh,
            const AddressMap &amap,
            std::vector<std::unique_ptr<LogM>> &logms, bool posted,
-           std::function<int(CoreId)> resolve_aus, StatSet &stats)
+           const AusPool &aus, StatSet &stats)
     : _eq(eq),
       _cfg(cfg),
       _mesh(mesh),
       _amap(amap),
       _logms(logms),
       _posted(posted),
-      _resolveAus(std::move(resolve_aus)),
+      _aus(aus),
       _statLogWrites(stats.counter("logi", "log_writes"))
 {
 }
@@ -24,7 +24,7 @@ void
 LogI::onFirstWrite(CoreId core, Addr addr, const Line &old_value,
                    CacheCallback done)
 {
-    const int aus = _resolveAus(core);
+    const int aus = _aus.slotOf(core);
     panic_if(aus < 0, "onFirstWrite outside an atomic update (core %u)",
              core);
     _statLogWrites.inc();

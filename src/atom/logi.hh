@@ -15,7 +15,6 @@
 #define ATOMSIM_ATOM_LOGI_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -43,19 +42,19 @@ class LogI : public StoreLogger, public MeshSink
     /**
      * @param posted false for BASE (ack on persist), true for
      *               ATOM / ATOM-OPT (posted log writes)
-     * @param resolve_aus maps a core to its AUS slot or -1
+     * @param aus the AUS slots, which map a core to its update
      */
     LogI(EventQueue &eq, const SystemConfig &cfg, Mesh &mesh,
          const AddressMap &amap,
          std::vector<std::unique_ptr<LogM>> &logms, bool posted,
-         std::function<int(CoreId)> resolve_aus, StatSet &stats);
+         const AusPool &aus, StatSet &stats);
 
     Mode mode() const override { return Mode::Undo; }
 
     bool
     inAtomic(CoreId core) const override
     {
-        return _resolveAus(core) >= 0;
+        return _aus.slotOf(core) >= 0;
     }
 
     void onFirstWrite(CoreId core, Addr addr, const Line &old_value,
@@ -82,7 +81,7 @@ class LogI : public StoreLogger, public MeshSink
     const AddressMap &_amap;
     std::vector<std::unique_ptr<LogM>> &_logms;
     bool _posted;
-    std::function<int(CoreId)> _resolveAus;
+    const AusPool &_aus;
 
     Counter &_statLogWrites;
     std::vector<Counter *> _tenantLogWrites;  //!< per core; may be empty

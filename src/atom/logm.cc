@@ -11,14 +11,14 @@ namespace atomsim
 
 LogM::LogM(McId mc, EventQueue &eq, const SystemConfig &cfg,
            const AddressMap &amap, MemoryController &ctrl, LogSpace &os,
-           StatSet &stats, std::function<int(CoreId)> resolve_aus)
+           StatSet &stats, const AusPool &aus)
     : _mc(mc),
       _eq(eq),
       _cfg(cfg),
       _amap(amap),
       _ctrl(ctrl),
       _os(os),
-      _resolveAus(std::move(resolve_aus)),
+      _ausPool(aus),
       _buckets(cfg.ausPerMc, cfg.bucketsPerMc, cfg.osInitialBucketsPerMc),
       _aus(cfg.ausPerMc),
       _statEntries(
@@ -132,15 +132,11 @@ LogM::withOpenRecord(std::uint32_t aus, ReadyCallback ready)
             // forward progress with the new resources, so overflow
             // cannot deadlock.
             _statOverflows.inc();
-            // Cold path: the OS interface takes a copyable
-            // std::function, so the move-only continuation rides a
-            // shared_ptr for this one hop.
-            auto parked =
-                std::make_shared<ReadyCallback>(std::move(ready));
             _os.requestMoreBuckets(
-                _mc, [this, aus, parked](std::uint32_t extra) {
+                _mc, [this, aus, ready = std::move(ready)](
+                         std::uint32_t extra) mutable {
                     _buckets.extendMapped(extra);
-                    withOpenRecord(aus, std::move(*parked));
+                    withOpenRecord(aus, std::move(ready));
                 });
             return;
         }
@@ -256,12 +252,7 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
                 --r->pendingData;
                 maybeIssueHeader(aus, r);
             }
-            if (--s.outstandingWrites == 0) {
-                auto waiters = std::move(s.quiesceWaiters);
-                s.quiesceWaiters.clear();
-                for (auto &w : waiters)
-                    w();
-            }
+            logWriteDone(aus);
         });
 
         if (posted) {
@@ -323,14 +314,18 @@ LogM::maybeIssueHeader(std::uint32_t aus, OpenRecord *rec)
     _ctrl.writeLine(base, hdr.toLine(), WriteKind::LogHeader,
                     [this, aus, base] {
         onHeaderDurable(aus, base);
-        AusState &s = _aus[aus];
-        if (--s.outstandingWrites == 0) {
-            auto waiters = std::move(s.quiesceWaiters);
-            s.quiesceWaiters.clear();
-            for (auto &w : waiters)
-                w();
-        }
+        logWriteDone(aus);
     });
+}
+
+void
+LogM::logWriteDone(std::uint32_t aus)
+{
+    AusState &st = _aus[aus];
+    if (--st.outstandingWrites == 0 && st.truncating) {
+        st.truncating = false;
+        finishTruncate(aus);
+    }
 }
 
 void
@@ -357,9 +352,7 @@ LogM::onHeaderDurable(std::uint32_t aus, Addr record_base)
 bool
 LogM::sourceLogFill(CoreId core, Addr addr, const Line &old_value)
 {
-    if (!_sourceLogging)
-        return false;
-    const int aus = _resolveAus(core);
+    const int aus = _ausPool.slotOf(core);
     if (aus < 0)
         return false;
     _statSourceLogged.inc();
@@ -369,69 +362,71 @@ LogM::sourceLogFill(CoreId core, Addr addr, const Line &old_value)
 }
 
 void
-LogM::truncate(std::uint32_t aus, std::function<void()> done)
+LogM::truncate(std::uint32_t aus, InplaceCallback<16> done)
 {
     AusState &st = _aus[aus];
     panic_if(!st.active, "truncate of inactive AUS %u", aus);
-
-    auto finish = [this, aus, done = std::move(done)]() mutable {
-        AusState &s = _aus[aus];
-        // Any still-open record's entries exist only in the header
-        // register; clearing the register discards them. Their locks
-        // must lift or future data writes would block forever.
-        if (s.open) {
-            for (Addr line : s.open->entries)
-                unlock(line);
-            s.open.reset();
-        }
-        panic_if(!s.sealing.empty(),
-                 "truncate with unpersisted sealed records");
-
-        // Flash tier: snapshot this update's freed log buckets and
-        // touched data pages *before* the bucket registers clear. The
-        // freed buckets must abandon any in-flight destage (their
-        // records are dead; recovery's sequence window already rejects
-        // them) and the data pages feed the cold-page LRU.
-        DestageEngine *eng = _ctrl.destageEngine();
-        std::vector<Addr> data_pages;
-        std::vector<Addr> log_pages;
-        if (eng) {
-            data_pages.reserve(s.loggedLines.size());
-            s.loggedLines.forEach([&data_pages](Addr line, bool) {
-                data_pages.push_back(line & ~Addr(kPageBytes - 1));
-            });
-            std::sort(data_pages.begin(), data_pages.end());
-            data_pages.erase(
-                std::unique(data_pages.begin(), data_pages.end()),
-                data_pages.end());
-            _buckets.vectorOf(aus).forEachSet([&](std::uint32_t b) {
-                log_pages.push_back(_amap.bucketBase(_mc, b));
-            });
-        }
-
-        _buckets.truncate(aus);
-        _statTruncations.inc();
-        s.loggedLines.clear();
-        s.active = false;
-        s.currentBucket = kNoBucket;
-        s.currentRecord = 0;
-        s.txnStartSeq = s.nextSeq;
-        if (eng) {
-            // Under the balanced policy truncation completion -- and
-            // with it the commit ack -- waits until the un-destaged
-            // backlog is back under its bound.
-            eng->onTruncate(std::move(data_pages),
-                            std::move(log_pages), std::move(done));
-        } else {
-            done();
-        }
-    };
-
+    panic_if(st.truncating, "AUS %u truncated twice at mc%u", aus, _mc);
+    st.truncateDone = std::move(done);
     if (st.outstandingWrites == 0) {
-        finish();
+        finishTruncate(aus);
         return;
     }
-    st.quiesceWaiters.push_back(std::move(finish));
+    st.truncating = true;
+}
+
+void
+LogM::finishTruncate(std::uint32_t aus)
+{
+    AusState &s = _aus[aus];
+    // Any still-open record's entries exist only in the header
+    // register; clearing the register discards them. Their locks must
+    // lift or future data writes would block forever.
+    if (s.open) {
+        for (Addr line : s.open->entries)
+            unlock(line);
+        s.open.reset();
+    }
+    panic_if(!s.sealing.empty(), "truncate with unpersisted sealed records");
+
+    // Flash tier: snapshot this update's freed log buckets and touched
+    // data pages *before* the bucket registers clear. The freed buckets
+    // must abandon any in-flight destage (their records are dead;
+    // recovery's sequence window already rejects them) and the data
+    // pages feed the cold-page LRU.
+    DestageEngine *eng = _ctrl.destageEngine();
+    std::vector<Addr> data_pages;
+    std::vector<Addr> log_pages;
+    if (eng) {
+        data_pages.reserve(s.loggedLines.size());
+        s.loggedLines.forEach([&data_pages](Addr line, bool) {
+            data_pages.push_back(line & ~Addr(kPageBytes - 1));
+        });
+        std::sort(data_pages.begin(), data_pages.end());
+        data_pages.erase(std::unique(data_pages.begin(), data_pages.end()),
+                         data_pages.end());
+        _buckets.vectorOf(aus).forEachSet([&](std::uint32_t b) {
+            log_pages.push_back(_amap.bucketBase(_mc, b));
+        });
+    }
+
+    _buckets.truncate(aus);
+    _statTruncations.inc();
+    s.loggedLines.clear();
+    s.active = false;
+    s.currentBucket = kNoBucket;
+    s.currentRecord = 0;
+    s.txnStartSeq = s.nextSeq;
+    InplaceCallback<16> done = std::move(s.truncateDone);
+    if (eng) {
+        // Under the balanced policy truncation completion -- and with
+        // it the commit ack -- waits until the un-destaged backlog is
+        // back under its bound.
+        eng->onTruncate(std::move(data_pages), std::move(log_pages),
+                        std::move(done));
+    } else {
+        done();
+    }
 }
 
 void

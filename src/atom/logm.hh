@@ -22,7 +22,6 @@
 #define ATOMSIM_ATOM_LOGM_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,16 +40,13 @@ namespace atomsim
 {
 
 /** The per-memory-controller ATOM log manager. */
-class LogM : public WriteGate, public SourceLogger
+class LogM : public WriteGate
 {
   public:
-    /**
-     * @param resolve_aus maps a core to its AUS slot (or -1 when the
-     *                    core has no active atomic update)
-     */
+    /** @param aus the AUS slots, which map a core to its update */
     LogM(McId mc, EventQueue &eq, const SystemConfig &cfg,
          const AddressMap &amap, MemoryController &ctrl, LogSpace &os,
-         StatSet &stats, std::function<int(CoreId)> resolve_aus);
+         StatSet &stats, const AusPool &aus);
 
     // --- Atomic update lifecycle --------------------------------------
 
@@ -62,7 +58,7 @@ class LogM : public WriteGate, public SourceLogger
      * outstanding log writes to quiesce, then clears the bucket bit
      * vector (single-cycle register operation) and frees the buckets.
      */
-    void truncate(std::uint32_t aus, std::function<void()> done);
+    void truncate(std::uint32_t aus, InplaceCallback<16> done);
 
     // --- Logging --------------------------------------------------------
 
@@ -78,12 +74,14 @@ class LogM : public WriteGate, public SourceLogger
                       const Line &old_value, bool posted,
                       LogAckCallback ack);
 
-    /** SourceLogger: log a read-exclusive fill (Section III-D). */
-    bool sourceLogFill(CoreId core, Addr addr,
-                       const Line &old_value) override;
-
-    /** Enable sourceLogFill (ATOM-OPT only). */
-    void setSourceLogging(bool on) { _sourceLogging = on; }
+    /**
+     * Source logging (ATOM-OPT, Section III-D): log a read-exclusive
+     * fill of @p addr for @p core, using the just-read line as the
+     * undo value.
+     * @retval true the entry was logged; the fill returns with its log
+     *              bit set (DataLogged)
+     */
+    bool sourceLogFill(CoreId core, Addr addr, const Line &old_value);
 
     // --- WriteGate (log -> data ordering, Section III-C) ---------------
 
@@ -123,6 +121,14 @@ class LogM : public WriteGate, public SourceLogger
 
     void onHeaderDurable(std::uint32_t aus, Addr record_base);
 
+    /** A log (data or header) write of @p aus is durable; the last one
+     * lets a waiting truncation finish. */
+    void logWriteDone(std::uint32_t aus);
+
+    /** @p aus has quiesced: clear its registers and free its buckets,
+     * then run its truncation completion. */
+    void finishTruncate(std::uint32_t aus);
+
     void lock(Addr line_addr);
     void unlock(Addr line_addr);
 
@@ -132,8 +138,7 @@ class LogM : public WriteGate, public SourceLogger
     const AddressMap &_amap;
     MemoryController &_ctrl;
     LogSpace &_os;
-    std::function<int(CoreId)> _resolveAus;
-    bool _sourceLogging = false;
+    const AusPool &_ausPool;
 
     BucketTable _buckets;
     std::vector<AusState> _aus;

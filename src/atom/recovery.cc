@@ -33,12 +33,9 @@ RecoveryManager::recover(DataImage &nvm, const RecoveryOptions &opts,
     // below must read through a whole image -- a destaged log bucket
     // holds records of an incomplete update, and a destaged data page
     // may be the very page an undo entry restores.
-    if (opts.flashImage) {
-        for (McId mc = 0; mc < _cfg.numMemCtrls; ++mc) {
-            if (const DataImage *flash = opts.flashImage(mc))
-                total.pagesRehydrated +=
-                    fwdmap::rehydrate(nvm, _amap, mc, *flash);
-        }
+    for (McId mc = 0; mc < opts.flashImages.size(); ++mc) {
+        total.pagesRehydrated +=
+            fwdmap::rehydrate(nvm, _amap, mc, *opts.flashImages[mc]);
     }
 
     for (McId mc = 0; mc < _cfg.numMemCtrls; ++mc) {
@@ -196,12 +193,9 @@ RedoRecovery::recover(DataImage &nvm, const RecoveryOptions &opts) const
     // Flash tier: rehydrate destaged pages before scanning the redo
     // frames (same contract as undo recovery -- the scan must see a
     // whole image).
-    if (opts.flashImage) {
-        for (McId mc = 0; mc < _cfg.numMemCtrls; ++mc) {
-            if (const DataImage *flash = opts.flashImage(mc))
-                report.pagesRehydrated +=
-                    fwdmap::rehydrate(nvm, _amap, mc, *flash);
-        }
+    for (McId mc = 0; mc < opts.flashImages.size(); ++mc) {
+        report.pagesRehydrated +=
+            fwdmap::rehydrate(nvm, _amap, mc, *opts.flashImages[mc]);
     }
 
     struct PendingEntry

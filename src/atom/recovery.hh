@@ -17,7 +17,7 @@
 #define ATOMSIM_ATOM_RECOVERY_HH
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "mem/address_map.hh"
 #include "mem/phys_mem.hh"
@@ -69,8 +69,9 @@ struct RecoveryOptions
     bool tornWrites = false;
     std::uint64_t faultSeed = 1;
     /**
-     * Flash tier: maps a controller to its (surviving, non-volatile)
-     * flash image, or nullptr. When set, recovery first *rehydrates*:
+     * Flash tier: each controller's (surviving, non-volatile) flash
+     * image, indexed by controller; empty without a flash tier
+     * (System::flashImages). When set, recovery first *rehydrates*:
      * every valid NVM-resident forwarding-map entry copies its flash
      * page back into NVM and clears the entry (mem/ssd_device.hh's
      * fwdmap::rehydrate), so the subsequent log scans -- which may
@@ -78,7 +79,7 @@ struct RecoveryOptions
      * read through a whole image. Rehydration is idempotent: a crash
      * mid-recovery re-runs it over the already-cleared entries.
      */
-    std::function<const DataImage *(McId)> flashImage;
+    std::vector<const DataImage *> flashImages;
 };
 
 /** Undo recovery for the ATOM / BASE designs. */

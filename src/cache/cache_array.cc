@@ -5,14 +5,14 @@
 namespace atomsim
 {
 
-CacheArray::CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
+CacheArray::CacheArray(Addr size_bytes, std::uint32_t assoc,
                        std::uint32_t index_div)
     : _assoc(assoc), _indexDiv(index_div == 0 ? 1 : index_div)
 {
     panic_if(assoc == 0, "associativity must be > 0");
-    const std::uint32_t lines = size_bytes / kLineBytes;
+    const Addr lines = size_bytes / kLineBytes;
     panic_if(lines % assoc != 0, "lines not divisible by associativity");
-    _numSets = lines / assoc;
+    _numSets = std::uint32_t(lines / assoc);
     panic_if(_numSets == 0 || (_numSets & (_numSets - 1)) != 0,
              "set count must be a power of two (got %u)", _numSets);
     _sets.resize(_numSets);

@@ -44,7 +44,7 @@ class CacheArray
      *        count here, otherwise only numSets/index_div sets would
      *        ever be used.
      */
-    CacheArray(std::uint32_t size_bytes, std::uint32_t assoc,
+    CacheArray(Addr size_bytes, std::uint32_t assoc,
                std::uint32_t index_div = 1);
 
     /** Lookup without LRU update. nullptr on miss. Never allocates. */

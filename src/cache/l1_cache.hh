@@ -150,7 +150,6 @@ class L1Cache : public MeshSink
 
     // --- Introspection -------------------------------------------------
     const CacheArray &array() const { return _array; }
-    CacheArray &arrayForTest() { return _array; }
     std::size_t outstandingMisses() const { return _mshrs.active(); }
     const MshrTable &mshrs() const { return _mshrs; }
 

@@ -62,25 +62,6 @@ namespace atomsim
 class L1Cache;
 
 /**
- * Interface the ATOM LogM implements for the source-logging
- * optimization (Section III-D): log a read-exclusive fill at the
- * memory controller, using the just-read line as the undo value.
- */
-class SourceLogger
-{
-  public:
-    virtual ~SourceLogger() = default;
-
-    /**
-     * Attempt to source-log the fill of @p addr for @p core.
-     * @retval true the entry was logged; return the data with the log
-     *              bit set (DataLogged).
-     */
-    virtual bool sourceLogFill(CoreId core, Addr addr,
-                               const Line &old_value) = 0;
-};
-
-/**
  * Infinite victim cache used by the REDO design (Doshi et al.): dirty
  * L2 evictions park here instead of spilling to NVM, because in-place
  * NVM data must not be overwritten before the backend applies the log.

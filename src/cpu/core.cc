@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include "cache/l1_cache.hh"
+#include "designs/design.hh"
 #include "sim/logging.hh"
 
 namespace atomsim
@@ -29,7 +30,7 @@ void
 Core::start()
 {
     panic_if(!_source, "core %u has no transaction source", _id);
-    panic_if(!_hooks, "core %u has no design hooks", _id);
+    panic_if(!_design, "core %u has no design", _id);
     _eq.scheduleIn(_nextTxnEvent, 0);
 }
 
@@ -68,8 +69,7 @@ void
 Core::execOp(std::size_t idx)
 {
     if (idx >= _txn->ops.size()) {
-        if (_observer)
-            _observer(_id, *_txn, _txnStart, _eq.now());
+        _source->completed(_id, *_txn, _txnStart, _eq.now());
         if (_regionSer)
             _regionSer->release();
         nextTransaction();
@@ -105,14 +105,14 @@ Core::execOp(std::size_t idx)
         return;
 
       case OpKind::AtomicBegin:
-        _hooks->atomicBegin(_id, [this, idx] { opDone(idx); });
+        _design->atomicBegin(_id, [this, idx] { opDone(idx); });
         return;
 
       case OpKind::AtomicEnd:
         // All of the region's stores must retire before the commit
         // protocol runs (the flushes must see the final values).
         _sq.whenEmpty([this, idx] {
-            _hooks->atomicEnd(_id, _txn->modifiedLines, [this, idx] {
+            _design->atomicEnd(_id, _txn->modifiedLines, [this, idx] {
                 _statCommitted.inc();
                 ++_tally.committed;
                 opDone(idx);

@@ -6,7 +6,7 @@
  * The core pulls transactions from a TransactionSource (timing-directed
  * dispatch) and executes their ops: loads block; stores issue into the
  * StoreQueue and retire asynchronously; Atomic_Begin / Atomic_End call
- * into the active design's hooks (AUS acquisition, commit protocol).
+ * into the design layer (AUS acquisition, commit protocol).
  * This stands in for the paper's out-of-order core: a fixed compute gap
  * between memory ops replaces the non-memory instructions, and only the
  * store queue overlaps memory latency with execution -- the structure
@@ -18,11 +18,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 
 #include "cpu/mem_op.hh"
 #include "cpu/store_queue.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -30,6 +30,7 @@
 namespace atomsim
 {
 
+class DesignContext;
 class L1Cache;
 
 /** Supplies transactions to a core at dispatch time. */
@@ -40,32 +41,18 @@ class TransactionSource
 
     /** Next transaction for @p core; std::nullopt when done. */
     virtual std::optional<Transaction> next(CoreId core) = 0;
-};
-
-/**
- * Design-specific actions at atomic-region boundaries. Implemented by
- * designs::DesignContext.
- */
-class DesignHooks
-{
-  public:
-    virtual ~DesignHooks() = default;
 
     /**
-     * Atomic_Begin: acquire an AUS (stalling on structural overflow)
-     * and arm logging for @p core.
+     * Completion hook for latency measurement: called once per
+     * transaction when its last op retires, with the dispatch tick
+     * (transaction received from the source) and the completion tick.
+     * Purely observational -- overriding it never changes simulated
+     * behavior.
      */
-    virtual void atomicBegin(CoreId core, std::function<void()> done) = 0;
-
-    /**
-     * Atomic_End commit protocol: for undo designs, durably flush
-     * @p modified_lines then truncate the log; for REDO, drain the
-     * combine buffer and persist the commit record. @p done marks the
-     * transaction durable.
-     */
-    virtual void atomicEnd(CoreId core,
-                           const std::vector<Addr> &modified_lines,
-                           std::function<void()> done) = 0;
+    virtual void
+    completed(CoreId, const Transaction &, Tick /*start*/, Tick /*end*/)
+    {
+    }
 };
 
 /**
@@ -93,10 +80,13 @@ class DesignHooks
 class RegionSerializer
 {
   public:
+    /** Grant continuation: the waiting core's [this]. */
+    using Granted = InplaceCallback<8>;
+
     /** Call @p granted once the ticket is exclusively held. Runs
      * inline when the ticket is free. */
     void
-    acquire(std::function<void()> granted)
+    acquire(Granted granted)
     {
         if (!_held) {
             _held = true;
@@ -121,7 +111,7 @@ class RegionSerializer
 
   private:
     bool _held = false;
-    std::deque<std::function<void()>> _waiters;
+    std::deque<Granted> _waiters;
 };
 
 /**
@@ -143,19 +133,8 @@ class Core
     Core(CoreId id, EventQueue &eq, const SystemConfig &cfg, L1Cache &l1,
          StatSet &stats, RunTally &tally);
 
-    /**
-     * Completion hook for latency measurement: fires once per
-     * transaction when its last op retires, with the dispatch tick
-     * (transaction received from the source) and the completion tick.
-     * Purely observational -- installing one never changes simulated
-     * behavior.
-     */
-    using TxnObserver = std::function<void(
-        CoreId, const Transaction &, Tick start, Tick end)>;
-
     void setSource(TransactionSource *src) { _source = src; }
-    void setHooks(DesignHooks *hooks) { _hooks = hooks; }
-    void setTxnObserver(TxnObserver obs) { _observer = std::move(obs); }
+    void setDesign(DesignContext *design) { _design = design; }
     /** Gate each whole transaction (fetch through completion) on the
      * shared ticket (see RegionSerializer; nullptr = default ungated
      * timing). */
@@ -186,12 +165,11 @@ class Core
     RunTally &_tally;
 
     TransactionSource *_source = nullptr;
-    DesignHooks *_hooks = nullptr;
+    DesignContext *_design = nullptr;
     RegionSerializer *_regionSer = nullptr;
 
     std::optional<Transaction> _txn;
     bool _done = false;
-    TxnObserver _observer;
     Tick _txnStart = 0;  //!< dispatch tick of the running transaction
 
     // Recurring kernel events (one of each pending at most; the core

@@ -24,64 +24,6 @@ logPlacementName(const SystemConfig &cfg)
     return "?";
 }
 
-AusPool::AusPool(EventQueue &eq, std::uint32_t slots, std::uint32_t cores,
-                 StatSet &stats)
-    : _eq(eq),
-      _slotOf(cores, -1),
-      _slotBusy(slots, false),
-      _statStallCycles(stats.counter("aus", "structural_stall_cycles")),
-      _statAcquires(stats.counter("aus", "acquires"))
-{
-}
-
-void
-AusPool::acquire(CoreId core, std::function<void(std::uint32_t)> granted)
-{
-    panic_if(_slotOf[core] >= 0, "core %u already holds an AUS", core);
-    for (std::uint32_t s = 0; s < _slotBusy.size(); ++s) {
-        if (!_slotBusy[s]) {
-            _slotBusy[s] = true;
-            _slotOf[core] = int(s);
-            _statAcquires.inc();
-            if (!_tenantAcquires.empty())
-                _tenantAcquires[core]->inc();
-            granted(s);
-            return;
-        }
-    }
-    // Structural overflow: wait for a slot (Section IV-E).
-    _waiters.emplace_back(_eq.now(),
-                          std::make_pair(core, std::move(granted)));
-}
-
-void
-AusPool::release(CoreId core)
-{
-    const int slot = _slotOf[core];
-    panic_if(slot < 0, "core %u releases no AUS", core);
-    _slotOf[core] = -1;
-
-    if (!_waiters.empty()) {
-        auto [since, waiter] = std::move(_waiters.front());
-        _waiters.pop_front();
-        _statStallCycles.inc(_eq.now() - since);
-        auto [wcore, granted] = std::move(waiter);
-        _slotOf[wcore] = slot;
-        _statAcquires.inc();
-        if (!_tenantAcquires.empty())
-            _tenantAcquires[wcore]->inc();
-        granted(std::uint32_t(slot));
-        return;
-    }
-    _slotBusy[std::size_t(slot)] = false;
-}
-
-int
-AusPool::slotOf(CoreId core) const
-{
-    return _slotOf[core];
-}
-
 DesignContext::DesignContext(EventQueue &eq, const SystemConfig &cfg,
                              std::vector<std::unique_ptr<LogM>> &logms,
                              std::vector<L1Cache *> l1s, AusPool &pool,
@@ -92,9 +34,7 @@ DesignContext::DesignContext(EventQueue &eq, const SystemConfig &cfg,
       _l1s(std::move(l1s)),
       _pool(pool),
       _redo(redo),
-      _commitInFlight(cfg.numCores, false),
-      _pendingBegin(cfg.numCores),
-      _truncateJoin(cfg.numCores),
+      _cores(cfg.numCores),
       _statFlushes(stats.counter("design", "commit_flushes")),
       _statCommits(stats.counter("design", "commits")),
       _statStagedAcks(stats.counter("design", "staged_acks"))
@@ -102,7 +42,7 @@ DesignContext::DesignContext(EventQueue &eq, const SystemConfig &cfg,
 }
 
 void
-DesignContext::atomicBegin(CoreId core, std::function<void()> done)
+DesignContext::atomicBegin(CoreId core, Done done)
 {
     switch (_cfg.design) {
       case DesignKind::NonAtomic:
@@ -116,80 +56,120 @@ DesignContext::atomicBegin(CoreId core, std::function<void()> done)
 
       case DesignKind::Base:
       case DesignKind::Atom:
-      case DesignKind::AtomOpt:
-        if (_commitInFlight[core]) {
-            // Eventual durability: this core's previous commit was
-            // acked from the staging window and its truncation is
-            // still running, so the AUS slot is not yet released.
-            // Park the begin; it resumes when the truncation lands.
-            panic_if(_pendingBegin[core] != nullptr,
-                     "core %u double-parked an atomicBegin", core);
-            _pendingBegin[core] = std::move(done);
-            return;
-        }
-        _pool.acquire(core, [this, done = std::move(done)](
-                                std::uint32_t slot) mutable {
-            // Arm the AUS at every controller: entries of one update
-            // may land behind any of them (data placement decides).
-            for (auto &logm : _logms)
-                logm->beginUpdate(slot);
-            _eq.postIn(1, std::move(done));
-        });
+      case DesignKind::AtomOpt: {
+        CoreState &cs = _cores[core];
+        panic_if(bool(cs.begin), "core %u began two regions at once", core);
+        cs.begin = std::move(done);
+        // Eventual durability: while this core's previous commit, acked
+        // from the staging window, still truncates, its AUS slot is not
+        // released. The begin parks; truncated() resumes it.
+        if (!cs.staged)
+            acquireAus(core);
         return;
+      }
     }
     panic("unknown design");
 }
 
 void
-DesignContext::flushLines(CoreId core, std::vector<Addr> lines,
-                          std::function<void()> done)
+DesignContext::acquireAus(CoreId core)
 {
-    if (lines.empty()) {
+    _pool.acquire(core, [this, core](std::uint32_t slot) {
+        // Arm the AUS at every controller: entries of one update may
+        // land behind any of them (data placement decides).
+        for (auto &logm : _logms)
+            logm->beginUpdate(slot);
+        _eq.postIn(1, std::move(_cores[core].begin));
+    });
+}
+
+void
+DesignContext::atomicEnd(CoreId core,
+                         const std::vector<Addr> &modified_lines,
+                         Done done)
+{
+    if (_cfg.design == DesignKind::Redo) {
+        // No data flushes: the commit record makes the update durable;
+        // the backend applies the log in place in the background.
+        _redo->commitTxn(core, std::move(done));
+        return;
+    }
+    // Every other design flushes the modified lines durably first;
+    // NON-ATOMIC, the upper bound, still writes all modified data back
+    // to NVM on completion of the update (Section V), just without
+    // logging. The flush loop keeps a bounded issue window (the L1
+    // MSHR count), like a clwb loop with limited outstanding misses.
+    CoreState &cs = _cores[core];
+    panic_if(bool(cs.done), "core %u overlapped two commits", core);
+    cs.done = std::move(done);
+    cs.lines.assign(modified_lines.begin(), modified_lines.end());
+    cs.next = 0;
+    if (cs.lines.empty()) {
+        flushed(core);
+        return;
+    }
+    pumpFlushes(core);
+}
+
+void
+DesignContext::pumpFlushes(CoreId core)
+{
+    CoreState &cs = _cores[core];
+    while (cs.next < cs.lines.size() && cs.flushing < _cfg.mshrs) {
+        const Addr line = cs.lines[cs.next++];
+        ++cs.flushing;
+        _statFlushes.inc();
+        _l1s[core]->flush(line, [this, core] { flushAcked(core); });
+    }
+}
+
+void
+DesignContext::flushAcked(CoreId core)
+{
+    CoreState &cs = _cores[core];
+    --cs.flushing;
+    if (cs.next < cs.lines.size())
+        pumpFlushes(core);
+    else if (cs.flushing == 0)
+        flushed(core);
+}
+
+void
+DesignContext::flushed(CoreId core)
+{
+    CoreState &cs = _cores[core];
+    if (_cfg.design == DesignKind::NonAtomic) {
+        Done done = std::move(cs.done);
         done();
         return;
     }
-    // Flush with a bounded issue window (the L1 MSHR count), like a
-    // clwb loop with limited outstanding misses. The state is kept
-    // alive by the outstanding flush acks alone (no self-referential
-    // closure), so it is freed when the last ack lands.
-    auto st = std::make_shared<FlushState>();
-    st->lines = std::move(lines);
-    st->done = std::move(done);
-    pumpFlushes(core, st);
-}
-
-void
-DesignContext::pumpFlushes(CoreId core,
-                           const std::shared_ptr<FlushState> &st)
-{
-    while (st->next < st->lines.size() && st->pending < _cfg.mshrs) {
-        const Addr line = st->lines[st->next++];
-        ++st->pending;
-        _statFlushes.inc();
-        _l1s[core]->flush(line, [this, core, st] {
-            --st->pending;
-            if (st->next < st->lines.size()) {
-                pumpFlushes(core, st);
-            } else if (st->pending == 0) {
-                st->done();
-            }
-        });
+    if (_cfg.durabilityPolicy == DurabilityPolicy::Eventual &&
+        _stagedCommits < _cfg.ssdStagingWindow) {
+        // Eventual durability: ack from the volatile staging window.
+        // Truncation (and with it genuine durability and the AUS
+        // release) continues in the background; a crash before it
+        // lands rolls this commit back, so the recovery-point loss is
+        // bounded by the window size. A full window falls through to
+        // the synchronous path.
+        ++_stagedCommits;
+        if (_stagedCommits > _stagedPeak)
+            _stagedPeak = _stagedCommits;
+        _statStagedAcks.inc();
+        cs.staged = true;
+        _eq.postIn(1, std::move(cs.done));
     }
+    truncateAll(core);
 }
 
 void
-DesignContext::truncateAll(CoreId core, std::function<void()> done)
+DesignContext::truncateAll(CoreId core)
 {
     const int slot = _pool.slotOf(core);
     panic_if(slot < 0, "truncate without an AUS (core %u)", core);
-
-    TruncateJoin &join = _truncateJoin[core];
-    panic_if(join.pending != 0,
+    CoreState &cs = _cores[core];
+    panic_if(cs.truncating != 0,
              "core %u began a truncation with one in flight", core);
-    join.pending = _logms.size();
-    join.done = std::move(done);
-    // The per-controller callback captures only (this, core), so it
-    // fits std::function's small buffer: no allocation per commit.
+    cs.truncating = _logms.size();
     for (auto &logm : _logms)
         logm->truncate(std::uint32_t(slot), [this, core] { truncated(core); });
 }
@@ -197,72 +177,22 @@ DesignContext::truncateAll(CoreId core, std::function<void()> done)
 void
 DesignContext::truncated(CoreId core)
 {
-    TruncateJoin &join = _truncateJoin[core];
-    if (--join.pending != 0)
+    CoreState &cs = _cores[core];
+    if (--cs.truncating != 0)
         return;
-    std::function<void()> done = std::move(join.done);
     _pool.release(core);
-    countCommit(core);
-    done();
-}
-
-void
-DesignContext::atomicEnd(CoreId core,
-                         const std::vector<Addr> &modified_lines,
-                         std::function<void()> done)
-{
-    switch (_cfg.design) {
-      case DesignKind::NonAtomic:
-        // Upper bound: still writes all modified data back to NVM on
-        // completion of the update (Section V), just without logging.
-        flushLines(core, modified_lines, std::move(done));
-        return;
-
-      case DesignKind::Redo:
-        // No data flushes: the commit record makes the update durable;
-        // the backend applies the log in place in the background.
-        _redo->commitTxn(core, std::move(done));
-        return;
-
-      case DesignKind::Base:
-      case DesignKind::Atom:
-      case DesignKind::AtomOpt:
-        flushLines(core, modified_lines,
-                   [this, core, done = std::move(done)]() mutable {
-                       if (_cfg.durabilityPolicy ==
-                               DurabilityPolicy::Eventual &&
-                           _stagedCommits < _cfg.ssdStagingWindow) {
-                           // Eventual durability: ack from the
-                           // volatile staging window. Truncation (and
-                           // with it genuine durability and the AUS
-                           // release) continues in the background; a
-                           // crash before it lands rolls this commit
-                           // back, so the recovery-point loss is
-                           // bounded by the window size. A full window
-                           // falls through to the synchronous path.
-                           ++_stagedCommits;
-                           if (_stagedCommits > _stagedPeak)
-                               _stagedPeak = _stagedCommits;
-                           _statStagedAcks.inc();
-                           _commitInFlight[core] = true;
-                           _eq.postIn(1, std::move(done));
-                           truncateAll(core, [this, core] {
-                               --_stagedCommits;
-                               _commitInFlight[core] = false;
-                               if (_pendingBegin[core]) {
-                                   auto parked =
-                                       std::move(_pendingBegin[core]);
-                                   _pendingBegin[core] = nullptr;
-                                   atomicBegin(core, std::move(parked));
-                               }
-                           });
-                           return;
-                       }
-                       truncateAll(core, std::move(done));
-                   });
+    _statCommits.inc();
+    if (!_tenantCommits.empty())
+        _tenantCommits[core]->inc();
+    if (!cs.staged) {
+        Done done = std::move(cs.done);
+        done();
         return;
     }
-    panic("unknown design");
+    --_stagedCommits;
+    cs.staged = false;
+    if (cs.begin)
+        acquireAus(core);
 }
 
 } // namespace atomsim

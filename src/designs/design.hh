@@ -1,9 +1,9 @@
 /**
  * @file
- * Design layer: AUS slot pool and per-design atomic-region hooks.
+ * Design layer: the per-design atomic-region protocol.
  *
  * The five evaluated designs (Section V) share the same substrate and
- * differ only in the hooks installed here:
+ * differ only in the region protocol implemented here:
  *
  *  - BASE      undo log, ack-on-persist (logging in the critical path)
  *  - ATOM      undo log with posted log writes
@@ -16,12 +16,11 @@
 #define ATOMSIM_DESIGNS_DESIGN_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "cpu/core.hh"
+#include "atom/aus.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -47,69 +46,39 @@ class RedoEngine;
 const char *logPlacementName(const SystemConfig &cfg);
 
 /**
- * Pool of AUS slots shared by the cores.
+ * The design-specific actions at atomic-region boundaries, shared by
+ * all designs; behavior branches on the configured DesignKind.
  *
- * The paper supports one atomic update per core (32 AUS); when fewer
- * slots than cores are configured, Atomic_Begin stalls until a slot
- * frees -- a structural overflow, which cannot deadlock because the
- * waiting update holds no resources (Section IV-E).
+ * A core runs one atomic region at a time (an eventual commit's
+ * background truncation parks the core's next begin), so each core's
+ * commit protocol lives in one CoreState slot and its stages are
+ * methods that name the core: no closure outlives a stage.
  */
-class AusPool
+class DesignContext
 {
   public:
-    AusPool(EventQueue &eq, std::uint32_t slots, std::uint32_t cores,
-            StatSet &stats);
+    /** Continuation of a region boundary (the core's [this, idx]). */
+    using Done = InplaceCallback<16>;
 
-    /** Acquire a slot for @p core; @p granted runs with the slot id. */
-    void acquire(CoreId core, std::function<void(std::uint32_t)> granted);
-
-    /** Release @p core's slot (after truncation completes). */
-    void release(CoreId core);
-
-    /** Slot of @p core, or -1 when it has no active atomic update. */
-    int slotOf(CoreId core) const;
-
-    std::uint64_t
-    structuralStallCycles() const
-    {
-        return _statStallCycles.value();
-    }
-
-    /** Per-core tenant acquire counters ("tenantN.aus_acquires");
-     * empty (the default) disables per-tenant accounting. */
-    void
-    setTenantCounters(std::vector<Counter *> per_core)
-    {
-        _tenantAcquires = std::move(per_core);
-    }
-
-  private:
-    EventQueue &_eq;
-    std::vector<int> _slotOf;        //!< per core; -1 = none
-    std::vector<bool> _slotBusy;
-    std::deque<std::pair<Tick, std::pair<CoreId,
-        std::function<void(std::uint32_t)>>>> _waiters;
-
-    Counter &_statStallCycles;
-    Counter &_statAcquires;
-    std::vector<Counter *> _tenantAcquires;  //!< per core; may be empty
-};
-
-/**
- * DesignHooks implementation shared by all designs; behavior branches
- * on the configured DesignKind.
- */
-class DesignContext : public DesignHooks
-{
-  public:
     DesignContext(EventQueue &eq, const SystemConfig &cfg,
                   std::vector<std::unique_ptr<LogM>> &logms,
                   std::vector<L1Cache *> l1s, AusPool &pool,
                   RedoEngine *redo, StatSet &stats);
 
-    void atomicBegin(CoreId core, std::function<void()> done) override;
+    /**
+     * Atomic_Begin: acquire an AUS (stalling on structural overflow)
+     * and arm logging for @p core.
+     */
+    void atomicBegin(CoreId core, Done done);
+
+    /**
+     * Atomic_End commit protocol: for undo designs, durably flush
+     * @p modified_lines then truncate the log; for REDO, drain the
+     * combine buffer and persist the commit record. @p done marks the
+     * transaction durable.
+     */
     void atomicEnd(CoreId core, const std::vector<Addr> &modified_lines,
-                   std::function<void()> done) override;
+                   Done done);
 
     /** Per-core tenant commit counters ("tenantN.commits"); empty (the
      * default) disables per-tenant accounting. */
@@ -129,46 +98,40 @@ class DesignContext : public DesignHooks
     std::uint32_t stagedPeak() const { return _stagedPeak; }
 
   private:
-    /** Count a commit for @p core (global + per-tenant). */
-    void
-    countCommit(CoreId core)
+    /** One core's atomic region in flight. */
+    struct CoreState
     {
-        _statCommits.inc();
-        if (!_tenantCommits.empty())
-            _tenantCommits[core]->inc();
-    }
-
-    /** In-flight state of one commit's flush loop (shared by the
-     * outstanding flush acks; freed when the last one completes). */
-    struct FlushState
-    {
-        std::vector<Addr> lines;
-        std::size_t next = 0;
-        std::size_t pending = 0;
-        std::function<void()> done;
+        Done begin;  //!< Atomic_Begin waiting for its AUS
+        Done done;   //!< Atomic_End waiting for its commit
+        std::vector<Addr> lines;  //!< the commit's lines to flush
+        std::size_t next = 0;        //!< next line of lines to flush
+        std::size_t flushing = 0;    //!< flushes awaiting their ack
+        std::size_t truncating = 0;  //!< controllers yet to truncate
+        /** Acked from the staging window; the truncation still runs,
+         * so the AUS is held and a new begin parks. */
+        bool staged = false;
     };
 
-    /** Flush @p lines durably with a bounded issue window. */
-    void flushLines(CoreId core, std::vector<Addr> lines,
-                    std::function<void()> done);
+    /** Take an AUS for @p core's parked begin, then arm it. */
+    void acquireAus(CoreId core);
 
     /** Issue flushes up to the window (the L1 MSHR count). */
-    void pumpFlushes(CoreId core, const std::shared_ptr<FlushState> &st);
+    void pumpFlushes(CoreId core);
 
-    /** Truncate @p core's AUS at every controller, then release it. */
-    void truncateAll(CoreId core, std::function<void()> done);
+    /** One of @p core's flushes is durable. */
+    void flushAcked(CoreId core);
+
+    /** Every line of @p core's commit is durable: finish a
+     * NON-ATOMIC commit, or stage (eventual durability) or truncate. */
+    void flushed(CoreId core);
+
+    /** Truncate @p core's AUS at every controller. */
+    void truncateAll(CoreId core);
 
     /** One controller finished truncating @p core's AUS; the last one
-     * releases the AUS, counts the commit and runs the continuation. */
+     * releases the AUS and counts the commit, then finishes it or
+     * resumes a begin that parked on the staged truncation. */
     void truncated(CoreId core);
-
-    /** Join of one commit's per-controller truncations. A core has at
-     * most one in flight: _commitInFlight parks its next begin. */
-    struct TruncateJoin
-    {
-        std::size_t pending = 0;  //!< controllers yet to finish
-        std::function<void()> done;
-    };
 
     EventQueue &_eq;
     const SystemConfig &_cfg;
@@ -176,17 +139,13 @@ class DesignContext : public DesignHooks
     std::vector<L1Cache *> _l1s;
     AusPool &_pool;
     RedoEngine *_redo;
+    std::vector<CoreState> _cores;
 
     std::vector<Counter *> _tenantCommits;   //!< per core; may be empty
 
     // --- eventual durability -----------------------------------------
     std::uint32_t _stagedCommits = 0;
     std::uint32_t _stagedPeak = 0;
-    /** Per core: an early-acked commit's truncation still runs, so the
-     * AUS slot is not yet released and a new begin must park. */
-    std::vector<bool> _commitInFlight;
-    std::vector<std::function<void()>> _pendingBegin;  //!< per core
-    std::vector<TruncateJoin> _truncateJoin;  //!< per core
 
     Counter &_statFlushes;
     Counter &_statCommits;

@@ -160,10 +160,9 @@ RedoEngine::drainWcb(CoreId core)
     CoreState &cs = _cores[core];
     if (cs.wcb.empty()) {
         cs.draining = false;
-        if (cs.entriesInFlight == 0 && cs.commitWaiter) {
-            auto w = std::move(cs.commitWaiter);
-            cs.commitWaiter = nullptr;
-            w();
+        if (cs.entriesInFlight == 0 && cs.commitWaiting) {
+            cs.commitWaiting = false;
+            writeCommit(core);
         }
         return;
     }
@@ -190,18 +189,15 @@ RedoEngine::drainWcb(CoreId core)
     }
 
     const McId mc = _amap.memCtrl(entry.line);
-    if (cs.touchedMc.empty())
-        cs.touchedMc.assign(_cfg.numMemCtrls, false);
-    cs.touchedMc[mc] = true;
+    cs.touchedMcs |= 1u << mc;
     ++cs.entriesInFlight;
     appendToFrame(mc, core, redo_format::packEntry(entry.line, core),
                   entry.data, false, [this, core] {
         CoreState &s = _cores[core];
         --s.entriesInFlight;
-        if (!s.draining && s.entriesInFlight == 0 && s.commitWaiter) {
-            auto w = std::move(s.commitWaiter);
-            s.commitWaiter = nullptr;
-            w();
+        if (!s.draining && s.entriesInFlight == 0 && s.commitWaiting) {
+            s.commitWaiting = false;
+            writeCommit(core);
         }
     });
     // Pace: one entry per drain step; next step after the combine
@@ -211,8 +207,7 @@ RedoEngine::drainWcb(CoreId core)
 
 void
 RedoEngine::appendToFrame(McId mc, CoreId core, Addr slot_word,
-                          const Line &data, bool is_commit,
-                          std::function<void()> durable)
+                          const Line &data, bool is_commit, Done durable)
 {
     McState &ms = _mcState[mc];
 
@@ -267,7 +262,7 @@ RedoEngine::appendToFrame(McId mc, CoreId core, Addr slot_word,
             durable();
         });
         if (ms.frameFill >= redo_format::kSlotsPerFrame)
-            sealFrame(mc, std::function<void()>{});
+            sealFrame(mc, nullptr);
         return;
     }
 
@@ -276,7 +271,7 @@ RedoEngine::appendToFrame(McId mc, CoreId core, Addr slot_word,
 }
 
 void
-RedoEngine::sealFrame(McId mc, std::function<void()> durable)
+RedoEngine::sealFrame(McId mc, Done durable)
 {
     McState &ms = _mcState[mc];
     panic_if(ms.frameMeta == 0, "sealing a non-existent frame");
@@ -295,65 +290,56 @@ RedoEngine::sealFrame(McId mc, std::function<void()> durable)
 }
 
 void
-RedoEngine::commitTxn(CoreId core, std::function<void()> done)
+RedoEngine::commitTxn(CoreId core, Done done)
 {
     CoreState &cs = _cores[core];
     panic_if(!cs.active, "commit without a txn");
-
-    auto write_commit = [this, core, done = std::move(done)]() mutable {
-        CoreState &s = _cores[core];
-        s.active = false;
-        _statCommits.inc();
-        // A commit slot goes to every controller this update logged
-        // at, so each per-controller stream is self-contained for
-        // recovery; the update is durable when all slots persist.
-        std::vector<McId> targets;
-        std::uint32_t mc_mask = 0;
-        for (McId m = 0; m < _cfg.numMemCtrls; ++m) {
-            if (!s.touchedMc.empty() && s.touchedMc[m]) {
-                targets.push_back(m);
-                mc_mask |= 1u << m;
-            }
-        }
-        if (targets.empty()) {
-            targets.push_back(McId(core % _cfg.numMemCtrls));
-            mc_mask = 1u << targets.front();
-        }
-        s.touchedMc.clear();
-
-        auto pending = std::make_shared<std::size_t>(targets.size());
-        auto finish = std::make_shared<std::function<void()>>(
-            [this, core, done = std::move(done)]() mutable {
-                // Commit record durable: release the update's staged
-                // in-place applies to the backend controllers.
-                CoreState &s2 = _cores[core];
-                for (auto &[m, entry, log_addr] : s2.stagedApplies)
-                    _mcState[m].applyQueue.emplace_back(entry, log_addr);
-                s2.stagedApplies.clear();
-                for (McId m = 0; m < _cfg.numMemCtrls; ++m)
-                    backendPump(m);
-                done();
-            });
-        for (McId m : targets) {
-            appendToFrame(m, core,
-                          redo_format::packCommit(core, s.txnSeq,
-                                                  mc_mask),
-                          Line{}, true, [pending, finish] {
-                              if (--*pending == 0)
-                                  (*finish)();
-                          });
-        }
-    };
-
+    panic_if(bool(cs.commitDone), "overlapping commits on core %u", core);
+    cs.commitDone = std::move(done);
     // Wait for the combine buffer to drain and all entry writes to be
     // issued before the commit record.
-    if (!cs.draining && cs.wcb.empty() && cs.entriesInFlight == 0) {
-        write_commit();
-    } else {
-        panic_if(cs.commitWaiter != nullptr,
-                 "overlapping commits on core %u", core);
-        cs.commitWaiter = std::move(write_commit);
+    if (!cs.draining && cs.wcb.empty() && cs.entriesInFlight == 0)
+        writeCommit(core);
+    else
+        cs.commitWaiting = true;
+}
+
+void
+RedoEngine::writeCommit(CoreId core)
+{
+    CoreState &cs = _cores[core];
+    cs.active = false;
+    _statCommits.inc();
+    // A commit slot goes to every controller this update logged at, so
+    // each per-controller stream is self-contained for recovery; the
+    // update is durable when all slots persist.
+    const std::uint32_t mc_mask =
+        cs.touchedMcs ? cs.touchedMcs : 1u << (core % _cfg.numMemCtrls);
+    cs.touchedMcs = 0;
+
+    cs.commitSlots = std::size_t(__builtin_popcount(mc_mask));
+    for (std::uint32_t bits = mc_mask; bits != 0; bits &= bits - 1) {
+        appendToFrame(McId(__builtin_ctz(bits)), core,
+                      redo_format::packCommit(core, cs.txnSeq, mc_mask),
+                      Line{}, true, [this, core] { commitSlotDurable(core); });
     }
+}
+
+void
+RedoEngine::commitSlotDurable(CoreId core)
+{
+    CoreState &cs = _cores[core];
+    if (--cs.commitSlots != 0)
+        return;
+    // Commit record durable: release the update's staged in-place
+    // applies to the backend controllers.
+    for (auto &[m, entry, log_addr] : cs.stagedApplies)
+        _mcState[m].applyQueue.emplace_back(entry, log_addr);
+    cs.stagedApplies.clear();
+    for (McId m = 0; m < _cfg.numMemCtrls; ++m)
+        backendPump(m);
+    Done done = std::move(cs.commitDone);
+    done();
 }
 
 void

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -67,12 +66,15 @@ class RedoEngine : public StoreLogger
 
     void beginTxn(CoreId core);
 
+    /** A commit's completion, or a log write's (a [this, core]). */
+    using Done = InplaceCallback<16>;
+
     /**
      * Commit: drain the core's combine buffer, persist the commit
      * record, then @p done. Queues the update's in-place applies on
      * the backend.
      */
-    void commitTxn(CoreId core, std::function<void()> done);
+    void commitTxn(CoreId core, Done done);
 
     /** The infinite victim cache every L2 tile parks evictions in. */
     VictimCache &victimCache() { return _victims; }
@@ -107,11 +109,16 @@ class RedoEngine : public StoreLogger
          * captures the store's pre-image and payload by value (plus
          * the completion), hence the width. */
         std::deque<InplaceCallback<240>> fullWaiters;
-        std::function<void()> commitWaiter;
+        /** The commit waits for the combine buffer to drain. */
+        bool commitWaiting = false;
+        Done commitDone;
+        /** Commit slots not yet durable (one per logged controller). */
+        std::size_t commitSlots = 0;
         std::uint32_t entriesInFlight = 0;
-        /** Controllers this update logged at (commit slots go to each
-         * so per-controller recovery streams are self-contained). */
-        std::vector<bool> touchedMc;
+        /** Mask of the controllers this update logged at (commit
+         * slots go to each so per-controller recovery streams are
+         * self-contained). */
+        std::uint32_t touchedMcs = 0;
         /** In-place applies staged until the commit record persists:
          * uncommitted data must never reach NVM in place. */
         std::vector<std::tuple<McId, WcbEntry, Addr>> stagedApplies;
@@ -141,13 +148,18 @@ class RedoEngine : public StoreLogger
 
     void drainWcb(CoreId core);
 
+    /** The combine buffer drained: persist the commit slots. */
+    void writeCommit(CoreId core);
+
+    /** One commit slot persisted; the last one commits the update. */
+    void commitSlotDurable(CoreId core);
+
     /** Append one entry/commit slot to the MC's current frame. */
     void appendToFrame(McId mc, CoreId core, Addr slot_word,
-                       const Line &data, bool is_commit,
-                       std::function<void()> durable);
+                       const Line &data, bool is_commit, Done durable);
 
     /** Seal + persist the current frame's meta line. */
-    void sealFrame(McId mc, std::function<void()> durable);
+    void sealFrame(McId mc, Done durable);
 
     void backendPump(McId mc);
 

@@ -31,16 +31,18 @@ Runner::setUp()
     _system->makeDurableSnapshot();
     for (CoreId c = 0; c < _system->numCores(); ++c) {
         _system->core(c).setSource(this);
-        _system->core(c).setTxnObserver(
-            [this](CoreId, const Transaction &txn, Tick start, Tick end) {
-                const std::uint32_t tenant = std::min<std::uint32_t>(
-                    txn.tenant, _system->config().tenantSlots() - 1);
-                const std::uint32_t cls = std::min<std::uint32_t>(
-                    txn.txnClass, kTxnClasses - 1);
-                _latency[tenant * kTxnClasses + cls].record(end - start);
-            });
         _system->core(c).start();
     }
+}
+
+void
+Runner::completed(CoreId, const Transaction &txn, Tick start, Tick end)
+{
+    const std::uint32_t tenant = std::min<std::uint32_t>(
+        txn.tenant, _system->config().tenantSlots() - 1);
+    const std::uint32_t cls =
+        std::min<std::uint32_t>(txn.txnClass, kTxnClasses - 1);
+    _latency[tenant * kTxnClasses + cls].record(end - start);
 }
 
 const LatencyHistogram &
@@ -191,16 +193,11 @@ Runner::crashDuringRecovery(double fraction)
     // a single uninterrupted recovery performs (so the fraction is of
     // real work, not a guess), without touching the durable image.
     DataImage probe = sys.nvmImage().clone();
+    // Flash tier: the reference pass must rehydrate too (from the real,
+    // read-only flash images) or it undercounts the work of a pass over
+    // destaged log buckets.
     RecoveryOptions ref_opts;
-    if (sys.ssd(0)) {
-        // Flash tier: the reference pass must rehydrate too (from the
-        // real, read-only flash images) or it undercounts the work of
-        // a pass over destaged log buckets.
-        ref_opts.flashImage = [&sys](McId m) -> const DataImage * {
-            SsdDevice *ssd = sys.ssd(m);
-            return ssd ? &ssd->flash() : nullptr;
-        };
-    }
+    ref_opts.flashImages = sys.flashImages();
     const RecoveryReport full = redo ? redo_mgr.recover(probe, ref_opts)
                                      : undo_mgr.recover(probe, ref_opts);
 

@@ -114,6 +114,10 @@ class Runner : public TransactionSource
     /** TransactionSource: next transaction for @p core. */
     std::optional<Transaction> next(CoreId core) override;
 
+    /** TransactionSource: record the transaction's latency. */
+    void completed(CoreId core, const Transaction &txn, Tick start,
+                   Tick end) override;
+
     /** Total transactions committed so far (across cores). */
     std::uint64_t committed() const;
 

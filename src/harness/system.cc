@@ -81,25 +81,20 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
     if (undo_design) {
         _ausPool = std::make_unique<AusPool>(
             _eq, _cfg.ausPerMc, _cfg.numCores, _stats);
-        auto resolve = [this](CoreId core) {
-            return _ausPool->slotOf(core);
-        };
         for (McId m = 0; m < _cfg.numMemCtrls; ++m) {
             _logms.push_back(std::make_unique<LogM>(
                 m, _eq, _cfg, _amap, *_mcs[m], *_logSpace,
-                _stats, resolve));
+                _stats, *_ausPool));
         }
         const bool posted = _cfg.design != DesignKind::Base;
         _logi = std::make_unique<LogI>(_eq, _cfg, *_mesh, _amap, _logms,
-                                       posted, resolve, _stats);
+                                       posted, *_ausPool, _stats);
         for (auto &l1 : _l1s)
             l1->setStoreLogger(_logi.get());
 
         if (_cfg.design == DesignKind::AtomOpt) {
-            for (McId m = 0; m < _cfg.numMemCtrls; ++m) {
-                _logms[m]->setSourceLogging(true);
+            for (McId m = 0; m < _cfg.numMemCtrls; ++m)
                 _mcPorts[m]->setSourceLogger(_logms[m].get());
-            }
         }
     } else if (_cfg.design == DesignKind::Redo) {
         _ausPool = std::make_unique<AusPool>(
@@ -140,7 +135,7 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
     for (CoreId c = 0; c < _cfg.numCores; ++c) {
         _cores.push_back(std::make_unique<Core>(
             c, _eq, _cfg, *_l1s[c], _stats, _tally));
-        _cores.back()->setHooks(_design.get());
+        _cores.back()->setDesign(_design.get());
         _cores.back()->setRegionSerializer(_regionSer.get());
     }
 }
@@ -172,29 +167,29 @@ System::powerFail()
     _eq.clear();
 }
 
-RecoveryOptions
-System::withFlashImages(RecoveryOptions opts) const
+std::vector<const DataImage *>
+System::flashImages() const
 {
-    if (!opts.flashImage && !_ssds.empty()) {
-        opts.flashImage = [this](McId m) -> const DataImage * {
-            return m < _ssds.size() ? &_ssds[m]->flash() : nullptr;
-        };
-    }
-    return opts;
+    std::vector<const DataImage *> images;
+    for (const auto &ssd : _ssds)
+        images.push_back(&ssd->flash());
+    return images;
 }
 
 RecoveryReport
-System::recover(const RecoveryOptions &opts)
+System::recover(RecoveryOptions opts)
 {
+    opts.flashImages = flashImages();
     RecoveryManager mgr(_cfg, _amap);
-    return mgr.recover(_nvm, withFlashImages(opts), &_stats);
+    return mgr.recover(_nvm, opts, &_stats);
 }
 
 RecoveryReport
-System::recoverRedo(const RecoveryOptions &opts)
+System::recoverRedo(RecoveryOptions opts)
 {
+    opts.flashImages = flashImages();
     RedoRecovery mgr(_cfg, _amap);
-    return mgr.recover(_nvm, withFlashImages(opts));
+    return mgr.recover(_nvm, opts);
 }
 
 std::vector<MediaFaultRecord>

@@ -77,7 +77,6 @@ class System
     }
     Mesh &mesh() { return *_mesh; }
     AusPool *ausPool() { return _ausPool.get(); }
-    RedoEngine *redoEngine() { return _redo.get(); }
     DesignContext &designContext() { return *_design; }
     LogSpace &logSpace() { return *_logSpace; }
 
@@ -100,21 +99,21 @@ class System
      */
     void powerFail();
 
-    /** Run the undo recovery routine against the NVM image. */
-    RecoveryReport recover(const RecoveryOptions &opts = RecoveryOptions{});
+    /** Each controller's flash image, indexed by controller; empty
+     * with cfg.ssdTier off. */
+    std::vector<const DataImage *> flashImages() const;
+
+    /** Run the undo recovery routine against the NVM image, reading
+     * through flashImages(). */
+    RecoveryReport recover(RecoveryOptions opts = RecoveryOptions{});
 
     /** Run the redo recovery routine (REDO design). */
-    RecoveryReport
-    recoverRedo(const RecoveryOptions &opts = RecoveryOptions{});
+    RecoveryReport recoverRedo(RecoveryOptions opts = RecoveryOptions{});
 
     /** Structured reports of hard media read failures, across MCs. */
     std::vector<MediaFaultRecord> mediaFaults() const;
 
   private:
-    /** @p opts, reading each controller's flash image when the caller
-     * set no hook and the machine has a flash tier. */
-    RecoveryOptions withFlashImages(RecoveryOptions opts) const;
-
     SystemConfig _cfg;
     /** Declared before every component so that it outlives them: the
      * components' member events deschedule from it as they die. */

@@ -4,15 +4,15 @@
  * NVM channel (SystemConfig::hybridMode != NvmOnly).
  *
  * Organization: dramCacheMBPerMc of 64-byte lines, dramCacheAssoc
- * ways, true-LRU within a set. Tags and metadata live "in SRAM" --
- * simulator memory probed at zero cost -- so only data movement is
- * charged DRAM timing (mem/dram_device.hh). Construction keeps only a
- * per-set pointer table: a set's ways (tag, metadata and data) are
- * allocated by the first fill() or absorb() that lands in it, and
- * every other probe of a never-filled set misses without allocating.
- * Once a workload has filled the sets it uses, the hit path performs
- * no heap allocation (bench/hybrid_sweep.cc gates this with an
- * operator-new counter).
+ * ways, true-LRU within a set, held in a CacheArray (the L1 and L2
+ * tiles' array, with its first-fill set allocation). Tags and metadata
+ * live "in SRAM" -- simulator memory probed at zero cost -- so only
+ * data movement is charged DRAM timing (mem/dram_device.hh). A set's
+ * ways are allocated by the first fill() or absorb() that lands in
+ * it, and every other probe of a never-filled set misses without
+ * allocating. Once a workload has filled the sets it uses, the hit
+ * path performs no heap allocation (bench/hybrid_sweep.cc gates this
+ * with an operator-new counter).
  *
  * Policy (enforced by the owning MemoryController):
  *
@@ -36,9 +36,9 @@
 #define ATOMSIM_MEM_DRAM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <string>
 
+#include "cache/cache_array.hh"
 #include "mem/phys_mem.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
@@ -103,35 +103,16 @@ class DramCache
     /** Mark a present line clean (durability cleanse issued). */
     void markClean(Addr addr);
 
-    std::uint32_t numSets() const { return _numSets; }
-    std::uint32_t assoc() const { return _assoc; }
+    std::uint32_t numSets() const { return _array.numSets(); }
+    std::uint32_t assoc() const { return _array.assoc(); }
     /** Sets whose ways have been allocated (at most numSets()). */
-    std::uint32_t setsAllocated() const { return _setsAllocated; }
+    std::uint32_t setsAllocated() const { return _array.setsAllocated(); }
 
     /** Lines currently valid+dirty (tests). */
     std::size_t dirtyLines() const;
 
   private:
-    struct Way
-    {
-        Addr tag = 0;          //!< line address
-        std::uint64_t lru = 0; //!< global use stamp
-        bool valid = false;
-        bool dirty = false;
-        Line data{};
-    };
-
-    std::uint32_t setOf(Addr line) const;
-    Way *find(Addr line);
-    const Way *find(Addr line) const;
-
-    const std::uint32_t _assoc;
-    std::uint32_t _numSets;
-    std::uint32_t _setsAllocated = 0;
-    /** One entry per set: nullptr until the set's first fill, then
-     * _assoc ways. */
-    std::vector<std::unique_ptr<Way[]>> _sets;
-    std::uint64_t _useStamp = 0;
+    CacheArray _array;
 
     Counter &_statHits;
     Counter &_statMisses;

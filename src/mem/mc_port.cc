@@ -1,6 +1,6 @@
 #include "mem/mc_port.hh"
 
-#include "cache/l2_cache.hh"
+#include "atom/logm.hh"
 #include "sim/logging.hh"
 
 namespace atomsim

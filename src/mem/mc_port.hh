@@ -24,7 +24,7 @@
 namespace atomsim
 {
 
-class SourceLogger;
+class LogM;
 
 /** One memory controller's attachment to the mesh. */
 class McPort : public MeshSink
@@ -42,7 +42,7 @@ class McPort : public MeshSink
     }
 
     /** Install the ATOM-OPT source logger (nullptr otherwise). */
-    void setSourceLogger(SourceLogger *logger) { _srcLog = logger; }
+    void setSourceLogger(LogM *logm) { _srcLog = logm; }
 
     void meshDeliver(Packet &pkt) override;
 
@@ -50,7 +50,7 @@ class McPort : public MeshSink
     McId _mc;
     Mesh &_mesh;
     MemoryController &_ctrl;
-    SourceLogger *_srcLog = nullptr;
+    LogM *_srcLog = nullptr;
     std::vector<MeshSink *> _tiles;
 };
 

@@ -18,21 +18,18 @@
  * the recovery image, which holds only bytes the NVM device completed
  * before a power failure.
  *
- * Two hooks let the ATOM log manager (atom/logm.hh) attach:
- *
- *  - a WriteGate consulted when a *data* write is scheduled out of the
- *    controller; a locked line (its address sits in a not-yet-persisted
- *    record header) blocks until LogM persists the header (Section
- *    III-C / IV-C of the paper);
- *  - a fill observer used by the source-logging optimization to log
- *    read-exclusive fills at the controller (Section III-D).
+ * The ATOM log manager (atom/logm.hh) attaches as the WriteGate
+ * consulted when a *data* write is scheduled out of the controller: a
+ * locked line (its address sits in a not-yet-persisted record header)
+ * blocks until LogM persists the header (Section III-C / IV-C of the
+ * paper). Source logging of read-exclusive fills (Section III-D)
+ * happens in the controller's mesh port (mem/mc_port.hh).
  */
 
 #ifndef ATOMSIM_MEM_MEMORY_CONTROLLER_HH
 #define ATOMSIM_MEM_MEMORY_CONTROLLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,7 +198,6 @@ class MemoryController
 
     /** The DRAM tier (nullptr when hybridMode == NvmOnly). */
     DramCache *dramCache() { return _dram.get(); }
-    DramDevice *dramDevice() { return _dramDev.get(); }
 
     /** The controller's durable effect of a power failure. Writes that
      * have not completed at the device are lost, matching Section

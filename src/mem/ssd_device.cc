@@ -544,7 +544,7 @@ DestageEngine::onLogSegmentCold(Addr bucket_page)
 void
 DestageEngine::onTruncate(std::vector<Addr> data_pages,
                           std::vector<Addr> log_pages,
-                          std::function<void()> done)
+                          InplaceCallback<16> done)
 {
     for (const Addr p : log_pages)
         dropLogPage(p);
@@ -642,7 +642,7 @@ DestageEngine::drainBoundWaiters()
     while (!_boundWaiters.empty() &&
            backlog() <= _cfg.ssdMaxDestageBacklog) {
         auto done = std::move(_boundWaiters.front());
-        _boundWaiters.erase(_boundWaiters.begin());
+        _boundWaiters.pop_front();
         done();
     }
 }

@@ -43,7 +43,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -260,8 +260,7 @@ class DestageEngine
      * un-destaged backlog is at most ssdMaxDestageBacklog.
      */
     void onTruncate(std::vector<Addr> data_pages,
-                    std::vector<Addr> log_pages,
-                    std::function<void()> done);
+                    std::vector<Addr> log_pages, InplaceCallback<16> done);
 
     // --- controller intercepts (top of readNvm / writeNvm) -----------
 
@@ -369,7 +368,7 @@ class DestageEngine
     std::vector<Addr> _coldLru;         //!< truncate order, oldest first
     std::vector<Addr> _pendingColdLog;  //!< cold buckets awaiting destage
     std::vector<Addr> _promoteRetry;    //!< promotions that hit a full SQ
-    std::vector<std::function<void()>> _boundWaiters;
+    std::deque<InplaceCallback<16>> _boundWaiters;
 
     std::uint32_t _inFlight = 0;
     std::uint64_t _pagesDestaged = 0;

@@ -19,8 +19,7 @@ LogSpace::LogSpace(EventQueue &eq, const SystemConfig &cfg, StatSet &stats)
 }
 
 void
-LogSpace::requestMoreBuckets(McId mc,
-                             std::function<void(std::uint32_t)> granted)
+LogSpace::requestMoreBuckets(McId mc, Granted granted)
 {
     _pending[mc].push_back(std::move(granted));
     if (_busy[mc])

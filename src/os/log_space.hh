@@ -15,10 +15,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -31,6 +31,10 @@ namespace atomsim
 class LogSpace
 {
   public:
+    /** Runs with the number of extra buckets mapped; sized for LogM's
+     * parked record continuation. */
+    using Granted = InplaceFunction<void(std::uint32_t), 240>;
+
     LogSpace(EventQueue &eq, const SystemConfig &cfg, StatSet &stats);
 
     /**
@@ -39,11 +43,7 @@ class LogSpace
      * extra buckets mapped (0 when the hardware capacity is exhausted,
      * in which case the caller must wait for truncations).
      */
-    void requestMoreBuckets(McId mc,
-                            std::function<void(std::uint32_t)> granted);
-
-    /** Buckets handed out per grant. */
-    std::uint32_t grantSize() const { return _grantSize; }
+    void requestMoreBuckets(McId mc, Granted granted);
 
     std::uint64_t overflowInterrupts() const
     {
@@ -58,7 +58,7 @@ class LogSpace
     Cycles _latency;
     std::uint32_t _grantSize;
     std::vector<bool> _busy;  //!< per MC: interrupt being serviced
-    std::vector<std::deque<std::function<void(std::uint32_t)>>> _pending;
+    std::vector<std::deque<Granted>> _pending;
     /** One recurring interrupt-completion event per controller. */
     std::vector<std::unique_ptr<TickEvent>> _grantEvents;
 

@@ -192,11 +192,17 @@ SystemConfig::validate() const
                  "hybrid memory needs dramCacheMBPerMc > 0");
         fatal_if(dramCacheAssoc == 0,
                  "dramCacheAssoc must be > 0");
-        fatal_if(Addr(dramCacheMBPerMc) * 1024 * 1024 %
-                         (Addr(dramCacheAssoc) * kLineBytes) !=
-                     0,
+        const Addr dram_bytes = Addr(dramCacheMBPerMc) * 1024 * 1024;
+        const Addr dram_set_bytes = Addr(dramCacheAssoc) * kLineBytes;
+        fatal_if(dram_bytes % dram_set_bytes != 0,
                  "DRAM cache size must be a multiple of assoc * line "
                  "size");
+        // The DRAM cache is a CacheArray too, indexed like the L1 and
+        // L2 above.
+        const Addr dram_sets = dram_bytes / dram_set_bytes;
+        fatal_if((dram_sets & (dram_sets - 1)) != 0,
+                 "DRAM cache set count (%llu) must be a power of two",
+                 (unsigned long long)dram_sets);
     }
     fatal_if(!ssdTier && durabilityPolicy != DurabilityPolicy::Strict,
              "relaxed durability policies need the flash tier "

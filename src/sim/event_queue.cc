@@ -34,7 +34,7 @@ EventQueue::clear()
         if (e->_flags & Event::kPooled) {
             auto *fe = static_cast<FuncEvent *>(e);
             fe->_fn = nullptr;
-            releasePooled(fe);
+            _funcPool.release(fe);
         }
     };
     for (Bucket &b : _wheel) {
@@ -181,22 +181,6 @@ EventQueue::deschedule(Event &ev)
     ev._flags &= std::uint16_t(~Event::kScheduled);
     ev._queue = nullptr;
     --_pending;
-}
-
-FuncEvent *
-EventQueue::acquirePooled()
-{
-    if (_freeList) {
-        auto *fe = static_cast<FuncEvent *>(_freeList);
-        _freeList = fe->_next;
-        fe->_next = nullptr;
-        --_poolFreeCount;
-        return fe;
-    }
-    _funcPool.push_back(std::make_unique<FuncEvent>());
-    FuncEvent *fe = _funcPool.back().get();
-    fe->_flags |= Event::kPooled;
-    return fe;
 }
 
 Tick

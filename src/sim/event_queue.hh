@@ -68,8 +68,6 @@
 #define ATOMSIM_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -112,12 +110,13 @@ class Event
 
   private:
     friend class EventQueue;
+    friend class FuncEvent;
 
     static constexpr std::uint16_t kScheduled = 0x1;
     static constexpr std::uint16_t kPooled = 0x2;
     static constexpr std::uint16_t kInSpill = 0x4;
 
-    Event *_next = nullptr;        //!< bucket / free-list link
+    Event *_next = nullptr;        //!< wheel-bucket link
     EventQueue *_queue = nullptr;  //!< queue we are scheduled on
     Tick _when = 0;
     std::uint64_t _seq = 0;        //!< FIFO tie-breaker within a tick
@@ -129,21 +128,22 @@ class Event
  * An Event that runs a callback bound once at construction time.
  *
  * This is the building block for component-owned recurring events: the
- * std::function is allocated once when the component is built and the
- * same object is rescheduled forever after.
+ * callback is built once, inline, when the component is built and the
+ * same object is rescheduled forever after. Every member event
+ * captures its owner plus at most an index, hence the 24-byte
+ * capacity.
  */
 class EventFunctionWrapper : public Event
 {
   public:
-    explicit EventFunctionWrapper(std::function<void()> fn)
-        : _fn(std::move(fn))
-    {
-    }
+    using Callback = InplaceCallback<24>;
+
+    explicit EventFunctionWrapper(Callback fn) : _fn(std::move(fn)) {}
 
     void process() override { _fn(); }
 
   private:
-    std::function<void()> _fn;
+    Callback _fn;
 };
 
 /** Conventional name for a component's recurring member event. */
@@ -275,10 +275,10 @@ class EventQueue
     // --- pool introspection (tests / diagnostics) ---------------------
 
     /** FuncEvents ever allocated (pool high-water mark). */
-    std::size_t poolAllocated() const { return _funcPool.size(); }
+    std::size_t poolAllocated() const { return _funcPool.allocated(); }
 
     /** FuncEvents currently idle on the free list. */
-    std::size_t poolFree() const { return _poolFreeCount; }
+    std::size_t poolFree() const { return _funcPool.idle(); }
 
     // --- calendar-wheel tuning stats ----------------------------------
 
@@ -339,9 +339,6 @@ class EventQueue
     /** Pop and run the earliest event, known to be at tick @p t. */
     void executeNext(Tick t);
 
-    FuncEvent *acquirePooled();
-    void releasePooled(FuncEvent *ev);
-
     std::vector<Bucket> _wheel;
     std::vector<std::uint64_t> _occupied;
     std::vector<Event *> _spill;  //!< indexed min-heap of far events
@@ -354,9 +351,7 @@ class EventQueue
     std::size_t _pending = 0;
     std::size_t _wheelCount = 0;
 
-    std::vector<std::unique_ptr<FuncEvent>> _funcPool;
-    Event *_freeList = nullptr;
-    std::size_t _poolFreeCount = 0;
+    FreeListPool<FuncEvent> _funcPool;
 };
 
 /**
@@ -368,9 +363,11 @@ class EventQueue
 class FuncEvent final : public Event
 {
   public:
-    FuncEvent() = default;
+    FuncEvent() { _flags |= kPooled; }
 
     void process() override { _fn(); }
+
+    FuncEvent *next = nullptr;  //!< free-list link while idle
 
   private:
     friend class EventQueue;
@@ -382,7 +379,7 @@ template <typename F>
 inline void
 EventQueue::post(Tick when, F &&fn)
 {
-    FuncEvent *fe = acquirePooled();
+    FuncEvent *fe = _funcPool.acquire();
     fe->_fn.emplace(std::forward<F>(fn));
     schedule(*fe, when);
 }
@@ -399,14 +396,6 @@ EventQueue::nextEventTick() const
     if (_wheelCount != 0)
         return nextWheelTick();
     return _spill.front()->_when;
-}
-
-inline void
-EventQueue::releasePooled(FuncEvent *ev)
-{
-    ev->_next = _freeList;
-    _freeList = ev;
-    ++_poolFreeCount;
 }
 
 inline void
@@ -431,7 +420,7 @@ EventQueue::executeNext(Tick t)
         // may immediately reuse it via post().
         auto *fe = static_cast<FuncEvent *>(ev);
         Callback fn = std::move(fe->_fn);
-        releasePooled(fe);
+        _funcPool.release(fe);
         fn();
     } else {
         ev->process();

@@ -4,10 +4,10 @@
  *
  * Every allocation-free subsystem (mesh packets, MSHR waiters,
  * directory waiters, pending stores/flushes, controller requests, SSD
- * commands, the event queue's wheel buckets) keeps its nodes the same
- * way: grow the pool to the in-flight high-water mark once, then
- * recycle forever, and link a live node into its queue through a
- * pointer inside the node. These two templates are that idiom in one
+ * commands, the event queue's one-shots and wheel buckets) keeps its
+ * nodes the same way: grow the pool to the in-flight high-water mark
+ * once, then recycle forever, and link a live node into its queue
+ * through a pointer inside the node. These two templates are that idiom in one
  * place, so the no-allocation property is auditable centrally.
  *
  * FreeListPool: T must expose a `T *next` member, used as the

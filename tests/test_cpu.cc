@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the core model: store queue back-pressure and stats,
- * op execution, atomic-region hooks.
+ * op execution, and the design layer's atomic-region protocol.
  */
 
 #include <gtest/gtest.h>
@@ -277,6 +277,114 @@ TEST(AusPoolTest, StructuralOverflowStallsAndRecovers)
     EXPECT_TRUE(got1);
     EXPECT_EQ(pool.slotOf(1), 0);
     EXPECT_GE(pool.structuralStallCycles(), 100u);
+}
+
+// The design layer's per-core state, driven directly. What a test
+// lambda records goes through a Probe captured by reference, since a
+// region's continuation holds at most an owner and an index.
+struct Probe
+{
+    EventQueue &eq;
+    DesignContext &design;
+    AusPool &pool;
+    const StatSet &stats;
+    Tick began0 = kTickNever;
+    Tick began1 = kTickNever;
+    Tick acked0 = kTickNever;
+    bool acked1 = false;
+    // Eventual durability: state seen at the ack and at the next begin.
+    std::uint32_t stagedAtAck = 0;
+    int slotAtAck = -1;
+    std::uint64_t commitsAtBegin = 0;
+};
+
+// Two cores share one AUS: core 1's begin is a structural overflow
+// that waits until core 0's commit truncates and releases the slot
+// (Section IV-E). A commit with no modified lines has nothing to flush
+// and an empty log to truncate, so it completes inside atomicEnd.
+TEST(DesignContextTest, BeginWaitsForASlotAndEmptyCommitIsImmediate)
+{
+    SystemConfig cfg = tinyConfig(DesignKind::Atom);
+    cfg.ausPerMc = 1;
+    System sys(cfg, Addr(8) * 1024 * 1024);
+    Probe p{sys.eventQueue(), sys.designContext(), *sys.ausPool(),
+            sys.stats()};
+
+    p.design.atomicBegin(0, [&p] { p.began0 = p.eq.now(); });
+    p.design.atomicBegin(1, [&p] { p.began1 = p.eq.now(); });
+    EXPECT_EQ(p.pool.slotOf(0), 0);
+    EXPECT_EQ(p.pool.slotOf(1), -1);
+    p.eq.run();
+    EXPECT_NE(p.began0, kTickNever);
+    EXPECT_EQ(p.began1, kTickNever);
+
+    p.design.atomicEnd(0, {0x10000, 0x10040},
+                       [&p] { p.acked0 = p.eq.now(); });
+    p.eq.run();
+    ASSERT_NE(p.acked0, kTickNever);
+    ASSERT_NE(p.began1, kTickNever);
+    EXPECT_GE(p.began1, p.acked0);
+    EXPECT_EQ(p.pool.slotOf(0), -1);
+    EXPECT_EQ(p.pool.slotOf(1), 0);
+    EXPECT_EQ(p.stats.value("design", "commit_flushes"), 2u);
+    EXPECT_GT(p.pool.structuralStallCycles(), 0u);
+
+    p.design.atomicEnd(1, {}, [&p] { p.acked1 = true; });
+    EXPECT_TRUE(p.acked1);
+    EXPECT_EQ(p.pool.slotOf(1), -1);
+    EXPECT_EQ(p.stats.value("design", "commits"), 2u);
+    EXPECT_EQ(p.stats.value("design", "commit_flushes"), 2u);
+}
+
+// Eventual durability acks a commit from the staging window while its
+// truncation still runs behind the destage bound: the AUS stays held,
+// so a begin issued from the ack parks and resumes only when the
+// truncation lands and releases the slot.
+TEST(DesignContextTest, EventualAckParksTheNextBeginUntilTruncation)
+{
+    SystemConfig cfg = tinyConfig(DesignKind::Atom);
+    cfg.numCores = 1;
+    cfg.l2Tiles = 1;
+    cfg.ssdTier = true;
+    cfg.durabilityPolicy = DurabilityPolicy::Eventual;
+    // The truncated update's data page is cold at once, and its
+    // truncation waits for the destage backlog to drain to zero.
+    cfg.ssdColdPageWatermark = 0;
+    cfg.ssdMaxDestageBacklog = 0;
+    System sys(cfg, Addr(8) * 1024 * 1024);
+    Probe p{sys.eventQueue(), sys.designContext(), *sys.ausPool(),
+            sys.stats()};
+
+    p.design.atomicBegin(0, [&p] { p.began0 = p.eq.now(); });
+    p.eq.run();
+    ASSERT_NE(p.began0, kTickNever);
+    const std::uint64_t value = 42;
+    sys.core(0).storeQueue().push(MemOp::store(0x10000, &value, 8),
+                                  [] {});
+    p.eq.run();
+    ASSERT_EQ(p.stats.value("logi", "log_writes"), 1u);
+
+    p.design.atomicEnd(0, {0x10000}, [&p] {
+        p.acked0 = p.eq.now();
+        p.stagedAtAck = p.design.stagedCommits();
+        p.slotAtAck = p.pool.slotOf(0);
+        p.design.atomicBegin(0, [&p] {
+            p.began1 = p.eq.now();
+            p.commitsAtBegin = p.stats.value("design", "commits");
+        });
+    });
+    p.eq.run();
+    ASSERT_NE(p.acked0, kTickNever);
+    EXPECT_EQ(p.stagedAtAck, 1u);
+    EXPECT_EQ(p.slotAtAck, 0);
+    ASSERT_NE(p.began1, kTickNever);
+    EXPECT_GT(p.began1, p.acked0 + 1);
+    EXPECT_EQ(p.commitsAtBegin, 1u);
+    EXPECT_EQ(p.design.stagedCommits(), 0u);
+    EXPECT_EQ(p.pool.slotOf(0), 0);
+    EXPECT_EQ(p.stats.value("design", "staged_acks"), 1u);
+    EXPECT_EQ(p.stats.value("design", "commits"), 1u);
+    EXPECT_EQ(p.stats.sum("mc", "destage_trunc_waits"), 1u);
 }
 
 } // namespace

@@ -707,6 +707,30 @@ TEST(ConfigDeathTest, RejectsRedoBeyondItsLogFormat)
     EXPECT_DEATH({ cfg.validate(); }, "at most 8 memory controllers");
 }
 
+// The memory-mode DRAM cache is a CacheArray, which masks line numbers
+// into set indices like the L1 and L2: 3 MB at 8 ways (6144 sets) used
+// to validate and run on a modulo index. Sizes whose set count is a
+// power of two still validate, and a size that is no multiple of a set
+// keeps its own message.
+TEST(ConfigDeathTest, RejectsNonPowerOfTwoDramSets)
+{
+    SystemConfig cfg;
+    cfg.hybridMode = HybridMode::MemoryMode;
+    cfg.dramCacheMBPerMc = 3;
+    EXPECT_DEATH({ cfg.validate(); },
+                 "DRAM cache set count \\(6144\\) must be a power of two");
+    cfg.dramCacheAssoc = 3;
+    cfg.dramCacheMBPerMc = 1;
+    EXPECT_DEATH({ cfg.validate(); }, "multiple of assoc \\* line size");
+
+    for (const std::uint32_t mb : {1u, 2u, 4u, 16u}) {
+        cfg = SystemConfig{};
+        cfg.hybridMode = HybridMode::MemoryMode;
+        cfg.dramCacheMBPerMc = mb;
+        cfg.validate();
+    }
+}
+
 // --- spill-heap deschedule (indexed heap) ------------------------------
 
 // Descheduling from the middle of the spill heap (member events parked
