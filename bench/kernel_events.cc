@@ -34,6 +34,12 @@
  * ownership -- SQ-full waiters, ring wrap, MSHRs and the directory's
  * busy-line table all run. Steady-state allocations must be zero.
  *
+ * Allocation section: heap allocations per committed transaction
+ * while the btree micro-benchmark runs on the Table-I machine (small
+ * dataset) under BASE, ATOM-OPT and REDO -- what is left of the
+ * per-transaction allocations in the timing model. Reported, not
+ * gated.
+ *
  * Exit status is 2 when the two kernels fire different event counts,
  * and 1 when a zero-allocation check fails or the store path never
  * fills an SQ.
@@ -50,6 +56,7 @@
 #include <vector>
 
 #include "alloc_counter.hh"
+#include "bench_common.hh"
 #include "harness/system.hh"
 #include "net/mesh.hh"
 #include "sim/event_queue.hh"
@@ -408,6 +415,30 @@ runStorePath(std::uint64_t rounds, std::uint64_t &stores_out,
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
+// --- allocations per committed transaction ------------------------------
+
+/**
+ * Run btree on the Table-I machine (small dataset) under @p design and
+ * return the heap allocations run() made per committed transaction;
+ * @p txns gets the committed transactions.
+ */
+double
+allocsPerTxn(atomsim::DesignKind design, std::uint64_t &txns)
+{
+    atomsim::SystemConfig cfg;
+    cfg.design = design;
+    const atomsim::MicroParams params = atomsim::bench::microParams(false);
+    auto workload = atomsim::bench::makeMicro("btree", params);
+    atomsim::Runner runner(cfg, *workload, params.txnsPerCore);
+    runner.setUp();
+    const std::uint64_t before = allocCount();
+    const atomsim::RunResult result =
+        runner.run(atomsim::Tick(200000) * 1000 * 1000);
+    const std::uint64_t allocs = allocCount() - before;
+    txns = result.txns;
+    return txns ? double(allocs) / double(txns) : 0.0;
+}
+
 } // namespace
 
 int
@@ -520,6 +551,20 @@ main(int argc, char **argv)
     if (full_cycles == 0) {
         std::fprintf(stderr, "\nFAIL: store path never filled an SQ\n");
         return 1;
+    }
+
+    // --- allocations per committed transaction ------------------------
+
+    std::printf("\nallocations per committed transaction: btree, Table-I "
+                "machine, small dataset\n\n");
+    for (const atomsim::DesignKind design :
+         {atomsim::DesignKind::Base, atomsim::DesignKind::AtomOpt,
+          atomsim::DesignKind::Redo}) {
+        std::uint64_t txns = 0;
+        const double per_txn = allocsPerTxn(design, txns);
+        std::printf("  %-38s %8.2f allocs/txn (%llu txns)\n",
+                    atomsim::designName(design), per_txn,
+                    (unsigned long long)txns);
     }
     return 0;
 }

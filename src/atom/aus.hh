@@ -7,7 +7,10 @@
  * bit vector (in BucketTable), a current-bucket register, a
  * current-record register, the record-header register for the record
  * being filled, and the sequence window [txnStartSeq, nextSeq) used by
- * recovery to identify this update's records.
+ * recovery to identify this update's records. A record-header register
+ * is a node of its LogM's pool: it leaves the AUS when the record
+ * seals, and the record's own write completions carry it until its
+ * header persists.
  */
 
 #ifndef ATOMSIM_ATOM_AUS_HH
@@ -15,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "atom/log_record.hh"
@@ -33,25 +35,30 @@ constexpr std::uint32_t kNoBucket = ~std::uint32_t(0);
 
 /**
  * A log-entry acknowledgement (LogM::postLogEntry). Fixed capacity:
- * large enough for the LogI relay (node ids + the store path's own
- * 72-byte packet rider), with no heap fallback.
+ * large enough for the controller port's LogAck relay (the port, the
+ * core id and the store path's own 72-byte packet rider), with no
+ * heap fallback.
  */
 using LogAckCallback = InplaceCallback<96>;
 
 /**
- * The record currently being assembled (the record-header register),
- * or one that is sealed but whose header has not yet persisted.
+ * A record-header register: the record being assembled, or one that is
+ * sealed but whose header has not yet persisted. A pooled node (see
+ * LogM): the data and header write completions of the record hold its
+ * pointer, and the header's completion returns it to the pool.
  */
 struct OpenRecord
 {
+    OpenRecord *next = nullptr;  //!< free-list link while idle
+    /** The register itself: AUS id, sequence, entry count and the
+     * logged line addresses, exactly as the header line persists. */
+    LogRecordHeader hdr;
     Addr base = 0;             //!< NVM address of the record
-    std::uint32_t seq = 0;     //!< per-AUS monotonic sequence
-    std::vector<Addr> entries; //!< logged line addresses (<= 7)
     std::uint32_t pendingData = 0; //!< entry data writes not yet durable
     bool sealed = false;       //!< no more entries may be added
-    bool headerIssued = false; //!< header write handed to the channel
-    /** BASE-mode acks to fire when the header persists (Figure 3(a)). */
-    std::vector<LogAckCallback> persistAcks;
+    /** BASE: the ack of the record's one entry, fired when the header
+     * persists (Figure 3(a)). */
+    LogAckCallback persistAck;
 };
 
 /** Per-(controller, AUS) registers. */
@@ -66,10 +73,9 @@ struct AusState
     /** Next sequence number to assign (monotonic across updates). */
     std::uint32_t nextSeq = 0;
 
-    /** Record being filled (the record-header register). */
-    std::unique_ptr<OpenRecord> open;
-    /** Sealed records whose headers have not yet persisted. */
-    std::vector<std::unique_ptr<OpenRecord>> sealing;
+    /** Record being filled (the record-header register); null until
+     * the next entry opens one after a seal. */
+    OpenRecord *open = nullptr;
     /**
      * Lines already logged by the running update. An undo log needs
      * exactly one pre-image per line per update (recovery applies
@@ -80,8 +86,9 @@ struct AusState
      * against recalls in a small L2 seals a one-entry record per
      * retry until the log region is exhausted, and since buckets are
      * only reclaimed at commit, the overflow interrupt can never be
-     * satisfied: the machine livelocks. A set: the mapped value is
-     * unused.
+     * satisfied: the machine livelocks. Under BASE the mapped value
+     * says the line's entry has persisted; other designs leave it
+     * false.
      */
     LineMap<bool> loggedLines;
     /** Outstanding log (data or header) writes for this AUS. */

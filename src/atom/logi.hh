@@ -6,23 +6,23 @@
  * LogI implements the L1 store-path hook for the undo-logging designs:
  * on the first write to a line inside an atomic update it ships a
  * LogWrite message (old value + address) to the memory controller that
- * owns the line -- guaranteeing log/data co-location -- and completes
- * the store when the ack arrives. In BASE mode the ack means "entry
- * durable"; in posted mode (ATOM / ATOM-OPT) it means "line locked".
+ * owns the line -- guaranteeing log/data co-location. The controller's
+ * mesh port hands the entry to its LogM and sends the LogAck, which
+ * completes the store. In BASE mode the ack means "entry durable"; in
+ * posted mode (ATOM / ATOM-OPT) it means "line locked".
  */
 
 #ifndef ATOMSIM_ATOM_LOGI_HH
 #define ATOMSIM_ATOM_LOGI_HH
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "atom/logm.hh"
+#include "atom/aus.hh"
 #include "cache/l1_cache.hh"
 #include "mem/address_map.hh"
 #include "net/mesh.hh"
-#include "sim/config.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
@@ -31,23 +31,21 @@ namespace atomsim
 /**
  * Cache-side log write initiator for the undo designs.
  *
- * LogWrite messages are typed packets (LogI is their MeshSink): the
- * old value travels in the packet's data line and the store path's
- * completion rides the packet's inline callback, so a log round trip
- * allocates nothing.
+ * LogWrite messages are typed packets addressed to the owning
+ * controller's port: the old value travels in the packet's data line
+ * and the store path's completion rides the packet's inline callback
+ * there and back on the LogAck, so a log round trip allocates nothing.
  */
-class LogI : public StoreLogger, public MeshSink
+class LogI : public StoreLogger
 {
   public:
     /**
-     * @param posted false for BASE (ack on persist), true for
-     *               ATOM / ATOM-OPT (posted log writes)
+     * @param mc_ports each memory controller's mesh port, by McId
      * @param aus the AUS slots, which map a core to its update
      */
-    LogI(EventQueue &eq, const SystemConfig &cfg, Mesh &mesh,
-         const AddressMap &amap,
-         std::vector<std::unique_ptr<LogM>> &logms, bool posted,
-         const AusPool &aus, StatSet &stats);
+    LogI(Mesh &mesh, const AddressMap &amap,
+         std::vector<MeshSink *> mc_ports, const AusPool &aus,
+         StatSet &stats);
 
     Mode mode() const override { return Mode::Undo; }
 
@@ -64,8 +62,6 @@ class LogI : public StoreLogger, public MeshSink
                  const std::uint8_t *, std::uint32_t,
                  CacheCallback) override;
 
-    void meshDeliver(Packet &pkt) override;
-
     /** Per-core tenant log-write counters ("tenantN.log_writes");
      * empty (the default) disables per-tenant accounting. */
     void
@@ -75,12 +71,9 @@ class LogI : public StoreLogger, public MeshSink
     }
 
   private:
-    EventQueue &_eq;
-    const SystemConfig &_cfg;
     Mesh &_mesh;
     const AddressMap &_amap;
-    std::vector<std::unique_ptr<LogM>> &_logms;
-    bool _posted;
+    std::vector<MeshSink *> _mcPorts;
     const AusPool &_aus;
 
     Counter &_statLogWrites;

@@ -1,7 +1,7 @@
 #include "atom/logm.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "mem/ssd_device.hh"
 #include "sim/logging.hh"
@@ -19,6 +19,7 @@ LogM::LogM(McId mc, EventQueue &eq, const SystemConfig &cfg,
       _ctrl(ctrl),
       _os(os),
       _ausPool(aus),
+      _posted(cfg.design != DesignKind::Base),
       _buckets(cfg.ausPerMc, cfg.bucketsPerMc, cfg.osInitialBucketsPerMc),
       _aus(cfg.ausPerMc),
       _statEntries(
@@ -92,15 +93,13 @@ LogM::tryAcquire(Addr line_addr, UnlockCallback on_unlock)
     // header persist by sealing any open record holding this line.
     ls->waiters.push_back(std::move(on_unlock));
     for (std::uint32_t a = 0; a < _aus.size(); ++a) {
-        OpenRecord *open = _aus[a].open.get();
-        if (open && !open->sealed) {
-            for (Addr e : open->entries) {
-                if (e == line) {
-                    _statForcedSeals.inc();
-                    sealOpen(a);
-                    break;
-                }
-            }
+        const OpenRecord *open = _aus[a].open;
+        if (!open)
+            continue;
+        const Addr *end = open->hdr.addrs + open->hdr.count;
+        if (std::find(open->hdr.addrs, end, line) != end) {
+            _statForcedSeals.inc();
+            sealOpen(a);
         }
     }
     return false;
@@ -112,15 +111,11 @@ LogM::withOpenRecord(std::uint32_t aus, ReadyCallback ready)
     AusState &st = _aus[aus];
     panic_if(!st.active, "log entry for inactive AUS %u", aus);
 
-    if (st.open && !st.open->sealed &&
-        st.open->entries.size() <
-            std::min<std::size_t>(_cfg.recordEntries,
-                                  LogRecordHeader::kMaxEntries)) {
+    // An open record has room: the entry that fills a record seals it.
+    if (st.open) {
         ready();
         return;
     }
-    if (st.open && !st.open->sealed)
-        sealOpen(aus);
 
     // Need a fresh record; possibly a fresh bucket.
     if (st.currentBucket == kNoBucket ||
@@ -153,19 +148,22 @@ LogM::withOpenRecord(std::uint32_t aus, ReadyCallback ready)
         }
     }
 
-    auto rec = std::make_unique<OpenRecord>();
+    OpenRecord *rec = _records.acquire();
+    rec->hdr = LogRecordHeader{};
+    rec->hdr.ausId = std::uint8_t(aus);
+    rec->hdr.seq = st.nextSeq++;
     rec->base = _amap.recordBase(_mc, st.currentBucket, st.currentRecord);
-    rec->seq = st.nextSeq++;
+    rec->pendingData = 0;
+    rec->sealed = false;
     ++st.currentRecord;
-    st.open = std::move(rec);
+    st.open = rec;
     _statRecords.inc();
     ready();
 }
 
 void
 LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
-                   const Line &old_value, bool posted,
-                   LogAckCallback ack)
+                   const Line &old_value, LogAckCallback ack)
 {
     const Addr line = lineAlign(line_addr);
 
@@ -177,54 +175,35 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
     // a store thrashing against recalls seals a fresh record, which
     // can exhaust the log region and livelock the overflow interrupt
     // (buckets are only reclaimed at commit). Ack against the existing
-    // entry instead of appending a new one.
+    // entry instead of appending a new one: only the address match
+    // costs. Under BASE that ack still means "this entry is durable",
+    // and it is: a core re-logs a line only after the store that
+    // logged it applied, which waited for the BASE ack, which waited
+    // for the header to persist.
     {
         AusState &st = _aus[aus];
         panic_if(!st.active, "log entry for inactive AUS %u", aus);
-        if (!st.loggedLines.tryEmplace(line).second) {
+        const auto [durable, fresh] = st.loggedLines.tryEmplace(line);
+        if (!fresh) {
             _statDupEntries.inc();
-            if (!ack)
-                return;
-            if (!posted) {
-                // BASE: the ack still means "this entry is durable".
-                // If the covering record's header has not persisted
-                // yet, ride its persist; otherwise the entry is
-                // already durable and only the address match costs.
-                OpenRecord *cover = nullptr;
-                if (st.open) {
-                    for (Addr e : st.open->entries)
-                        if (e == line)
-                            cover = st.open.get();
-                }
-                if (!cover) {
-                    for (auto &sealing : st.sealing) {
-                        for (Addr e : sealing->entries)
-                            if (e == line)
-                                cover = sealing.get();
-                        if (cover)
-                            break;
-                    }
-                }
-                if (cover) {
-                    cover->persistAcks.push_back(std::move(ack));
-                    return;
-                }
-            }
-            _eq.postIn(_cfg.mcAddrMatchLatency, std::move(ack));
+            panic_if(!_posted && !*durable,
+                     "BASE re-log of %llx before its entry persisted",
+                     (unsigned long long)line);
+            if (ack)
+                _eq.postIn(_cfg.mcAddrMatchLatency, std::move(ack));
             return;
         }
     }
 
-    withOpenRecord(aus, [this, aus, line, old_value, posted,
+    withOpenRecord(aus, [this, aus, line, old_value,
                          ack = std::move(ack)]() mutable {
         AusState &st = _aus[aus];
-        OpenRecord *rec = st.open.get();
+        OpenRecord *rec = st.open;
+        LogRecordHeader &hdr = rec->hdr;
         _statEntries.inc();
 
-        const std::uint32_t slot =
-            std::uint32_t(rec->entries.size());
-        rec->entries.push_back(line);
-        const Addr entry_addr = rec->base + Addr(slot + 1) * kLineBytes;
+        const Addr entry_addr = rec->base + Addr(hdr.count + 1) * kLineBytes;
+        hdr.addrs[hdr.count++] = line;
 
         // The line is "locked" (its address now sits in the record
         // header register) until the header persists.
@@ -232,49 +211,35 @@ LogM::postLogEntry(std::uint32_t aus, Addr line_addr,
 
         ++rec->pendingData;
         ++st.outstandingWrites;
-        const Addr rec_base = rec->base;
         _ctrl.writeLine(entry_addr, old_value, WriteKind::LogData,
-                        [this, aus, rec_base] {
-            AusState &s = _aus[aus];
-            OpenRecord *r = nullptr;
-            if (s.open && s.open->base == rec_base) {
-                r = s.open.get();
-            } else {
-                for (auto &sealing : s.sealing) {
-                    if (sealing->base == rec_base) {
-                        r = sealing.get();
-                        break;
-                    }
-                }
-            }
-            if (r) {
-                panic_if(r->pendingData == 0, "pendingData underflow");
-                --r->pendingData;
-                maybeIssueHeader(aus, r);
-            }
+                        [this, aus, rec] {
+            panic_if(rec->pendingData == 0, "pendingData underflow");
+            --rec->pendingData;
+            maybeIssueHeader(aus, rec);
             logWriteDone(aus);
         });
 
-        if (posted) {
+        if (_posted) {
             // Posted-log optimization: ack after the lock is taken
             // (address-match latency); persistence is off the critical
             // path (Section III-C).
             if (ack) {
                 _eq.postIn(_cfg.mcAddrMatchLatency, std::move(ack));
             }
-        } else if (ack) {
+        } else {
             // BASE: the ack waits until the entry is durable, i.e.
-            // the covering record header has persisted.
-            rec->persistAcks.push_back(std::move(ack));
+            // the record header has persisted. The record seals below
+            // with this one entry.
+            panic_if(bool(rec->persistAck), "second entry in a BASE record");
+            rec->persistAck = std::move(ack);
         }
 
         // LEC off (or BASE): one entry per record -> seal immediately,
         // costing 2 NVM writes per entry (Section IV-C's motivation).
-        const bool lec = _cfg.enableLec && posted;
-        if (!lec || rec->entries.size() >=
-                        std::min<std::size_t>(
-                            _cfg.recordEntries,
-                            LogRecordHeader::kMaxEntries)) {
+        const bool lec = _cfg.enableLec && _posted;
+        if (!lec || hdr.count >= std::min<std::uint32_t>(
+                                     _cfg.recordEntries,
+                                     LogRecordHeader::kMaxEntries)) {
             sealOpen(aus);
         }
     });
@@ -284,12 +249,10 @@ void
 LogM::sealOpen(std::uint32_t aus)
 {
     AusState &st = _aus[aus];
-    OpenRecord *rec = st.open.get();
-    if (!rec || rec->sealed)
-        return;
+    OpenRecord *rec = st.open;
+    st.open = nullptr;
     rec->sealed = true;
-    st.sealing.push_back(std::move(st.open));
-    maybeIssueHeader(aus, st.sealing.back().get());
+    maybeIssueHeader(aus, rec);
 }
 
 void
@@ -297,23 +260,15 @@ LogM::maybeIssueHeader(std::uint32_t aus, OpenRecord *rec)
 {
     // Header may only persist after every entry data line of the
     // record is durable (a header must never describe garbage data).
-    if (!rec->sealed || rec->headerIssued || rec->pendingData > 0)
+    // Exactly one call finds both true: the seal, or the data write
+    // completing last after it.
+    if (!rec->sealed || rec->pendingData > 0)
         return;
-    rec->headerIssued = true;
 
-    LogRecordHeader hdr;
-    hdr.ausId = std::uint8_t(aus);
-    hdr.count = std::uint8_t(rec->entries.size());
-    hdr.seq = rec->seq;
-    for (std::size_t i = 0; i < rec->entries.size(); ++i)
-        hdr.addrs[i] = rec->entries[i];
-
-    AusState &st = _aus[aus];
-    ++st.outstandingWrites;
-    const Addr base = rec->base;
-    _ctrl.writeLine(base, hdr.toLine(), WriteKind::LogHeader,
-                    [this, aus, base] {
-        onHeaderDurable(aus, base);
+    ++_aus[aus].outstandingWrites;
+    _ctrl.writeLine(rec->base, rec->hdr.toLine(), WriteKind::LogHeader,
+                    [this, aus, rec] {
+        onHeaderDurable(aus, rec);
         logWriteDone(aus);
     });
 }
@@ -329,35 +284,30 @@ LogM::logWriteDone(std::uint32_t aus)
 }
 
 void
-LogM::onHeaderDurable(std::uint32_t aus, Addr record_base)
+LogM::onHeaderDurable(std::uint32_t aus, OpenRecord *rec)
 {
-    AusState &st = _aus[aus];
-    for (auto it = st.sealing.begin(); it != st.sealing.end(); ++it) {
-        if ((*it)->base != record_base)
-            continue;
-        std::unique_ptr<OpenRecord> rec = std::move(*it);
-        st.sealing.erase(it);
-        // Unlock every line in the record: in-place writes may now
-        // reach NVM (Invariant 2 satisfied for these lines).
-        for (Addr line : rec->entries)
-            unlock(line);
-        for (auto &ack : rec->persistAcks)
-            ack();
-        return;
-    }
-    panic("header durable for unknown record at %llx",
-          (unsigned long long)record_base);
+    // Unlock every line in the record: in-place writes may now reach
+    // NVM (Invariant 2 satisfied for these lines).
+    for (std::uint32_t i = 0; i < rec->hdr.count; ++i)
+        unlock(rec->hdr.addrs[i]);
+    if (!_posted)  // BASE: the record's one entry is durable
+        *_aus[aus].loggedLines.find(rec->hdr.addrs[0]) = true;
+    LogAckCallback ack = std::move(rec->persistAck);
+    _records.release(rec);
+    if (ack)
+        ack();
 }
 
 bool
 LogM::sourceLogFill(CoreId core, Addr addr, const Line &old_value)
 {
+    if (_cfg.design != DesignKind::AtomOpt)
+        return false;
     const int aus = _ausPool.slotOf(core);
     if (aus < 0)
         return false;
     _statSourceLogged.inc();
-    postLogEntry(std::uint32_t(aus), addr, old_value, true,
-                 LogAckCallback{});
+    postLogEntry(std::uint32_t(aus), addr, old_value, LogAckCallback{});
     return true;
 }
 
@@ -381,13 +331,13 @@ LogM::finishTruncate(std::uint32_t aus)
     AusState &s = _aus[aus];
     // Any still-open record's entries exist only in the header
     // register; clearing the register discards them. Their locks must
-    // lift or future data writes would block forever.
-    if (s.open) {
-        for (Addr line : s.open->entries)
-            unlock(line);
-        s.open.reset();
+    // lift or future data writes would block forever. (A sealed record
+    // still has a write outstanding, so none is left by now.)
+    if (OpenRecord *open = std::exchange(s.open, nullptr)) {
+        for (std::uint32_t i = 0; i < open->hdr.count; ++i)
+            unlock(open->hdr.addrs[i]);
+        _records.release(open);
     }
-    panic_if(!s.sealing.empty(), "truncate with unpersisted sealed records");
 
     // Flash tier: snapshot this update's freed log buckets and touched
     // data pages *before* the bucket registers clear. The freed buckets

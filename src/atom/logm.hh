@@ -10,12 +10,18 @@
  * is expedited, and the write proceeds once it completes ("locking" /
  * "unlocking" in the paper's terms).
  *
- * Three operating modes of postLogEntry cover the designs:
+ * The design (cfg.design) picks one of three operating modes:
  *  - BASE: the ack fires when the entry is durable (header persisted);
  *    records hold a single entry (2 NVM writes per entry).
  *  - ATOM (posted): the ack fires immediately after the lock is taken;
  *    persistence happens in the background.
  *  - ATOM-OPT adds sourceLogFill for read-exclusive fills.
+ *
+ * Each record lives in one record-header register, a node of the
+ * LogM's pool; the record's data and header write completions carry
+ * it, so no completion searches for its record. LogWrite messages
+ * reach postLogEntry through the controller's mesh port (McPort),
+ * which also sends the LogAck.
  */
 
 #ifndef ATOMSIM_ATOM_LOGM_HH
@@ -34,6 +40,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/line_map.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 
 namespace atomsim
@@ -64,15 +71,12 @@ class LogM : public WriteGate
 
     /**
      * Append an undo entry (old value of @p line_addr) to @p aus's
-     * current record.
-     *
-     * @param posted ATOM posted-log mode: @p ack fires after the lock
-     *               is taken; BASE mode: @p ack fires when the entry is
-     *               durable.
+     * current record. Under ATOM and ATOM-OPT (posted log writes)
+     * @p ack fires once the lock is taken; under BASE it fires when
+     * the entry is durable.
      */
     void postLogEntry(std::uint32_t aus, Addr line_addr,
-                      const Line &old_value, bool posted,
-                      LogAckCallback ack);
+                      const Line &old_value, LogAckCallback ack);
 
     /**
      * Source logging (ATOM-OPT, Section III-D): log a read-exclusive
@@ -80,6 +84,8 @@ class LogM : public WriteGate
      * undo value.
      * @retval true the entry was logged; the fill returns with its log
      *              bit set (DataLogged)
+     * @retval false the design is not ATOM-OPT, or @p core runs no
+     *               atomic update
      */
     bool sourceLogFill(CoreId core, Addr addr, const Line &old_value);
 
@@ -119,7 +125,9 @@ class LogM : public WriteGate
     /** Issue the header write if the record is sealed + data-durable. */
     void maybeIssueHeader(std::uint32_t aus, OpenRecord *rec);
 
-    void onHeaderDurable(std::uint32_t aus, Addr record_base);
+    /** Unlock @p rec's lines, return it to the pool, then run its
+     * BASE ack. */
+    void onHeaderDurable(std::uint32_t aus, OpenRecord *rec);
 
     /** A log (data or header) write of @p aus is durable; the last one
      * lets a waiting truncation finish. */
@@ -139,9 +147,12 @@ class LogM : public WriteGate
     MemoryController &_ctrl;
     LogSpace &_os;
     const AusPool &_ausPool;
+    /** False under BASE: acks wait for the entry to persist. */
+    const bool _posted;
 
     BucketTable _buckets;
     std::vector<AusState> _aus;
+    FreeListPool<OpenRecord> _records;
 
     /** Lock table: line -> (count, waiters). Implements the record-
      * header address match of Section IV-C. */

@@ -413,14 +413,12 @@ L1Cache::storeLogged(PendingStore *ps)
     if (CacheLineState *fr = _array.find(line))
         fr->pinned = false;
     applyStore(ps, true);
-    // The store has applied: run any coherence action
-    // (forward/invalidation) deferred by the pin.
-    auto it = _unpinWaiters.find(line);
-    if (it != _unpinWaiters.end()) {
-        auto waiters = std::move(it->second);
-        _unpinWaiters.erase(it);
-        for (auto &w : waiters)
-            w();
+    // The store has applied: run the coherence action deferred by the
+    // pin, if any.
+    if (Callback *deferred = _unpinWaiters.find(line)) {
+        Callback action = std::move(*deferred);
+        _unpinWaiters.erase(line);
+        action();
     }
 }
 
@@ -504,7 +502,10 @@ L1Cache::whenUnpinned(Addr addr, Callback action)
     const Addr line = lineAlign(addr);
     CacheLineState *frame = _array.find(line);
     if (frame && frame->valid && frame->pinned) {
-        _unpinWaiters[line].push_back(std::move(action));
+        auto [slot, fresh] = _unpinWaiters.tryEmplace(line);
+        panic_if(!fresh, "second deferred action on pinned line %llx",
+                 (unsigned long long)line);
+        *slot = std::move(action);
         return;
     }
     action();

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -45,6 +44,7 @@
 #include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/line_map.hh"
 #include "sim/pool.hh"
 #include "sim/stats.hh"
 
@@ -221,7 +221,9 @@ class L1Cache : public MeshSink
      * or defers incoming forwards/invalidations for a line with an
      * active store-logging transaction; stealing the line mid-wait
      * would force a refetch + duplicate log entry on every theft --
-     * on contended lines that convoy livelocks the update.
+     * on contended lines that convoy livelocks the update. A pinned
+     * line defers at most one action: the home sends a line's next
+     * FwdGetX only after the previous one's FwdAckX.
      */
     void whenUnpinned(Addr addr, Callback action);
 
@@ -275,8 +277,9 @@ class L1Cache : public MeshSink
     CacheArray _array;
     MshrTable _mshrs;
     StoreLogger *_logger = nullptr;
-    /** Deferred coherence actions on pinned lines (see whenUnpinned). */
-    std::unordered_map<Addr, std::vector<Callback>> _unpinWaiters;
+    /** The coherence action a pinned line deferred (see
+     * whenUnpinned). */
+    LineMap<Callback> _unpinWaiters;
 
     FreeListPool<PendingStore> _storePool;
     FreeListPool<PendingFlush> _flushPool;

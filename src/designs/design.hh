@@ -74,7 +74,7 @@ class DesignContext
     /**
      * Atomic_End commit protocol: for undo designs, durably flush
      * @p modified_lines then truncate the log; for REDO, drain the
-     * combine buffer and persist the commit record. @p done marks the
+     * redo buffer and persist the commit record. @p done marks the
      * transaction durable.
      */
     void atomicEnd(CoreId core, const std::vector<Addr> &modified_lines,

@@ -1,6 +1,5 @@
 #include "designs/redo_engine.hh"
 
-#include <array>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -69,7 +68,6 @@ RedoEngine::RedoEngine(EventQueue &eq, const SystemConfig &cfg,
       _cores(cfg.numCores),
       _mcState(cfg.numMemCtrls),
       _statEntries(stats.counter("redo", "log_entries")),
-      _statCombined(stats.counter("redo", "combined_stores")),
       _statCommits(stats.counter("redo", "commits")),
       _statApplied(stats.counter("redo", "applied"))
 {
@@ -110,39 +108,15 @@ RedoEngine::onStore(CoreId core, Addr addr, const Line &pre,
 {
     CoreState &cs = _cores[core];
     panic_if(!cs.active, "redo store outside a txn");
-    const Addr line = lineAlign(addr);
 
-    // Write combining: a store to a line already buffered merges its
-    // bytes into that entry's image and renews the entry.
-    for (auto &e : cs.wcb) {
-        if (e.line == line) {
-            _statCombined.inc();
-            std::memcpy(e.data.data() + off, bytes, size);
-            e.readyAt = _eq.now() + 2;  // drain after this store too
-            _eq.postIn(1, std::move(done));
-            return;
-        }
-    }
-
-    if (cs.wcb.size() >= _cfg.redoCombineEntries) {
-        // Buffer full: the store stalls until the drain frees a slot.
-        // This is REDO's bandwidth back-pressure path. The payload is
-        // copied: @p bytes only lives for the duration of this call.
-        // The captured pre-image stays fresh across the stall -- any
-        // same-line store issued meanwhile parks behind this one (the
-        // buffer is still full) and merges once this entry exists.
-        std::array<std::uint8_t, kLineBytes> payload{};
-        std::memcpy(payload.data(), bytes, size);
-        cs.fullWaiters.push_back(
-            [this, core, addr, pre, off, payload, size,
-             done = std::move(done)]() mutable {
-                onStore(core, addr, pre, off, payload.data(), size,
-                        std::move(done));
-            });
-        return;
-    }
-
-    WcbEntry entry{line, pre, _eq.now() + 2};
+    // Every store is its own entry: the buffer is a two-cycle delay
+    // line, never a combining or a back-pressure point. A core has at
+    // most sqDrainWidth = 2 stores in flight, never two to one line; a
+    // same-line store reaches onStore at least 4 ticks after the
+    // previous one (its +1 ack plus the 3-cycle L1 latency), while
+    // that store's entry drains within 3. Two entries then never
+    // share a line and the buffer never holds more than two.
+    WcbEntry entry{lineAlign(addr), pre, _eq.now() + 2};
     std::memcpy(entry.data.data() + off, bytes, size);
     cs.wcb.push_back(std::move(entry));
     _eq.postIn(1, std::move(done));
@@ -159,11 +133,11 @@ RedoEngine::drainWcb(CoreId core)
 {
     CoreState &cs = _cores[core];
     if (cs.wcb.empty()) {
+        // The last entry's log write issued a tick ago and cannot be
+        // durable yet: its completion writes the waiting commit.
+        panic_if(cs.entriesInFlight == 0 && cs.commitWaiting,
+                 "core %u: redo commit waits on no log write", core);
         cs.draining = false;
-        if (cs.entriesInFlight == 0 && cs.commitWaiting) {
-            cs.commitWaiting = false;
-            writeCommit(core);
-        }
         return;
     }
 
@@ -175,18 +149,12 @@ RedoEngine::drainWcb(CoreId core)
 
     WcbEntry entry = std::move(cs.wcb.front());
     cs.wcb.pop_front();
-    // The entry's image was assembled store by store at logging time
-    // (pre-image + merged bytes), so it is the line's newest value no
-    // matter where the cache copy currently is; the data travels with
-    // the log write while the hierarchy keeps its dirty copy (which
-    // must never spill to NVM -- victim cache).
+    // The entry's image was built at logging time (the pre-store
+    // image plus the store's bytes), so it is the line's newest value
+    // no matter where the cache copy currently is; the data travels
+    // with the log write while the hierarchy keeps its dirty copy
+    // (which must never spill to NVM -- victim cache).
     _statEntries.inc();
-
-    if (!cs.fullWaiters.empty()) {
-        auto w = std::move(cs.fullWaiters.front());
-        cs.fullWaiters.pop_front();
-        w();
-    }
 
     const McId mc = _amap.memCtrl(entry.line);
     cs.touchedMcs |= 1u << mc;
@@ -200,8 +168,8 @@ RedoEngine::drainWcb(CoreId core)
             writeCommit(core);
         }
     });
-    // Pace: one entry per drain step; next step after the combine
-    // buffer's issue latency.
+    // Pace: one entry per drain step; next step after the buffer's
+    // issue latency.
     _eq.scheduleIn(*_drainEvents[core], 1);
 }
 
@@ -222,16 +190,13 @@ RedoEngine::appendToFrame(McId mc, CoreId core, Addr slot_word,
             kPageBytes / (8 * kLineBytes);
         if (ms.frameInBucket >= frames_per_bucket) {
             ms.frameInBucket = 0;
-            if (++ms.bucket >= _amap.bucketsPerMc()) {
+            if (++ms.bucket >= _amap.bucketsPerMc())
                 ms.bucket = 0;
-                ++ms.wraps;
-            }
         }
         ms.frameMeta = _amap.bucketBase(mc, ms.bucket) +
                        Addr(ms.frameInBucket) * 8 * kLineBytes;
         ++ms.frameInBucket;
         ms.frameFill = 0;
-        ms.framePendingData = 0;
         ms.metaLine.fill(0);
         std::uint32_t magic = redo_format::kMetaMagic;
         std::memcpy(ms.metaLine.data(), &magic, sizeof(magic));
@@ -246,21 +211,13 @@ RedoEngine::appendToFrame(McId mc, CoreId core, Addr slot_word,
         // Entry data line write (charged on the log channel).
         const Addr data_addr =
             ms.frameMeta + Addr(slot + 1) * kLineBytes;
-        ++ms.framePendingData;
-        const Addr frame = ms.frameMeta;
         // Stage the in-place apply on the core: the backend may only
         // touch in-place data after the commit record persists.
         _cores[core].stagedApplies.emplace_back(
             mc, WcbEntry{redo_format::slotAddr(slot_word), data},
             data_addr);
         _mcs[mc]->writeLine(data_addr, data, WriteKind::RedoLog,
-                            [this, mc, frame,
-                             durable = std::move(durable)]() mutable {
-            McState &s = _mcState[mc];
-            if (s.frameMeta == frame)
-                --s.framePendingData;
-            durable();
-        });
+                            std::move(durable));
         if (ms.frameFill >= redo_format::kSlotsPerFrame)
             sealFrame(mc, nullptr);
         return;
@@ -296,8 +253,8 @@ RedoEngine::commitTxn(CoreId core, Done done)
     panic_if(!cs.active, "commit without a txn");
     panic_if(bool(cs.commitDone), "overlapping commits on core %u", core);
     cs.commitDone = std::move(done);
-    // Wait for the combine buffer to drain and all entry writes to be
-    // issued before the commit record.
+    // Wait for the buffer to drain and every entry write to be
+    // durable before the commit record.
     if (!cs.draining && cs.wcb.empty() && cs.entriesInFlight == 0)
         writeCommit(core);
     else
@@ -366,15 +323,6 @@ RedoEngine::backendPump(McId mc)
                                 backendPump(mc);
                             });
     });
-}
-
-std::size_t
-RedoEngine::backlog() const
-{
-    std::size_t n = 0;
-    for (const auto &ms : _mcState)
-        n += ms.applyQueue.size();
-    return n;
 }
 
 } // namespace atomsim

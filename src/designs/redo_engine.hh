@@ -5,8 +5,8 @@
  *
  * Differences from ATOM, mirroring the paper's setup:
  *  - every store in an atomic region produces a log entry (vs ATOM's
- *    one entry per first-written line), via a per-core write-combining
- *    buffer;
+ *    one entry per first-written line); a per-core buffer delays each
+ *    entry two cycles, until its store has applied, then issues it;
  *  - the log holds *new* values; commit persists a commit record, after
  *    which a backend controller reads the log entries back from NVM
  *    and applies them in place, consuming read + write bandwidth;
@@ -14,7 +14,7 @@
  *    in-place NVM data is never overwritten before the log applies
  *    (and reads never observe stale NVM data);
  *  - log writes are hardware-issued on stores (the paper's fairness
- *    modification) and write-combined.
+ *    modification).
  *
  * NVM log layout per controller: a stream of 8-line frames -- one meta
  * line describing up to 7 entries, then the 7 data lines. The meta
@@ -70,24 +70,21 @@ class RedoEngine : public StoreLogger
     using Done = InplaceCallback<16>;
 
     /**
-     * Commit: drain the core's combine buffer, persist the commit
-     * record, then @p done. Queues the update's in-place applies on
-     * the backend.
+     * Commit: wait for the core's buffered entries to be written,
+     * persist the commit record, then @p done. Queues the update's
+     * in-place applies on the backend.
      */
     void commitTxn(CoreId core, Done done);
 
     /** The infinite victim cache every L2 tile parks evictions in. */
     VictimCache &victimCache() { return _victims; }
 
-    /** Entries still waiting for in-place application (tests). */
-    std::size_t backlog() const;
-
   private:
     /** One pending redo entry (newest value of a line). The data is
      * owned by the buffer from onStore time -- the line's pre-store
-     * image with every combined store's bytes merged in -- so the
-     * drain never re-reads the cache hierarchy (which races the
-     * line's in-transit copies; see StoreLogger::onStore). */
+     * image with the store's bytes merged in -- so the drain never
+     * re-reads the cache hierarchy (which races the line's in-transit
+     * copies; see StoreLogger::onStore). */
     struct WcbEntry
     {
         Addr line;
@@ -105,11 +102,7 @@ class RedoEngine : public StoreLogger
         std::uint64_t txnSeq = 0;
         std::deque<WcbEntry> wcb;
         bool draining = false;
-        /** Stores stalled on a full combine buffer; the retry
-         * captures the store's pre-image and payload by value (plus
-         * the completion), hence the width. */
-        std::deque<InplaceCallback<240>> fullWaiters;
-        /** The commit waits for the combine buffer to drain. */
+        /** The commit waits for the buffered entries' log writes. */
         bool commitWaiting = false;
         Done commitDone;
         /** Commit slots not yet durable (one per logged controller). */
@@ -136,19 +129,17 @@ class RedoEngine : public StoreLogger
         /** Frame under construction. */
         Addr frameMeta = 0;
         std::uint32_t frameFill = 0;
-        std::uint32_t framePendingData = 0;
         Line metaLine{};
         /** In-place applies queued for the backend, each with the
          * log-area address its entry was written at. */
         std::deque<std::pair<WcbEntry, Addr>> applyQueue;
         bool backendBusy = false;
-        /** Times the circular log cursor wrapped. */
-        std::uint64_t wraps = 0;
     };
 
     void drainWcb(CoreId core);
 
-    /** The combine buffer drained: persist the commit slots. */
+    /** Every entry of the update is durable: persist the commit
+     * slots. */
     void writeCommit(CoreId core);
 
     /** One commit slot persisted; the last one commits the update. */
@@ -170,13 +161,12 @@ class RedoEngine : public StoreLogger
 
     std::vector<CoreState> _cores;
     std::vector<McState> _mcState;
-    /** One recurring combine-buffer drain event per core (at most one
-     * drain step pending per core; see CoreState::draining). */
+    /** One recurring buffer drain event per core (at most one drain
+     * step pending per core; see CoreState::draining). */
     std::vector<std::unique_ptr<TickEvent>> _drainEvents;
     VictimCache _victims;
 
     Counter &_statEntries;
-    Counter &_statCombined;
     Counter &_statCommits;
     Counter &_statApplied;
 };

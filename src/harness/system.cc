@@ -86,16 +86,12 @@ System::System(const SystemConfig &cfg, Addr data_bytes)
                 m, _eq, _cfg, _amap, *_mcs[m], *_logSpace,
                 _stats, *_ausPool));
         }
-        const bool posted = _cfg.design != DesignKind::Base;
-        _logi = std::make_unique<LogI>(_eq, _cfg, *_mesh, _amap, _logms,
-                                       posted, *_ausPool, _stats);
+        _logi = std::make_unique<LogI>(*_mesh, _amap, mc_sinks,
+                                       *_ausPool, _stats);
         for (auto &l1 : _l1s)
             l1->setStoreLogger(_logi.get());
-
-        if (_cfg.design == DesignKind::AtomOpt) {
-            for (McId m = 0; m < _cfg.numMemCtrls; ++m)
-                _mcPorts[m]->setSourceLogger(_logms[m].get());
-        }
+        for (McId m = 0; m < _cfg.numMemCtrls; ++m)
+            _mcPorts[m]->setLogM(_logms[m].get());
     } else if (_cfg.design == DesignKind::Redo) {
         _ausPool = std::make_unique<AusPool>(
             _eq, _cfg.numCores, _cfg.numCores, _stats);

@@ -27,8 +27,8 @@ McPort::meshDeliver(Packet &pkt)
                 // Source-logging (Section III-D): the controller has
                 // just read the pre-transaction value of the line; log
                 // it here and return the data with the log bit set.
-                if (exclusive && in_atomic && _srcLog)
-                    logged = _srcLog->sourceLogFill(core, addr, data);
+                if (exclusive && in_atomic && _logm)
+                    logged = _logm->sourceLogFill(core, addr, data);
                 const MsgType resp =
                     logged ? MsgType::DataLogged
                            : (exclusive ? MsgType::DataExcl
@@ -54,6 +54,20 @@ McPort::meshDeliver(Packet &pkt)
         // the line has persisted.
         _ctrl.whenLineDurable(pkt.addr, std::move(pkt.cb));
         return;
+      case MsgType::LogWrite: {
+        // Undo entry from LogI: the ack carries the store path's
+        // continuation back to the core.
+        panic_if(!_logm, "MC port %u: LogWrite without a LogM", _mc);
+        const CoreId core = pkt.core;
+        _logm->postLogEntry(
+            pkt.arg, pkt.addr, pkt.data,
+            [this, core, done = std::move(pkt.cb)]() mutable {
+                Packet &p = _mesh.make(MsgType::LogAck);
+                p.cb = std::move(done);
+                _mesh.send(_mesh.mcNode(_mc), _mesh.coreNode(core), p);
+            });
+        return;
+      }
       default:
         panic("MC port %u: unexpected mesh message %s", _mc,
               msgName(pkt.type));

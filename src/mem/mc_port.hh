@@ -3,11 +3,14 @@
  * Mesh-facing port of a memory controller.
  *
  * The port is the MeshSink for everything addressed to an MC's corner
- * node: L2 fill reads (GetS/GetX), durable data writes (MemWrite) and
- * flush-ordering waits (FlushReq). It owns the source-logging decision
- * for read-exclusive fills (Section III-D) -- the controller has just
- * read the pre-transaction value, so the log entry is created here and
- * the fill returns with its log bit pre-set (DataLogged).
+ * node: L2 fill reads (GetS/GetX), durable data writes (MemWrite),
+ * flush-ordering waits (FlushReq) and, under the undo designs, LogI's
+ * undo entries (LogWrite), which it hands to the controller's LogM and
+ * acknowledges with a LogAck. It also offers every read-exclusive fill
+ * inside an atomic update to the LogM for source logging (ATOM-OPT,
+ * Section III-D) -- the controller has just read the pre-transaction
+ * value, so the log entry is created here and the fill returns with
+ * its log bit pre-set (DataLogged).
  */
 
 #ifndef ATOMSIM_MEM_MC_PORT_HH
@@ -41,8 +44,9 @@ class McPort : public MeshSink
         _tiles = std::move(tiles);
     }
 
-    /** Install the ATOM-OPT source logger (nullptr otherwise). */
-    void setSourceLogger(LogM *logm) { _srcLog = logm; }
+    /** Install the controller's LogM (undo designs; nullptr
+     * otherwise). */
+    void setLogM(LogM *logm) { _logm = logm; }
 
     void meshDeliver(Packet &pkt) override;
 
@@ -50,7 +54,7 @@ class McPort : public MeshSink
     McId _mc;
     Mesh &_mesh;
     MemoryController &_ctrl;
-    LogM *_srcLog = nullptr;
+    LogM *_logm = nullptr;
     std::vector<MeshSink *> _tiles;
 };
 

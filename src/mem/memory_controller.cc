@@ -1,7 +1,6 @@
 #include "mem/memory_controller.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "mem/ssd_device.hh"
 #include "sim/fault.hh"
@@ -9,19 +8,6 @@
 
 namespace atomsim
 {
-
-std::string
-MediaFaultRecord::describe() const
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "media hard-fail: mc%u %s read of 0x%llx at tick %llu "
-                  "(%u attempts)",
-                  unsigned(mc), kind == ReadKind::LogRead ? "log" : "demand",
-                  (unsigned long long)addr, (unsigned long long)tick,
-                  attempts);
-    return buf;
-}
 
 MemoryController::MemoryController(McId id, EventQueue &eq,
                                    const SystemConfig &cfg, DataImage &nvm,

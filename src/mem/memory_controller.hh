@@ -87,9 +87,6 @@ struct MediaFaultRecord
     /** Device attempts consumed (1 initial + mediaRetryLimit). */
     std::uint32_t attempts = 0;
     ReadKind kind = ReadKind::Demand;
-
-    /** One-line human-readable rendering for reports and logs. */
-    std::string describe() const;
 };
 
 /**

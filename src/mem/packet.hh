@@ -77,8 +77,8 @@ struct Packet;
 
 /**
  * Endpoint of a typed mesh delivery. Implemented by the L1 caches, the
- * L2 tiles, the memory-controller ports and the LogI front end; the
- * implementation switches on pkt.type.
+ * L2 tiles and the memory-controller ports; the implementation
+ * switches on pkt.type.
  */
 class MeshSink
 {

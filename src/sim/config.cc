@@ -55,18 +55,6 @@ hybridModeName(HybridMode mode)
     return "?";
 }
 
-HybridMode
-hybridModeFromName(const std::string &name)
-{
-    if (name == "nvmOnly")
-        return HybridMode::NvmOnly;
-    if (name == "memoryMode")
-        return HybridMode::MemoryMode;
-    if (name == "appDirect")
-        return HybridMode::AppDirect;
-    fatal("unknown hybrid mode '%s'", name.c_str());
-}
-
 const char *
 durabilityPolicyName(DurabilityPolicy policy)
 {
@@ -79,18 +67,6 @@ durabilityPolicyName(DurabilityPolicy policy)
         return "eventual";
     }
     return "?";
-}
-
-DurabilityPolicy
-durabilityPolicyFromName(const std::string &name)
-{
-    if (name == "strict")
-        return DurabilityPolicy::Strict;
-    if (name == "balanced")
-        return DurabilityPolicy::Balanced;
-    if (name == "eventual")
-        return DurabilityPolicy::Eventual;
-    fatal("unknown durability policy '%s'", name.c_str());
 }
 
 Cycles

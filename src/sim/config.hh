@@ -75,9 +75,6 @@ enum class HybridMode : std::uint8_t
 /** Human-readable hybrid-mode name ("nvmOnly", "memoryMode", ...). */
 const char *hybridModeName(HybridMode mode);
 
-/** Parse a hybrid-mode name. */
-HybridMode hybridModeFromName(const std::string &name);
-
 /**
  * What a transaction's commit acknowledgment promises once the flash
  * tier (SystemConfig::ssdTier) turns log truncation into a real
@@ -105,9 +102,6 @@ enum class DurabilityPolicy : std::uint8_t
 
 /** Human-readable policy name ("strict", "balanced", "eventual"). */
 const char *durabilityPolicyName(DurabilityPolicy policy);
-
-/** Parse a durability-policy name. */
-DurabilityPolicy durabilityPolicyFromName(const std::string &name);
 
 /**
  * Which region bypasses the DRAM cache in HybridMode::AppDirect: the
@@ -349,11 +343,6 @@ struct SystemConfig
 
     // --- Design under test -------------------------------------------
     DesignKind design = DesignKind::AtomOpt;
-
-    /**
-     * REDO: entries the write-combining buffer holds before draining.
-     */
-    static constexpr std::uint32_t redoCombineEntries = 8;
 
     /** Workload RNG seed. */
     std::uint64_t seed = 42;

@@ -58,68 +58,28 @@ EventQueue::wheelInsert(Event *ev)
     ++_wheelCount;
 }
 
-// --- indexed spill heap ----------------------------------------------------
+// --- spill heap ------------------------------------------------------------
 //
-// A plain binary min-heap over (tick, seq), except every resident event
-// records its slot (_spillIdx), so removal from the middle -- the
-// deschedule path -- is a swap with the last slot plus one sift,
-// O(log n), instead of the old linear erase + full re-heapify.
-
-void
-EventQueue::spillSiftUp(std::size_t i)
-{
-    Event *ev = _spill[i];
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!spillBefore(ev, _spill[parent]))
-            break;
-        _spill[i] = _spill[parent];
-        _spill[i]->_spillIdx = std::uint32_t(i);
-        i = parent;
-    }
-    _spill[i] = ev;
-    ev->_spillIdx = std::uint32_t(i);
-}
-
-void
-EventQueue::spillSiftDown(std::size_t i)
-{
-    Event *ev = _spill[i];
-    const std::size_t n = _spill.size();
-    for (;;) {
-        std::size_t child = 2 * i + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && spillBefore(_spill[child + 1], _spill[child]))
-            ++child;
-        if (!spillBefore(_spill[child], ev))
-            break;
-        _spill[i] = _spill[child];
-        _spill[i]->_spillIdx = std::uint32_t(i);
-        i = child;
-    }
-    _spill[i] = ev;
-    ev->_spillIdx = std::uint32_t(i);
-}
+// A binary min-heap over (tick, seq) kept with std::push_heap/pop_heap.
+// (tick, seq) is a strict total order, so the pop order is fixed no
+// matter how the heap is laid out. Removal from the middle (deschedule
+// of a spilled event) is a linear scan plus a re-heapify: spills are
+// rare, and descheduling one rarer still.
 
 void
 EventQueue::spillPush(Event *ev)
 {
     ev->_flags |= Event::kInSpill;
     _spill.push_back(ev);
-    spillSiftUp(_spill.size() - 1);
+    std::push_heap(_spill.begin(), _spill.end(), spillAfter);
 }
 
 Event *
 EventQueue::spillPopMin()
 {
-    Event *min = _spill.front();
-    Event *last = _spill.back();
+    std::pop_heap(_spill.begin(), _spill.end(), spillAfter);
+    Event *min = _spill.back();
     _spill.pop_back();
-    if (!_spill.empty()) {
-        _spill[0] = last;
-        spillSiftDown(0);
-    }
     min->_flags &= std::uint16_t(~Event::kInSpill);
     return min;
 }
@@ -127,18 +87,11 @@ EventQueue::spillPopMin()
 void
 EventQueue::spillRemove(Event *ev)
 {
-    const std::size_t i = ev->_spillIdx;
-    panic_if(i >= _spill.size() || _spill[i] != ev,
+    const auto it = std::find(_spill.begin(), _spill.end(), ev);
+    panic_if(it == _spill.end(),
              "descheduling an event missing from the spill heap");
-    Event *last = _spill.back();
-    _spill.pop_back();
-    if (i < _spill.size()) {
-        _spill[i] = last;
-        // The replacement may need to move either way relative to its
-        // new parent/children.
-        spillSiftDown(i);
-        spillSiftUp(last->_spillIdx);
-    }
+    _spill.erase(it);
+    std::make_heap(_spill.begin(), _spill.end(), spillAfter);
     ev->_flags &= std::uint16_t(~Event::kInSpill);
 }
 

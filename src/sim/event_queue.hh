@@ -48,16 +48,15 @@
  *    next non-empty bucket" a handful of word scans + ctz;
  *
  *  - a *spill heap* for far-future events (when >= now() +
- *    kWheelBuckets), ordered by (tick, seq). The heap is *indexed*
- *    (each spilled event carries its heap slot), so deschedule() on
- *    the spill is an O(log n) sift instead of an O(n) erase +
- *    re-heapify. Whenever now() advances, events whose tick has come
- *    inside the horizon migrate from the heap into their wheel
- *    bucket. Migration pops the heap in (tick, seq) order and the
- *    wheel window invariant guarantees a migrating event can never
- *    land in a bucket that already holds an event scheduled directly
- *    into the wheel, so appending keeps FIFO order within a tick
- *    across the two levels.
+ *    kWheelBuckets), a binary min-heap ordered by (tick, seq);
+ *    deschedule() on the spill is a linear scan, as descheduling a
+ *    far-future event is rare. Whenever now() advances, events whose
+ *    tick has come inside the horizon migrate from the heap into
+ *    their wheel bucket. Migration pops the heap in (tick, seq) order
+ *    and the wheel window invariant guarantees a migrating event can
+ *    never land in a bucket that already holds an event scheduled
+ *    directly into the wheel, so appending keeps FIFO order within a
+ *    tick across the two levels.
  *
  * Schedule/execute are therefore O(1) for the near horizon (the common
  * case: latencies in this machine are 1..~400 cycles) and O(log n) only
@@ -120,7 +119,6 @@ class Event
     EventQueue *_queue = nullptr;  //!< queue we are scheduled on
     Tick _when = 0;
     std::uint64_t _seq = 0;        //!< FIFO tie-breaker within a tick
-    std::uint32_t _spillIdx = 0;   //!< heap slot while kInSpill
     std::uint16_t _flags = 0;
 };
 
@@ -304,13 +302,14 @@ class EventQueue
     /** One wheel slot: its tick's events in schedule() order. */
     using Bucket = IntrusiveFifo<Event, &Event::_next>;
 
-    /** True when @p a fires strictly before @p b ((tick, seq) order). */
+    /** True when @p a fires strictly after @p b ((tick, seq) order):
+     * the comparator that makes the std heap algorithms a min-heap. */
     static bool
-    spillBefore(const Event *a, const Event *b)
+    spillAfter(const Event *a, const Event *b)
     {
         if (a->_when != b->_when)
-            return a->_when < b->_when;
-        return a->_seq < b->_seq;
+            return a->_when > b->_when;
+        return a->_seq > b->_seq;
     }
 
     static constexpr std::uint32_t kWheelMask = kWheelBuckets - 1;
@@ -325,13 +324,11 @@ class EventQueue
     /** Earliest non-empty wheel bucket's tick (requires _wheelCount). */
     Tick nextWheelTick() const;
 
-    // --- indexed spill heap (O(log n) removal) ------------------------
+    // --- spill heap --------------------------------------------------
 
     void spillPush(Event *ev);
     Event *spillPopMin();
     void spillRemove(Event *ev);
-    void spillSiftUp(std::size_t i);
-    void spillSiftDown(std::size_t i);
 
     /** Pull spill-heap events that entered the horizon into the wheel. */
     void migrate();
@@ -341,7 +338,7 @@ class EventQueue
 
     std::vector<Bucket> _wheel;
     std::vector<std::uint64_t> _occupied;
-    std::vector<Event *> _spill;  //!< indexed min-heap of far events
+    std::vector<Event *> _spill;  //!< min-heap of far events
 
     Tick _now = 0;
     std::uint64_t _seq = 0;

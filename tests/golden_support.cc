@@ -38,14 +38,14 @@ collect(Runner &runner, TraceHasher &tracer)
 } // namespace
 
 GoldenRun
-runGoldenQuickstart(bool record_stream)
+runGoldenQuickstart(bool record_stream, DesignKind design)
 {
     SystemConfig cfg;
     cfg.numCores = 8;
     cfg.l2Tiles = 8;
     cfg.meshRows = 2;
     cfg.ausPerMc = 8;
-    cfg.design = DesignKind::AtomOpt;
+    cfg.design = design;
 
     MicroParams params;
     params.entryBytes = 256;
@@ -60,14 +60,14 @@ runGoldenQuickstart(bool record_stream)
 }
 
 GoldenRun
-runGoldenTpcc(bool record_stream)
+runGoldenTpcc(bool record_stream, DesignKind design)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
     cfg.l2Tiles = 4;
     cfg.meshRows = 2;
     cfg.ausPerMc = 4;
-    cfg.design = DesignKind::Atom;
+    cfg.design = design;
 
     tpcc::ScaleParams scale;
     scale.customersPerDistrict = 8;
@@ -124,6 +124,9 @@ renderGoldens()
     const GoldenRun tpcc = runGoldenTpcc();
     const GoldenRun tpcc_full = runGoldenTpccFull();
     const GoldenRun serving = runGoldenServing1024();
+    const GoldenRun quick_base =
+        runGoldenQuickstart(false, DesignKind::Base);
+    const GoldenRun tpcc_redo = runGoldenTpcc(false, DesignKind::Redo);
 
     char buf[2048];
     const int len = std::snprintf(
@@ -147,6 +150,15 @@ renderGoldens()
         "constexpr std::uint64_t kGoldenServing1024Deliveries = "
         "%lluull;\n"
         "constexpr std::uint64_t kGoldenServing1024Events = %lluull;\n"
+        "constexpr std::uint64_t kGoldenQuickstartBaseHash = "
+        "0x%016llxull;\n"
+        "constexpr std::uint64_t kGoldenQuickstartBaseDeliveries = "
+        "%lluull;\n"
+        "constexpr std::uint64_t kGoldenQuickstartBaseEvents = "
+        "%lluull;\n"
+        "constexpr std::uint64_t kGoldenTpccRedoHash = 0x%016llxull;\n"
+        "constexpr std::uint64_t kGoldenTpccRedoDeliveries = %lluull;\n"
+        "constexpr std::uint64_t kGoldenTpccRedoEvents = %lluull;\n"
         "// clang-format on\n",
         (unsigned long long)quick.hash,
         (unsigned long long)quick.deliveries,
@@ -157,7 +169,13 @@ renderGoldens()
         (unsigned long long)tpcc_full.events,
         (unsigned long long)serving.hash,
         (unsigned long long)serving.deliveries,
-        (unsigned long long)serving.events);
+        (unsigned long long)serving.events,
+        (unsigned long long)quick_base.hash,
+        (unsigned long long)quick_base.deliveries,
+        (unsigned long long)quick_base.events,
+        (unsigned long long)tpcc_redo.hash,
+        (unsigned long long)tpcc_redo.deliveries,
+        (unsigned long long)tpcc_redo.events);
     if (len < 0 || std::size_t(len) >= sizeof(buf)) {
         // A truncated render would silently regenerate a truncated
         // goldens.inc (and the idempotence test would then bless it).

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/mesh.hh"
+#include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace atomsim
@@ -103,12 +104,19 @@ struct GoldenRun
 
 /**
  * The quickstart-sized golden workload: the hash micro-benchmark on a
- * scaled-down Table-I machine (8 cores, ATOM-OPT).
+ * scaled-down Table-I machine (8 cores). The goldens pin it under
+ * ATOM-OPT and, for BASE's persist-ack path, under BASE.
  */
-GoldenRun runGoldenQuickstart(bool record_stream = false);
+GoldenRun runGoldenQuickstart(bool record_stream = false,
+                              DesignKind design = DesignKind::AtomOpt);
 
-/** The tpcc-sized golden workload: TPC-C new-order, 4 cores, ATOM. */
-GoldenRun runGoldenTpcc(bool record_stream = false);
+/**
+ * The tpcc-sized golden workload: TPC-C new-order, 4 cores. The
+ * goldens pin it under ATOM and, for the redo front end and backend,
+ * under REDO.
+ */
+GoldenRun runGoldenTpcc(bool record_stream = false,
+                        DesignKind design = DesignKind::Atom);
 
 /**
  * The Table-I golden workload: TPC-C new-order on the default

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the ATOM log manager: record format, bucket bit
  * vectors, LogM behaviors (LEC, locking, BASE vs posted acks,
- * truncation, overflow, source logging).
+ * duplicate entries, truncation, overflow, source logging).
  */
 
 #include <gtest/gtest.h>
@@ -153,7 +153,7 @@ TEST_F(LogMTest, PostedEntryLocksUntilHeaderPersists)
     sys.ausPool()->acquire(0, [&](std::uint32_t slot) {
         logm->beginUpdate(slot);
         bool acked = false;
-        logm->postLogEntry(slot, 0x2000, pattern(1), true,
+        logm->postLogEntry(slot, 0x2000, pattern(1),
                            [&] { acked = true; });
         eq.run(eq.now() + 5);
         EXPECT_TRUE(acked);  // posted ack: immediate (match latency)
@@ -180,7 +180,7 @@ TEST_F(LogMTest, BaseAckWaitsForPersistence)
     sys.ausPool()->acquire(0, [&](std::uint32_t slot) {
         logm->beginUpdate(slot);
         Tick acked_at = 0;
-        logm->postLogEntry(slot, 0x2000, pattern(2), false,
+        logm->postLogEntry(slot, 0x2000, pattern(2),
                            [&] { acked_at = eq.now(); });
         eq.run();
         // BASE: ack after data + header device writes (2 x 360 min).
@@ -189,6 +189,70 @@ TEST_F(LogMTest, BaseAckWaitsForPersistence)
         EXPECT_FALSE(logm->lineLocked(0x2000));
     });
     eq.run();
+}
+
+// An L1 re-logs a line when it lost the line after the first entry's
+// ack. Under BASE that ack waited for the header to persist, so the
+// re-log finds the line already durable: the address match alone acks
+// it, and no record is spent.
+TEST_F(LogMTest, BaseDuplicateAfterAckCostsOnlyTheAddressMatch)
+{
+    System sys(config(DesignKind::Base), Addr(16) * 1024 * 1024);
+    auto &eq = sys.eventQueue();
+    LogM *logm = sys.logm(0);
+
+    std::uint32_t slot = 0;
+    sys.ausPool()->acquire(0, [&slot](std::uint32_t s) { slot = s; });
+    logm->beginUpdate(slot);
+    Tick first_ack = 0;
+    logm->postLogEntry(slot, 0x2000, pattern(2),
+                       [&] { first_ack = eq.now(); });
+    eq.run();
+    ASSERT_GT(first_ack, 0u);
+    ASSERT_FALSE(logm->lineLocked(0x2000));
+    const std::uint64_t records = sys.stats().value("logm0", "records");
+
+    const Tick posted_at = eq.now();
+    Tick dup_ack = 0;
+    logm->postLogEntry(slot, 0x2000, pattern(3),
+                       [&] { dup_ack = eq.now(); });
+    eq.run();
+    EXPECT_EQ(sys.stats().value("logm0", "dup_entries"), 1u);
+    EXPECT_EQ(sys.stats().value("logm0", "entries"), 1u);
+    EXPECT_EQ(sys.stats().value("logm0", "records"), records);
+    EXPECT_EQ(dup_ack, posted_at + SystemConfig::mcAddrMatchLatency);
+}
+
+// Under ATOM a re-log can arrive while the first entry still sits in
+// the open record's header register: the posted ack needs only the
+// address match, and the open record takes no second entry.
+TEST_F(LogMTest, AtomDuplicateInTheOpenRecordCostsOnlyTheAddressMatch)
+{
+    System sys(config(DesignKind::Atom), Addr(16) * 1024 * 1024);
+    auto &eq = sys.eventQueue();
+    LogM *logm = sys.logm(0);
+
+    std::uint32_t slot = 0;
+    sys.ausPool()->acquire(0, [&slot](std::uint32_t s) { slot = s; });
+    logm->beginUpdate(slot);
+    bool first_acked = false;
+    logm->postLogEntry(slot, 0x2000, pattern(2),
+                       [&] { first_acked = true; });
+    eq.run(eq.now() + 5);
+    ASSERT_TRUE(first_acked);
+    ASSERT_TRUE(logm->lineLocked(0x2000));  // LEC keeps the record open
+    const std::uint64_t records = sys.stats().value("logm0", "records");
+
+    const Tick posted_at = eq.now();
+    Tick dup_ack = 0;
+    logm->postLogEntry(slot, 0x2000, pattern(3),
+                       [&] { dup_ack = eq.now(); });
+    eq.run();
+    EXPECT_EQ(sys.stats().value("logm0", "dup_entries"), 1u);
+    EXPECT_EQ(sys.stats().value("logm0", "entries"), 1u);
+    EXPECT_EQ(sys.stats().value("logm0", "records"), records);
+    EXPECT_EQ(dup_ack, posted_at + SystemConfig::mcAddrMatchLatency);
+    EXPECT_TRUE(logm->lineLocked(0x2000));
 }
 
 TEST_F(LogMTest, LecFillsSevenEntryRecords)
@@ -201,7 +265,7 @@ TEST_F(LogMTest, LecFillsSevenEntryRecords)
         logm->beginUpdate(slot);
         for (int i = 0; i < 7; ++i) {
             logm->postLogEntry(slot, 0x2000 + Addr(i) * 64,
-                               pattern(std::uint8_t(i)), true, {});
+                               pattern(std::uint8_t(i)), {});
         }
     });
     eq.run();
@@ -225,7 +289,7 @@ TEST_F(LogMTest, LecOffCostsTwoWritesPerEntry)
         logm->beginUpdate(slot);
         for (int i = 0; i < 7; ++i) {
             logm->postLogEntry(slot, 0x2000 + Addr(i) * 64,
-                               pattern(std::uint8_t(i)), true, {});
+                               pattern(std::uint8_t(i)), {});
         }
     });
     eq.run();
@@ -245,7 +309,7 @@ TEST_F(LogMTest, TruncateFreesBucketsAndUnlocks)
         logm->beginUpdate(slot);
         for (int i = 0; i < 3; ++i) {
             logm->postLogEntry(slot, 0x2000 + Addr(i) * 64,
-                               pattern(std::uint8_t(i)), true, {});
+                               pattern(std::uint8_t(i)), {});
         }
     });
     eq.run();
@@ -275,7 +339,7 @@ TEST_F(LogMTest, LogOverflowInterruptsOsAndProceeds)
         // A bucket holds 8 records = 56 entries with LEC; push past it.
         for (int i = 0; i < 60; ++i) {
             logm->postLogEntry(slot, 0x2000 + Addr(i) * 64,
-                               pattern(std::uint8_t(i)), true, {});
+                               pattern(std::uint8_t(i)), {});
         }
     });
     eq.run();
@@ -296,6 +360,18 @@ TEST_F(LogMTest, SourceLogFillRequiresActiveUpdate)
     });
     sys.eventQueue().run();
     EXPECT_EQ(sys.stats().value("logm0", "source_logged"), 1u);
+
+    // Only ATOM-OPT source-logs: under ATOM an active update's fills
+    // come back unlogged.
+    System atom(config(DesignKind::Atom), Addr(16) * 1024 * 1024);
+    LogM *atom_logm = atom.logm(0);
+    atom.ausPool()->acquire(0, [atom_logm](std::uint32_t slot) {
+        atom_logm->beginUpdate(slot);
+        EXPECT_FALSE(atom_logm->sourceLogFill(0, 0x2000, Line{}));
+    });
+    atom.eventQueue().run();
+    EXPECT_EQ(atom.stats().value("logm0", "source_logged"), 0u);
+    EXPECT_EQ(atom.stats().value("logm0", "entries"), 0u);
 }
 
 TEST_F(LogMTest, CriticalStateSmall)

@@ -5,7 +5,7 @@
  * Runs four fixed workloads -- a quickstart-sized hash
  * micro-benchmark, a tpcc-sized OLTP run, TPC-C on the full Table-I
  * machine and KV serving on the 1024-tile preset -- with a tracer
- * attached to the mesh, and
+ * attached to the mesh (the first two also under BASE and REDO), and
  * hashes every packet delivery as a (tick, node, message-kind) triple
  * (golden_support.hh owns the hash and the workload configs; the
  * checked-in values live in the generated tests/goldens.inc). The hash
@@ -58,6 +58,42 @@ TEST(GoldenTraceTest, TpccSizedRunIsTickForTickStable)
         << "actual deliveries: " << r.deliveries
         << " (rerun with --dump-goldens for intentional changes)";
     EXPECT_EQ(r.hash, golden::kGoldenTpccHash)
+        << "actual hash: 0x" << std::hex << r.hash
+        << " (rerun with --dump-goldens for intentional changes)";
+}
+
+// BASE on the quickstart shape: every log entry is its own record and
+// its ack waits for the header to persist, so this golden pins the
+// persist-ack path that the ATOM and ATOM-OPT goldens never take.
+TEST(GoldenTraceTest, QuickstartSizedBaseRunIsTickForTickStable)
+{
+    const GoldenRun r = runGoldenQuickstart(false, DesignKind::Base);
+    EXPECT_EQ(r.txns, 8u * 6u);
+    EXPECT_EQ(r.events, golden::kGoldenQuickstartBaseEvents)
+        << "actual events: " << r.events
+        << " (rerun with --dump-goldens for intentional changes)";
+    EXPECT_EQ(r.deliveries, golden::kGoldenQuickstartBaseDeliveries)
+        << "actual deliveries: " << r.deliveries
+        << " (rerun with --dump-goldens for intentional changes)";
+    EXPECT_EQ(r.hash, golden::kGoldenQuickstartBaseHash)
+        << "actual hash: 0x" << std::hex << r.hash
+        << " (rerun with --dump-goldens for intentional changes)";
+}
+
+// REDO on the tpcc shape: a redo entry per in-region store, commit
+// records and the backend's in-place applies. Log writes travel no
+// mesh message, so the event count pins their timing as well.
+TEST(GoldenTraceTest, TpccSizedRedoRunIsTickForTickStable)
+{
+    const GoldenRun r = runGoldenTpcc(false, DesignKind::Redo);
+    EXPECT_EQ(r.txns, 4u * 4u);
+    EXPECT_EQ(r.events, golden::kGoldenTpccRedoEvents)
+        << "actual events: " << r.events
+        << " (rerun with --dump-goldens for intentional changes)";
+    EXPECT_EQ(r.deliveries, golden::kGoldenTpccRedoDeliveries)
+        << "actual deliveries: " << r.deliveries
+        << " (rerun with --dump-goldens for intentional changes)";
+    EXPECT_EQ(r.hash, golden::kGoldenTpccRedoHash)
         << "actual hash: 0x" << std::hex << r.hash
         << " (rerun with --dump-goldens for intentional changes)";
 }

@@ -145,6 +145,33 @@ TEST(IntegrationTest, TpccRunsOnAtomOpt)
     EXPECT_EQ(workload.checkConsistency(direct, 4), "");
 }
 
+// REDO logs every in-region store as its own entry: a core has at
+// most two stores in flight and never two to one line, so a store
+// never finds an earlier one to the same line still waiting in the
+// front end's buffer. TPC-C's regions store to the same lines over and
+// over, so any combining would show here.
+TEST(IntegrationTest, RedoLogsEveryInRegionStoreAsItsOwnEntry)
+{
+    tpcc::ScaleParams scale;
+    scale.customersPerDistrict = 16;
+    scale.items = 128;
+    TpccWorkload workload(scale);
+
+    const SystemConfig cfg = smallConfig(DesignKind::Redo);
+    Runner runner(cfg, workload, 4, Addr(128) * 1024 * 1024);
+    runner.setUp();
+    const RunResult result = runner.run(Tick(500) * 1000 * 1000);
+    ASSERT_EQ(result.txns, 4u * 4u);
+
+    const StatSet &stats = runner.system().stats();
+    std::uint64_t log_requests = 0;
+    for (CoreId c = 0; c < cfg.numCores; ++c)
+        log_requests +=
+            stats.value("l1c" + std::to_string(c), "log_requests");
+    ASSERT_GT(log_requests, 0u);
+    EXPECT_EQ(stats.value("redo", "log_entries"), log_requests);
+}
+
 TEST(IntegrationTest, DurableStateMatchesArchitecturalAfterQuiesce)
 {
     // After a full run every committed transaction's data has been
