@@ -38,11 +38,14 @@
  * while the btree micro-benchmark runs on the Table-I machine (small
  * dataset) under BASE, ATOM-OPT and REDO -- what is left of the
  * per-transaction allocations in the timing model. Reported, not
- * gated.
+ * gated. Then the heap bytes and calls of the durable snapshot
+ * (System::makeDurableSnapshot) after sps's Table-I init with 4 KB
+ * entries, a 64 MiB image: the snapshot shares the image's pages, so
+ * it must allocate at most 1/32 of the image's bytes.
  *
  * Exit status is 2 when the two kernels fire different event counts,
- * and 1 when a zero-allocation check fails or the store path never
- * fills an SQ.
+ * and 1 when a zero-allocation check fails, the store path never
+ * fills an SQ or the snapshot allocates above its bound.
  */
 
 #include <chrono>
@@ -68,6 +71,7 @@ namespace
 using atomsim::Cycles;
 using atomsim::EventQueue;
 using atomsim::TickEvent;
+using atomsim::bench::allocBytes;
 using atomsim::bench::allocCount;
 
 // --- deterministic workload shape -------------------------------------
@@ -439,6 +443,31 @@ allocsPerTxn(atomsim::DesignKind design, std::uint64_t &txns)
     return txns ? double(allocs) / double(txns) : 0.0;
 }
 
+/**
+ * Initialize sps with 4 KB entries on the Table-I machine, as
+ * Runner::setUp does, and return the heap bytes the durable snapshot
+ * then allocates; @p calls gets its allocations and @p image_bytes the
+ * snapshotted image's size.
+ */
+std::uint64_t
+snapshotBytes(std::uint64_t &calls, std::uint64_t &image_bytes)
+{
+    const atomsim::SystemConfig cfg;
+    const atomsim::MicroParams params = atomsim::bench::microParams(true);
+    auto workload = atomsim::bench::makeMicro("sps", params);
+    atomsim::Runner runner(cfg, *workload, params.txnsPerCore);
+    atomsim::System &sys = runner.system();
+    atomsim::DirectAccessor direct(sys.archMem());
+    workload->init(direct, runner.heap(), cfg.numCores);
+    image_bytes = sys.archMem().pagesAllocated() * atomsim::kPageBytes;
+
+    const std::uint64_t calls_before = allocCount();
+    const std::uint64_t bytes_before = allocBytes();
+    sys.makeDurableSnapshot();
+    calls = allocCount() - calls_before;
+    return allocBytes() - bytes_before;
+}
+
 } // namespace
 
 int
@@ -565,6 +594,26 @@ main(int argc, char **argv)
         std::printf("  %-38s %8.2f allocs/txn (%llu txns)\n",
                     atomsim::designName(design), per_txn,
                     (unsigned long long)txns);
+    }
+
+    std::uint64_t snapshot_calls = 0, image_bytes = 0;
+    const std::uint64_t snapshot_bytes =
+        snapshotBytes(snapshot_calls, image_bytes);
+    const std::uint64_t snapshot_bound = image_bytes / 32;
+    const double mib = 1024.0 * 1024.0;
+    std::printf("\ndurable snapshot after sps init, Table-I machine, 4 KB "
+                "entries (%.1f MiB image)\n\n",
+                double(image_bytes) / mib);
+    std::printf("  %-38s %8.1f MiB in %llu allocs (bound %.1f MiB)\n",
+                "System::makeDurableSnapshot",
+                double(snapshot_bytes) / mib,
+                (unsigned long long)snapshot_calls,
+                double(snapshot_bound) / mib);
+    if (snapshot_bytes > snapshot_bound) {
+        std::fprintf(stderr, "\nFAIL: the durable snapshot allocated "
+                             "%llu bytes, above 1/32 of the image\n",
+                     (unsigned long long)snapshot_bytes);
+        return 1;
     }
     return 0;
 }

@@ -191,7 +191,9 @@ Runner::crashDuringRecovery(double fraction)
 
     // Reference pass on a clone: counts the total record applications
     // a single uninterrupted recovery performs (so the fraction is of
-    // real work, not a guess), without touching the durable image.
+    // real work, not a guess), without touching the durable image. The
+    // clone shares the durable image's pages, so it costs a copy of the
+    // page index plus the pages this pass writes.
     DataImage probe = sys.nvmImage().clone();
     // Flash tier: the reference pass must rehydrate too (from the real,
     // read-only flash images) or it undercounts the work of a pass over

@@ -86,7 +86,8 @@ class System
     const RunTally &tally() const { return _tally; }
 
     /** Seed the durable image from the architectural one (after
-     * functional initialization: initial state is durable). */
+     * functional initialization: initial state is durable). The two
+     * share pages until one of them writes a page. */
     void makeDurableSnapshot() { _nvm = _arch.clone(); }
 
     /**

@@ -1,26 +1,65 @@
 #include "mem/phys_mem.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
 namespace atomsim
 {
 
-const DataImage::Page *
-DataImage::findPage(Addr page_num) const
+DataImage::~DataImage()
 {
-    const std::unique_ptr<Page> *slot = _pages.find(page_num);
-    return slot ? slot->get() : nullptr;
+    releasePages();
 }
 
-DataImage::Page &
-DataImage::touchPage(Addr page_num)
+DataImage &
+DataImage::operator=(DataImage &&other) noexcept
 {
-    auto &slot = _pages[page_num];
-    if (!slot)
-        slot = std::make_unique<Page>();  // value-initialized: zeroed
-    return *slot;
+    if (this != &other) {
+        releasePages();
+        _pages = std::move(other._pages);
+    }
+    return *this;
+}
+
+void
+DataImage::releasePages()
+{
+    _pages.forEach([](Addr, PageSlot slot) {
+        Page *page = pageOf(slot);
+        if (--page->refs == 0)
+            delete page;
+    });
+}
+
+DataImage::PageSlot
+DataImage::ownedPage(PageSlot slot)
+{
+    if (slot == 0)
+        return reinterpret_cast<PageSlot>(new Page);
+    Page *page = pageOf(slot);
+    if (page->refs == 1)
+        return slot & ~kShared;  // the other holders are gone
+    Page *copy = new Page{page->bytes};
+    --page->refs;
+    return reinterpret_cast<PageSlot>(copy);
+}
+
+const std::uint8_t *
+DataImage::findPage(Addr page_num) const
+{
+    const PageSlot *slot = _pages.find(page_num);
+    return slot ? pageOf(*slot)->bytes.data() : nullptr;
+}
+
+std::uint8_t *
+DataImage::writablePage(Addr page_num)
+{
+    PageSlot &slot = _pages[page_num];
+    if (slot == 0 || (slot & kShared))
+        slot = ownedPage(slot);
+    return pageOf(slot)->bytes.data();
 }
 
 void
@@ -31,8 +70,8 @@ DataImage::read(Addr addr, std::size_t size, void *out) const
         const Addr page_num = addr >> kPageShift;
         const std::size_t off = addr & (kPageBytes - 1);
         const std::size_t chunk = std::min(size, kPageBytes - off);
-        if (const Page *p = findPage(page_num))
-            std::memcpy(dst, p->data() + off, chunk);
+        if (const std::uint8_t *p = findPage(page_num))
+            std::memcpy(dst, p + off, chunk);
         else
             std::memset(dst, 0, chunk);
         dst += chunk;
@@ -49,7 +88,7 @@ DataImage::write(Addr addr, std::size_t size, const void *in)
         const Addr page_num = addr >> kPageShift;
         const std::size_t off = addr & (kPageBytes - 1);
         const std::size_t chunk = std::min(size, kPageBytes - off);
-        std::memcpy(touchPage(page_num).data() + off, src, chunk);
+        std::memcpy(writablePage(page_num) + off, src, chunk);
         src += chunk;
         addr += chunk;
         size -= chunk;
@@ -81,12 +120,14 @@ DataImage::writeLineWords(Addr addr, const Line &line, std::uint32_t words)
 }
 
 DataImage
-DataImage::clone() const
+DataImage::clone()
 {
-    DataImage copy;
-    _pages.forEach([&copy](Addr num, const std::unique_ptr<Page> &page) {
-        copy._pages[num] = std::make_unique<Page>(*page);
+    _pages.forEach([](Addr, PageSlot &slot) {
+        slot |= kShared;
+        ++pageOf(slot)->refs;
     });
+    DataImage copy;
+    copy._pages = _pages.copy();
     return copy;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sparse byte-addressable memory images.
+ * Sparse byte-addressable memory images that share pages on clone.
  *
  * atomsim keeps two images of memory:
  *
@@ -9,7 +9,13 @@
  *  - the *durable* (NVM) image, updated only by timing-model writes
  *    (data writebacks/flushes and log writes).
  *
- * Both are instances of DataImage. Crash/recovery tests diff them.
+ * Both are instances of DataImage. The durable image starts as a
+ * clone() of the architectural one after functional initialization,
+ * and recovery experiments clone the durable image again. A clone
+ * shares every page with its source and copies a page only when one
+ * side first writes it, so a snapshot costs the page index rather than
+ * the image, and each image still reads as a deep copy. Images that
+ * share pages must stay on one thread: the page counts are not atomic.
  */
 
 #ifndef ATOMSIM_MEM_PHYS_MEM_HH
@@ -18,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 
 #include "sim/line_map.hh"
 #include "sim/types.hh"
@@ -37,12 +42,26 @@ constexpr std::uint32_t kPageShift = 12;
  * A sparse, zero-initialized byte-addressable memory image.
  *
  * Pages materialize on first write; reads of untouched memory return
- * zeroes.
+ * zeroes. Each page carries an intrusive count of the images that hold
+ * it, and each slot of the page index a "shared" bit that clone() sets
+ * in the source and the copy. A write reads the count only through a
+ * slot with that bit set -- the count sits on another host cache line
+ * than the bytes written -- and then copies the page first, or takes it
+ * over when this image holds its last reference.
  */
 class DataImage
 {
   public:
     DataImage() = default;
+    ~DataImage();
+
+    /** Moves leave @p other empty (and usable). */
+    DataImage(DataImage &&other) noexcept = default;
+    DataImage &operator=(DataImage &&other) noexcept;
+
+    /** Images are copied only through clone(). */
+    DataImage(const DataImage &) = delete;
+    DataImage &operator=(const DataImage &) = delete;
 
     /** Read @p size bytes at @p addr into @p out. */
     void read(Addr addr, std::size_t size, void *out) const;
@@ -98,20 +117,45 @@ class DataImage
     /** Number of materialized pages (for tests / footprint stats). */
     std::size_t pagesAllocated() const { return _pages.size(); }
 
-    /** Drop all contents. */
-    void clear() { _pages.clear(); }
-
-    /** Deep copy (used by crash tests to snapshot the NVM image). */
-    DataImage clone() const;
+    /**
+     * An image that reads as a deep copy of this one, now and after
+     * either is written, and that may outlive it. It shares every page
+     * with this image instead of copying it (hence non-const: this
+     * image's slots are marked shared), so it costs one copy of the
+     * page index.
+     */
+    DataImage clone();
 
   private:
-    using Page = std::array<std::uint8_t, kPageBytes>;
+    struct Page
+    {
+        std::array<std::uint8_t, kPageBytes> bytes{};  //!< zeroed
+        std::uint32_t refs = 1;  //!< images holding this page
+    };
 
-    const Page *findPage(Addr page_num) const;
-    Page &touchPage(Addr page_num);
+    /** A page-index slot: the Page's address, its low bit set when the
+     * page may be shared with another image. */
+    using PageSlot = std::uintptr_t;
+    static constexpr PageSlot kShared = 1;
 
-    /** Page number -> page (pages stay put when the index grows). */
-    LineMap<std::unique_ptr<Page>> _pages;
+    static Page *
+    pageOf(PageSlot slot)
+    {
+        return reinterpret_cast<Page *>(slot & ~kShared);
+    }
+
+    /** A page this image alone holds, for a slot that is empty or
+     * shared. */
+    static PageSlot ownedPage(PageSlot slot);
+
+    /** Drop this image's reference to every page. */
+    void releasePages();
+
+    const std::uint8_t *findPage(Addr page_num) const;
+    std::uint8_t *writablePage(Addr page_num);
+
+    /** Page number -> page slot (pages stay put when the index grows). */
+    LineMap<PageSlot> _pages;
 };
 
 } // namespace atomsim

@@ -61,6 +61,20 @@ class LineMap
         return *this;
     }
 
+    /** A copy at this map's capacity, built in one pass: the slot
+     * array is copied as it is, so no key is rehashed. Maps are never
+     * copied implicitly. */
+    LineMap
+    copy() const
+    {
+        LineMap m;
+        m._slots = _slots;
+        m._size = _size;
+        m._mask = _mask;
+        m._shift = _shift;
+        return m;
+    }
+
     std::size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
 

@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -53,9 +54,12 @@ RecordingAccessor::emitStore(Addr addr, const void *bytes,
             {MemOp::kMaxStoreBytes, size, to_line});
         _txn.ops.push_back(MemOp::store(addr, p, chunk));
         if (_inAtomic) {
+            // A line's word stores arrive back to back, so most find
+            // their line at the back of the list.
             const Addr line = lineAlign(addr);
-            if (std::find(_modified.begin(), _modified.end(), line) ==
-                _modified.end()) {
+            if ((_modified.empty() || _modified.back() != line) &&
+                std::find(_modified.begin(), _modified.end(), line) ==
+                    _modified.end()) {
                 _modified.push_back(line);
             }
         }
@@ -121,7 +125,8 @@ RecordingAccessor::atomicEnd()
 {
     panic_if(!_inAtomic, "atomicEnd without atomicBegin");
     _inAtomic = false;
-    _txn.modifiedLines = _modified;
+    _txn.modifiedLines = std::move(_modified);
+    _modified.clear();
     _txn.ops.push_back(MemOp::marker(OpKind::AtomicEnd));
 }
 

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "harness/runner.hh"
 #include "workloads/btree_workload.hh"
@@ -191,6 +193,51 @@ TEST(IntegrationTest, DurableStateMatchesArchitecturalAfterQuiesce)
     // committed must be durable after the last commit completed.
     DirectAccessor durable(runner.system().nvmImage());
     EXPECT_EQ(workload.checkConsistency(durable, 4), "");
+}
+
+/** Every byte of @p img below @p end. */
+std::vector<std::uint8_t>
+imageBytes(const DataImage &img, Addr end)
+{
+    std::vector<std::uint8_t> bytes(end);
+    img.read(0, end, bytes.data());
+    return bytes;
+}
+
+// The durable snapshot starts equal to the architectural image, and
+// from then on each image sees only its own writes: trace generation
+// writes the architectural image and never the durable one, and
+// recovery the durable image and never the architectural one.
+TEST(IntegrationTest, TraceGenerationAndRecoveryKeepTheImagesApart)
+{
+    MicroParams params;
+    params.entryBytes = 4096;
+    params.initialItems = 16;
+    params.txnsPerCore = 8;
+    SpsWorkload workload(params);
+
+    const SystemConfig cfg = smallConfig(DesignKind::AtomOpt);
+    Runner runner(cfg, workload, params.txnsPerCore,
+                  Addr(16) * 1024 * 1024);
+    runner.setUp();
+    System &sys = runner.system();
+    const Addr end = sys.addressMap().reservedEnd();
+
+    const std::vector<std::uint8_t> snapshot =
+        imageBytes(sys.nvmImage(), end);
+    ASSERT_EQ(imageBytes(sys.archMem(), end), snapshot);
+
+    for (int round = 0; round < 2; ++round) {
+        for (CoreId c = 0; c < cfg.numCores; ++c)
+            ASSERT_TRUE(runner.next(c).has_value());
+    }
+    EXPECT_NE(imageBytes(sys.archMem(), end), snapshot);
+    EXPECT_EQ(imageBytes(sys.nvmImage(), end), snapshot);
+
+    runner.runUntilCrash(0.5, 5);
+    const std::vector<std::uint8_t> arch = imageBytes(sys.archMem(), end);
+    EXPECT_TRUE(sys.recover().criticalStateFound);
+    EXPECT_EQ(imageBytes(sys.archMem(), end), arch);
 }
 
 // Runner's stop predicates read the tally the cores keep as they

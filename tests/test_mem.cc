@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,13 +40,14 @@ TEST(DataImageTest, ZeroInitializedReads)
 TEST(DataImageTest, FreshPageReadsZeroAroundTheWrite)
 {
     constexpr Addr kPages = 8;
-    DataImage img;
-    const std::vector<std::uint8_t> ones(kPageBytes, 0xff);
-    for (Addr p = 0; p < kPages; ++p)
-        img.write(p * kPageBytes, kPageBytes, ones.data());
-    img.clear();
-    ASSERT_EQ(img.pagesAllocated(), 0u);
+    {
+        DataImage used;
+        const std::vector<std::uint8_t> ones(kPageBytes, 0xff);
+        for (Addr p = 0; p < kPages; ++p)
+            used.write(p * kPageBytes, kPageBytes, ones.data());
+    }  // its pages go back to the allocator
 
+    DataImage img;
     const std::uint8_t mark = 0x5a;
     for (Addr p = 0; p < kPages; ++p)
         img.write(p * kPageBytes + 100 + p, 1, &mark);
@@ -104,6 +107,240 @@ TEST(DataImageTest, CloneIsDeep)
     img.store64(0x40, 9);
     EXPECT_EQ(copy.load64(0x40), 7u);
     EXPECT_EQ(img.load64(0x40), 9u);
+}
+
+TEST(DataImageTest, WriteThroughCloneDoesNotReachSource)
+{
+    DataImage img;
+    img.store64(0x40, 7);
+    img.store64(kPageBytes + 0x80, 11);
+    DataImage copy = img.clone();
+    copy.store64(0x40, 9);
+    copy.store64(0x48, 10);
+    EXPECT_EQ(img.load64(0x40), 7u);
+    EXPECT_EQ(img.load64(0x48), 0u);
+    EXPECT_EQ(copy.load64(0x40), 9u);
+    EXPECT_EQ(copy.load64(kPageBytes + 0x80), 11u);
+    // The source's next write lands in its own page, not the clone's.
+    img.store64(0x40, 8);
+    EXPECT_EQ(copy.load64(0x40), 9u);
+    EXPECT_EQ(img.load64(0x40), 8u);
+}
+
+TEST(DataImageTest, TornAndStraddlingWritesLandOnASharedPage)
+{
+    DataImage img;
+    std::vector<std::uint8_t> fill(2 * kPageBytes);
+    for (std::size_t i = 0; i < fill.size(); ++i)
+        fill[i] = std::uint8_t(i * 7 + 1);
+    img.write(0, fill.size(), fill.data());
+    DataImage copy = img.clone();
+
+    // A torn line write through the clone: three words land.
+    Line line;
+    line.fill(0xee);
+    copy.writeLineWords(0x200, line, 3);
+    const Line torn = copy.readLine(0x200);
+    const Line was = img.readLine(0x200);
+    for (std::uint32_t i = 0; i < kLineBytes; ++i) {
+        EXPECT_EQ(torn[i], i < 24 ? 0xee : fill[0x200 + i]) << i;
+        EXPECT_EQ(was[i], fill[0x200 + i]) << i;
+    }
+
+    // A write across the page boundary, through the source this time:
+    // both of its pages are still shared with the clone.
+    std::uint8_t across[200];
+    std::memset(across, 0x33, sizeof(across));
+    const Addr at = kPageBytes - 100;
+    img.write(at, sizeof(across), across);
+
+    std::vector<std::uint8_t> seen(fill.size());
+    copy.read(0, seen.size(), seen.data());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        const bool torn_word = i >= 0x200 && i < 0x200 + 24;
+        ASSERT_EQ(seen[i], torn_word ? 0xee : fill[i]) << "clone byte " << i;
+    }
+    img.read(0, seen.size(), seen.data());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        const bool straddle = i >= at && i < at + sizeof(across);
+        ASSERT_EQ(seen[i], straddle ? 0x33 : fill[i]) << "source byte " << i;
+    }
+}
+
+TEST(DataImageTest, CloneOutlivesItsSource)
+{
+    auto img = std::make_unique<DataImage>();
+    img->store64(0x40, 7);
+    img->store64(3 * kPageBytes, 21);
+    DataImage copy = img->clone();
+    img.reset();
+
+    EXPECT_EQ(copy.load64(0x40), 7u);
+    EXPECT_EQ(copy.load64(3 * kPageBytes), 21u);
+    copy.store64(0x40, 8);
+    EXPECT_EQ(copy.load64(0x40), 8u);
+    EXPECT_EQ(copy.pagesAllocated(), 2u);
+}
+
+TEST(DataImageTest, CloneOfACloneKeepsAllThreeApart)
+{
+    DataImage a;
+    a.store64(0x40, 1);
+    a.store64(0x1040, 100);
+    DataImage b = a.clone();
+    DataImage c = b.clone();
+
+    a.store64(0x40, 2);
+    b.store64(0x40, 3);
+    c.store64(0x40, 4);
+    EXPECT_EQ(a.load64(0x40), 2u);
+    EXPECT_EQ(b.load64(0x40), 3u);
+    EXPECT_EQ(c.load64(0x40), 4u);
+
+    // A page none of them wrote since the clones still reads the same
+    // everywhere, and a write to it through the middle image stays
+    // there.
+    b.store64(0x1048, 5);
+    for (const DataImage *img : {&a, &b, &c})
+        EXPECT_EQ(img->load64(0x1040), 100u);
+    EXPECT_EQ(a.load64(0x1048), 0u);
+    EXPECT_EQ(b.load64(0x1048), 5u);
+    EXPECT_EQ(c.load64(0x1048), 0u);
+}
+
+TEST(DataImageTest, MoveAssignOverASharedImage)
+{
+    DataImage a;
+    a.store64(0x40, 1);
+    DataImage b = a.clone();
+    DataImage c;
+    c.store64(0x40, 2);
+    c.store64(0x2000, 3);
+
+    b = c.clone();  // b's share of a's page is dropped
+    EXPECT_EQ(a.load64(0x40), 1u);
+    EXPECT_EQ(b.load64(0x40), 2u);
+    EXPECT_EQ(b.load64(0x2000), 3u);
+
+    a.store64(0x40, 4);
+    b.store64(0x40, 5);
+    c.store64(0x40, 6);
+    EXPECT_EQ(a.load64(0x40), 4u);
+    EXPECT_EQ(b.load64(0x40), 5u);
+    EXPECT_EQ(c.load64(0x40), 6u);
+
+    b = b.clone();  // over the image it was cloned from
+    EXPECT_EQ(b.load64(0x40), 5u);
+    EXPECT_EQ(b.load64(0x2000), 3u);
+    b.store64(0x2000, 7);
+    EXPECT_EQ(b.load64(0x2000), 7u);
+    EXPECT_EQ(c.load64(0x2000), 3u);
+}
+
+// Clones against deep copies: a seeded stream of writes of every shape
+// (scalar, line, torn line, page-straddling), reads, clones (moved over
+// an image, or replacing and so destroying it) and destructions, over
+// a few images that share a 16-page window. Each image has a plain
+// byte-array reference that the test copies deeply; after every write
+// the written span is compared in every image, and every image in full
+// now and then.
+TEST(DataImageTest, ClonesMatchDeepCopiesUnderRandomOps)
+{
+    constexpr std::size_t kImages = 4;
+    constexpr Addr kWindow = 16 * kPageBytes;
+    constexpr int kOps = 100000;
+
+    std::vector<std::unique_ptr<DataImage>> imgs(kImages);
+    std::vector<std::vector<std::uint8_t>> refs(kImages);
+    for (std::size_t i = 0; i < kImages; ++i) {
+        imgs[i] = std::make_unique<DataImage>();
+        refs[i].assign(kWindow, 0);
+    }
+
+    std::vector<std::uint8_t> buf(kWindow);
+    const auto matches = [&](std::size_t i, Addr addr, std::size_t size) {
+        imgs[i]->read(addr, size, buf.data());
+        return std::memcmp(buf.data(), &refs[i][addr], size) == 0;
+    };
+
+    Random rng(2024);
+    std::uint64_t clones = 0, destroyed = 0;
+    for (int op = 0; op < kOps; ++op) {
+        const std::size_t i = std::size_t(rng.below(kImages));
+        const std::uint64_t kind = rng.below(100);
+        Addr addr = 0;
+        std::size_t size = 0;
+        if (kind < 60) {
+            std::uint8_t bytes[kPageBytes];
+            if (kind < 20) {  // scalar
+                size = rng.chance(0.5) ? 8 : 4;
+                addr = rng.below(kWindow - size + 1);
+                for (std::size_t b = 0; b < size; ++b)
+                    bytes[b] = std::uint8_t(rng.next());
+                if (size == 8) {
+                    std::uint64_t v;
+                    std::memcpy(&v, bytes, 8);
+                    imgs[i]->store64(addr, v);
+                } else {
+                    std::uint32_t v;
+                    std::memcpy(&v, bytes, 4);
+                    imgs[i]->store32(addr, v);
+                }
+            } else if (kind < 35) {  // line, whole or torn
+                Line line;
+                for (std::uint8_t &b : line)
+                    b = std::uint8_t(rng.next());
+                addr = lineAlign(rng.below(kWindow));
+                // 0-9 words (9 clamps to the line's 8), or 10: a whole
+                // line at an unaligned address.
+                const std::uint32_t words = std::uint32_t(rng.below(11));
+                if (words == 10)
+                    imgs[i]->writeLine(addr + rng.below(kLineBytes), line);
+                else
+                    imgs[i]->writeLineWords(addr, line, words);
+                size = std::size_t(std::min<std::uint32_t>(words, 8)) * 8;
+                std::memcpy(bytes, line.data(), size);
+            } else {  // straddling a page boundary
+                const Addr boundary = (1 + rng.below(15)) * kPageBytes;
+                const std::size_t before = 1 + rng.below(300);
+                addr = boundary - before;
+                size = before + 1 + rng.below(300);
+                for (std::size_t b = 0; b < size; ++b)
+                    bytes[b] = std::uint8_t(rng.next());
+                imgs[i]->write(addr, size, bytes);
+            }
+            std::memcpy(&refs[i][addr], bytes, size);
+            for (std::size_t j = 0; j < kImages; ++j)
+                ASSERT_TRUE(matches(j, addr, size))
+                    << "op " << op << ": image " << j << " after a write to "
+                    << i << " at " << addr << " (" << size << " bytes)";
+        } else if (kind < 80) {  // read
+            addr = rng.below(kWindow);
+            size = 1 + rng.below(
+                           std::min<Addr>(kWindow - addr, 2 * kPageBytes));
+            ASSERT_TRUE(matches(i, addr, size)) << "op " << op;
+        } else if (kind < 95) {  // clone, moved over an image or replacing it
+            const std::size_t j = std::size_t(rng.below(kImages));
+            if (rng.chance(0.5))
+                *imgs[j] = imgs[i]->clone();
+            else
+                imgs[j] = std::make_unique<DataImage>(imgs[i]->clone());
+            refs[j] = refs[i];
+            ++clones;
+        } else {  // destroy, and start again empty
+            imgs[i] = std::make_unique<DataImage>();
+            refs[i].assign(kWindow, 0);
+            ++destroyed;
+        }
+        if (op % 1000 == 999) {
+            for (std::size_t j = 0; j < kImages; ++j)
+                ASSERT_TRUE(matches(j, 0, kWindow)) << "op " << op;
+        }
+    }
+    for (std::size_t j = 0; j < kImages; ++j)
+        EXPECT_TRUE(matches(j, 0, kWindow)) << "image " << j;
+    EXPECT_GT(clones, 10000u);
+    EXPECT_GT(destroyed, 3000u);
 }
 
 class AddressMapTest : public ::testing::Test
